@@ -25,14 +25,13 @@ def _load_cfg(path):
 
 
 def cmd_seed(args):
-    from . import genome as gn
-    from .pipeline import step_population_root
+    from dataclasses import replace
+
+    from .pipeline import STEP_KINDS, step_population_root
     from .worker import Worker
 
     cfg = _load_cfg(args.config)
-    kind = gn.ENCODER if args.kind == "cae" else gn.CLASSIFIER
-    from dataclasses import replace
-
+    kind = STEP_KINDS[args.kind]
     cfg = replace(cfg, population_root=str(step_population_root(cfg, kind)))
     for i in range(cfg.workers):
         Worker(cfg, i, kind).seed_population()
@@ -40,26 +39,20 @@ def cmd_seed(args):
 
 
 def cmd_worker(args):
-    from . import genome as gn
     from .worker import Worker
 
     cfg = _load_cfg(args.config)
-    kind = args.kind if args.kind in (gn.ENCODER, gn.CLASSIFIER) else (
-        gn.ENCODER if args.kind == "cae" else gn.CLASSIFIER
-    )
-    completed = Worker(cfg, args.index, kind).run()
+    completed = Worker(cfg, args.index, args.kind).run()
     print(f"worker {args.index} completed {completed} rounds")
 
 
-def cmd_evolve(args, kind_name):
-    from . import genome as gn
-    from .pipeline import run_step
+def cmd_evolve(args, name):
+    from .pipeline import STEP_KINDS, run_step
 
     cfg = _load_cfg(args.config)
-    kind = gn.ENCODER if kind_name == "cae" else gn.CLASSIFIER
-    summary = run_step(cfg, kind)
+    summary = run_step(cfg, STEP_KINDS[name])
     print(
-        f"step={kind_name} networks_generated={summary.networks_generated} "
+        f"step={name} networks_generated={summary.networks_generated} "
         f"best_metric={summary.best_metric:.4f} history={summary.history_csv}"
     )
 
@@ -103,18 +96,17 @@ def cmd_compose(args):
 
 
 def cmd_report(args):
-    from . import genome as gn
-    from .pipeline import export_history, step_population_root
+    from .pipeline import STEP_KINDS, export_history, step_population_root
 
     cfg = _load_cfg(args.config)
-    kind = gn.ENCODER if args.step == "cae" else gn.CLASSIFIER
-    tag = "cae" if args.step == "cae" else "clf"
-    out = Path(cfg.report_dir) / f"history_{tag}.csv"
-    rows = export_history(step_population_root(cfg, kind), out)
+    out = Path(cfg.report_dir) / f"history_{args.step}.csv"
+    rows = export_history(step_population_root(cfg, STEP_KINDS[args.step]), out)
     print(f"wrote {len(rows)} rows to {out}")
 
 
 def build_parser():
+    from .pipeline import STEP_KINDS
+
     parser = argparse.ArgumentParser(prog="evocnn")
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -123,7 +115,7 @@ def build_parser():
         return p
 
     with_config(sub.add_parser("seed", help="publish seed individuals")).add_argument(
-        "--kind", choices=["cae", "clf"], default="cae"
+        "--kind", choices=list(STEP_KINDS), default="cae"
     )
     with_config(sub.add_parser("evolve-cae", help="run the autoencoder evolution step"))
     with_config(sub.add_parser("evolve-clf", help="run the classifier evolution step"))
@@ -139,11 +131,11 @@ def build_parser():
     p.add_argument("--classifier-id")
 
     p = with_config(sub.add_parser("report", help="export the evolution history CSV"))
-    p.add_argument("--step", choices=["cae", "clf"], default="cae")
+    p.add_argument("--step", choices=list(STEP_KINDS), default="cae")
 
     p = with_config(sub.add_parser("worker", help="internal: run one worker process"))
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=list(STEP_KINDS.values()))
 
     return parser
 
@@ -152,10 +144,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.verb == "seed":
         cmd_seed(args)
-    elif args.verb == "evolve-cae":
-        cmd_evolve(args, "cae")
-    elif args.verb == "evolve-clf":
-        cmd_evolve(args, "clf")
+    elif args.verb.startswith("evolve-"):
+        cmd_evolve(args, args.verb.removeprefix("evolve-"))
     elif args.verb == "select-cae":
         cmd_select_cae(args)
     elif args.verb == "encode":

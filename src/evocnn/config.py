@@ -36,7 +36,6 @@ class RunConfig:
     synth_seed: int = 7
 
     # run scale
-    step: str = "cae"              # cae | classify | full
     workers: int = 1
     seeds_per_worker: int = 2
     round_budget: int = 0          # completed rounds per worker; 0 = wall budget
@@ -61,6 +60,9 @@ class RunConfig:
     def check(self):
         if self.workers < 1 or self.seeds_per_worker < 1:
             raise ConfigError("workers and seeds_per_worker must be positive")
+        if self.workers * self.seeds_per_worker < 2:
+            # a tournament needs two live individuals; with one, rounds never start
+            raise ConfigError("workers * seeds_per_worker must be at least 2")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if self.round_budget < 0 or self.wall_budget < 0:

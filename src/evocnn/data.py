@@ -125,11 +125,11 @@ def split(raw: Dataset, seed) -> tuple[Dataset, Dataset, Dataset]:
     return tuple(out)
 
 
-def batches(n_samples, batch_size, epoch_seed):
-    """Index batches for one epoch: full shuffle, remainder dropped."""
+def batches(n_samples, batch_size, rng):
+    """Index batches for one epoch: one `rng.permutation` shuffle, remainder dropped."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    order = np.random.default_rng(epoch_seed).permutation(n_samples)
+    order = rng.permutation(n_samples)
     for start in range(0, n_samples - batch_size + 1, batch_size):
         yield order[start:start + batch_size]
 

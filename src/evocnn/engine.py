@@ -3,6 +3,25 @@
 All tensors are numpy float64 arrays in (batch, channels, height, width)
 order. Convolutions use same-padding, so spatial reduction comes only
 from stride and pooling and output dims are closed-form ceil divisions.
+
+Weights are stored as an EVOW blob, all integers little-endian:
+
+    b"EVOW", u32 version (1), u32 layer count, then per layer:
+    u8 tag, u8 hyperparameter count, that many u32 hyperparameters,
+    u64 n + n f32 weights, u64 n + n f32 biases (n = 0 when absent).
+
+Tags and hyperparameter orders come from `LAYER_KINDS`:
+
+    1 conv      in_channels filters kh kw stride activation
+    2 pool      ph pw
+    3 upsample  factor
+    4 crop      target_h target_w
+    5 flatten   -
+    6 dense     in_features units
+
+Activations are coded relu 0, sigmoid 1, linear 2. Conv weights are
+laid out (filters, in_channels, kh, kw), dense weights (in_features,
+units).
 """
 
 from __future__ import annotations
@@ -10,10 +29,13 @@ from __future__ import annotations
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from . import data as dt
 
 
 class EngineError(Exception):
@@ -74,6 +96,13 @@ class Layer:
     def backward(self, gy):
         raise NotImplementedError
 
+    def init_weights(self, rng):
+        pass
+
+    def param_shapes(self):
+        """(weight shape, bias shape), or () for a layer without parameters."""
+        return ()
+
     def params(self):
         return ()
 
@@ -84,20 +113,10 @@ class Layer:
         return ()
 
 
-class ConvLayer(Layer):
-    """Same-padded convolution with fused activation (default ReLU)."""
+class ParamLayer(Layer):
+    """A layer with one weight array and one bias vector."""
 
-    kind = "conv"
-
-    def __init__(self, in_channels, filters, kh, kw, stride=1, activation="relu"):
-        if stride < 1 or kh < 1 or kw < 1 or filters < 1:
-            raise ShapeError("conv hyperparameters out of range")
-        self.in_channels = in_channels
-        self.filters = filters
-        self.kh = kh
-        self.kw = kw
-        self.stride = stride
-        self.activation = activation
+    def __init__(self):
         self.w = None
         self.b = None
         self.vw = None
@@ -106,14 +125,50 @@ class ConvLayer(Layer):
         self.gb = None
         self._cache = None
 
-    def init_weights(self, rng):
-        self.w = init_conv_weights(self.filters, self.in_channels, self.kh, self.kw, rng)
-        self.b = np.zeros(self.filters)
+    def set_params(self, w, b):
+        """Install weights and biases; momentum restarts from zero."""
+        self.w = w
+        self.b = b
         self.reset_momentum()
 
     def reset_momentum(self):
         self.vw = np.zeros_like(self.w)
         self.vb = np.zeros_like(self.b)
+
+    def params(self):
+        return (self.w, self.b)
+
+    def grads(self):
+        return (self.gw, self.gb)
+
+    def velocities(self):
+        return (self.vw, self.vb)
+
+
+class ConvLayer(ParamLayer):
+    """Same-padded convolution with fused activation (default ReLU)."""
+
+    kind = "conv"
+
+    def __init__(self, in_channels, filters, kh, kw, stride=1, activation="relu"):
+        if in_channels < 1 or stride < 1 or kh < 1 or kw < 1 or filters < 1:
+            raise ShapeError("conv hyperparameters out of range")
+        super().__init__()
+        self.in_channels = in_channels
+        self.filters = filters
+        self.kh = kh
+        self.kw = kw
+        self.stride = stride
+        self.activation = activation
+
+    def init_weights(self, rng):
+        self.set_params(
+            init_conv_weights(self.filters, self.in_channels, self.kh, self.kw, rng),
+            np.zeros(self.filters),
+        )
+
+    def param_shapes(self):
+        return (self.filters, self.in_channels, self.kh, self.kw), (self.filters,)
 
     def out_shape(self, h, w):
         return ceil_div(h, self.stride), ceil_div(w, self.stride)
@@ -154,15 +209,6 @@ class ConvLayer(Layer):
             for j in range(self.kw):
                 gxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += g[:, :, :, :, i, j]
         return gxp[:, :, pt:pt + h, pl:pl + w]
-
-    def params(self):
-        return (self.w, self.b)
-
-    def grads(self):
-        return (self.gw, self.gb)
-
-    def velocities(self):
-        return (self.vw, self.vb)
 
 
 class MaxPoolLayer(Layer):
@@ -272,30 +318,23 @@ class FlattenLayer(Layer):
         return gy.reshape(self._in_shape)
 
 
-class DenseLayer(Layer):
+class DenseLayer(ParamLayer):
     """Fully connected layer over flattened features; linear output."""
 
     kind = "dense"
 
     def __init__(self, in_features, units):
+        super().__init__()
         self.in_features = in_features
         self.units = units
-        self.w = None
-        self.b = None
-        self.vw = None
-        self.vb = None
-        self.gw = None
-        self.gb = None
-        self._cache = None
 
     def init_weights(self, rng):
-        self.w = init_dense_weights(self.in_features, self.units, rng)
-        self.b = np.zeros(self.units)
-        self.reset_momentum()
+        self.set_params(
+            init_dense_weights(self.in_features, self.units, rng), np.zeros(self.units)
+        )
 
-    def reset_momentum(self):
-        self.vw = np.zeros_like(self.w)
-        self.vb = np.zeros_like(self.b)
+    def param_shapes(self):
+        return (self.in_features, self.units), (self.units,)
 
     def forward(self, x):
         if x.shape[1] != self.in_features:
@@ -308,15 +347,6 @@ class DenseLayer(Layer):
         self.gw = x.T @ gy
         self.gb = gy.sum(axis=0)
         return gy @ self.w.T
-
-    def params(self):
-        return (self.w, self.b)
-
-    def grads(self):
-        return (self.gw, self.gb)
-
-    def velocities(self):
-        return (self.vw, self.vb)
 
 
 def softmax_probs(logits):
@@ -338,19 +368,6 @@ def softmax_cross_entropy(logits, labels):
     return loss, grad / n
 
 
-def dense_softmax_head(x, layer: DenseLayer, labels):
-    """Flatten, apply the dense head, and return (loss, grad wrt x)."""
-    flat = x.reshape(x.shape[0], -1)
-    if flat.shape[1] != layer.in_features:
-        raise ShapeError(f"head expects {layer.in_features} features, got {flat.shape[1]}")
-    cache = layer._cache
-    logits = layer.forward(flat)
-    loss, glogits = softmax_cross_entropy(logits, labels)
-    gx = layer.backward(glogits).reshape(x.shape)
-    layer._cache = cache
-    return loss, gx
-
-
 def mse_loss(pred, target):
     """Mean squared error and its gradient wrt pred."""
     if pred.shape != target.shape:
@@ -358,14 +375,6 @@ def mse_loss(pred, target):
     diff = pred - target
     loss = float((diff * diff).mean())
     return loss, (2.0 / diff.size) * diff
-
-
-def reconstruction_accuracy(x, x_recon):
-    """clamp(1 - MSE, 0, 1) on [0,1]-scaled pixels."""
-    if x.shape != x_recon.shape:
-        raise ShapeError(f"reconstruction shapes differ: {x.shape} vs {x_recon.shape}")
-    mse = float(((x - x_recon) ** 2).mean())
-    return min(max(1.0 - mse, 0.0), 1.0)
 
 
 def sgd_momentum_step(weights, grads, velocity, lr, momentum):
@@ -399,107 +408,98 @@ class Network:
             for w, g, v in zip(layer.params(), layer.grads(), layer.velocities()):
                 sgd_momentum_step(w, g, v, lr, momentum)
 
-    def param_layers(self):
-        return [l for l in self.layers if l.params()]
-
 
 # ---------------------------------------------------------------------------
-# Weight blob serialization ("EVOW" format)
+# Layer kinds and the EVOW weight blob (layout in the module docstring)
 # ---------------------------------------------------------------------------
+
+class LayerKind(NamedTuple):
+    tag: int        # EVOW layer tag
+    cls: type
+    hparams: tuple  # constructor argument names, in EVOW order
+
+
+LAYER_KINDS = {
+    "conv": LayerKind(1, ConvLayer, ("in_channels", "filters", "kh", "kw", "stride", "activation")),
+    "pool": LayerKind(2, MaxPoolLayer, ("ph", "pw")),
+    "upsample": LayerKind(3, UpsampleLayer, ("factor",)),
+    "crop": LayerKind(4, CropLayer, ("target_h", "target_w")),
+    "flatten": LayerKind(5, FlattenLayer, ()),
+    "dense": LayerKind(6, DenseLayer, ("in_features", "units")),
+}
+_KINDS_BY_TAG = {k.tag: k for k in LAYER_KINDS.values()}
 
 _MAGIC = b"EVOW"
 _VERSION = 1
-_KIND_TAGS = {"conv": 1, "pool": 2, "upsample": 3, "crop": 4, "flatten": 5, "dense": 6}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 _ACT_CODES = {"relu": 0, "sigmoid": 1, "linear": 2}
 _CODE_ACTS = {v: k for k, v in _ACT_CODES.items()}
 
 
-def _layer_hyperparams(layer):
-    if layer.kind == "conv":
-        return (
-            layer.in_channels,
-            layer.filters,
-            layer.kh,
-            layer.kw,
-            layer.stride,
-            _ACT_CODES[layer.activation],
-        )
-    if layer.kind == "pool":
-        return (layer.ph, layer.pw)
-    if layer.kind == "upsample":
-        return (layer.factor,)
-    if layer.kind == "crop":
-        return (layer.target_h, layer.target_w)
-    if layer.kind == "flatten":
-        return ()
-    if layer.kind == "dense":
-        return (layer.in_features, layer.units)
-    raise EngineError(f"unserializable layer kind {layer.kind}")
+def layer_from_spec(spec) -> Layer:
+    """The layer a spec dict names: its "kind" plus that kind's hyperparameters."""
+    kind = LAYER_KINDS.get(spec["kind"])
+    if kind is None:
+        raise EngineError(f"unknown layer kind {spec['kind']!r}")
+    return kind.cls(**{name: spec[name] for name in kind.hparams})
 
 
 def serialize_network(net: Network) -> bytes:
     out = [_MAGIC, struct.pack("<II", _VERSION, len(net.layers))]
     for layer in net.layers:
-        hp = _layer_hyperparams(layer)
-        out.append(struct.pack("<BB", _KIND_TAGS[layer.kind], len(hp)))
-        out.append(struct.pack(f"<{len(hp)}I", *hp))
-        w, b = layer.params() if layer.params() else (None, None)
-        for arr in (w, b):
-            if arr is None:
-                out.append(struct.pack("<Q", 0))
-            else:
-                raw = arr.astype("<f4").tobytes()
-                out.append(struct.pack("<Q", arr.size))
-                out.append(raw)
+        kind = LAYER_KINDS[layer.kind]
+        hp = [getattr(layer, name) for name in kind.hparams]
+        hp = [_ACT_CODES[v] if name == "activation" else v for name, v in zip(kind.hparams, hp)]
+        out.append(struct.pack(f"<BB{len(hp)}I", kind.tag, len(hp), *hp))
+        for arr in layer.params() or (np.empty(0), np.empty(0)):
+            out.append(struct.pack("<Q", arr.size))
+            out.append(arr.astype("<f4").tobytes())
     return b"".join(out)
 
 
 def deserialize_network(blob: bytes) -> Network:
+    """Inverse of `serialize_network`; a malformed blob raises EngineError."""
     if blob[:4] != _MAGIC:
         raise EngineError("bad weights blob: wrong magic")
-    version, count = struct.unpack_from("<II", blob, 4)
+    view = memoryview(blob)
+    off = 4
+
+    def take(nbytes):
+        nonlocal off
+        if off + nbytes > len(blob):
+            raise EngineError(f"truncated weights blob: {len(blob)} bytes, needs {off + nbytes}")
+        off += nbytes
+        return view[off - nbytes:off]
+
+    version, count = struct.unpack("<II", take(8))
     if version != _VERSION:
         raise EngineError(f"unsupported weights blob version {version}")
-    off = 12
     layers = []
-    for _ in range(count):
-        tag, nhp = struct.unpack_from("<BB", blob, off)
-        off += 2
-        hp = struct.unpack_from(f"<{nhp}I", blob, off)
-        off += 4 * nhp
+    for i in range(count):
+        tag, nhp = struct.unpack("<BB", take(2))
+        kind = _KINDS_BY_TAG.get(tag)
+        if kind is None:
+            raise EngineError(f"layer {i}: unknown layer tag {tag}")
+        if nhp != len(kind.hparams):
+            raise EngineError(
+                f"layer {i}: {nhp} hyperparameters, {kind.cls.kind} takes {len(kind.hparams)}"
+            )
+        hp = dict(zip(kind.hparams, struct.unpack(f"<{nhp}I", take(4 * nhp))))
+        if "activation" in hp:
+            if hp["activation"] not in _CODE_ACTS:
+                raise EngineError(f"layer {i}: unknown activation code {hp['activation']}")
+            hp["activation"] = _CODE_ACTS[hp["activation"]]
+        layer = kind.cls(**hp)
         arrays = []
-        for _ in range(2):
-            (n,) = struct.unpack_from("<Q", blob, off)
-            off += 8
-            if n:
-                arrays.append(np.frombuffer(blob, "<f4", n, off).astype(np.float64))
-                off += 4 * n
-            else:
-                arrays.append(None)
-        kind = _TAG_KINDS.get(tag)
-        if kind == "conv":
-            in_c, f, kh, kw, s, act = hp
-            layer = ConvLayer(in_c, f, kh, kw, s, _CODE_ACTS[act])
-            layer.w = arrays[0].reshape(f, in_c, kh, kw)
-            layer.b = arrays[1]
-            layer.reset_momentum()
-        elif kind == "pool":
-            layer = MaxPoolLayer(*hp)
-        elif kind == "upsample":
-            layer = UpsampleLayer(*hp)
-        elif kind == "crop":
-            layer = CropLayer(*hp)
-        elif kind == "flatten":
-            layer = FlattenLayer()
-        elif kind == "dense":
-            layer = DenseLayer(*hp)
-            layer.w = arrays[0].reshape(hp[0], hp[1])
-            layer.b = arrays[1]
-            layer.reset_momentum()
-        else:
-            raise EngineError(f"unknown layer tag {tag}")
+        for shape in layer.param_shapes() or ((0,), (0,)):
+            (n,) = struct.unpack("<Q", take(8))
+            if n != math.prod(shape):
+                raise EngineError(f"layer {i}: {n} stored values where {math.prod(shape)} belong")
+            arrays.append(np.frombuffer(take(4 * n), "<f4").astype(np.float64).reshape(shape))
+        if layer.param_shapes():
+            layer.set_params(*arrays)
         layers.append(layer)
+    if off != len(blob):
+        raise EngineError(f"weights blob has {len(blob) - off} trailing bytes")
     return Network(layers)
 
 
@@ -526,7 +526,8 @@ class DatasetView:
     val_y: np.ndarray | None
 
 
-def _eval_classifier(net, x, y, chunk=256):
+def classifier_accuracy(net, x, y, chunk=256):
+    """Share of samples whose largest logit is at their label."""
     correct = 0
     for i in range(0, x.shape[0], chunk):
         logits = net.forward(x[i:i + chunk])
@@ -534,14 +535,16 @@ def _eval_classifier(net, x, y, chunk=256):
     return correct / x.shape[0]
 
 
-def _eval_reconstruction(net, x, chunk=256):
+def reconstruction_accuracy(net, x, chunk=256):
+    """clamp(1 - MSE, 0, 1) of the network's reconstruction of [0,1]-scaled x."""
     sq_sum = 0.0
     for i in range(0, x.shape[0], chunk):
         xb = x[i:i + chunk]
         recon = net.forward(xb)
+        if recon.shape != xb.shape:
+            raise ShapeError(f"reconstruction shapes differ: {xb.shape} vs {recon.shape}")
         sq_sum += float(((xb - recon) ** 2).sum())
-    mse = sq_sum / x.size
-    return min(max(1.0 - mse, 0.0), 1.0)
+    return min(max(1.0 - sq_sum / x.size, 0.0), 1.0)
 
 
 def train_network(net: Network, kind: str, view: DatasetView, epochs, batch_size,
@@ -560,9 +563,7 @@ def train_network(net: Network, kind: str, view: DatasetView, epochs, batch_size
     epochs_run = 0
     try:
         for _ in range(epochs):
-            order = rng.permutation(n)
-            for start in range(0, n - batch_size + 1, batch_size):
-                idx = order[start:start + batch_size]
+            for idx in dt.batches(n, batch_size, rng):
                 xb = view.train_x[idx]
                 out = net.forward(xb)
                 if kind == "classifier":
@@ -575,9 +576,9 @@ def train_network(net: Network, kind: str, view: DatasetView, epochs, batch_size
                 net.step(lr, momentum)
             epochs_run += 1
         if kind == "classifier":
-            metric = _eval_classifier(net, view.val_x, view.val_y)
+            metric = classifier_accuracy(net, view.val_x, view.val_y)
         else:
-            metric = _eval_reconstruction(net, view.val_x)
+            metric = reconstruction_accuracy(net, view.val_x)
         if not math.isfinite(metric):
             raise TrainingDiverged("non-finite validation metric")
         diverged = False

@@ -3,10 +3,11 @@ decoder mirroring, weight inheritance, and the text file format."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .engine import ceil_div, init_conv_weights
 
 # Search-space caps keeping desk-scale training bounded.
 STRIDE_MAX = 4
@@ -116,10 +117,6 @@ def seed_genome(kind, genome_id, learning_rate=0.01):
 # Shape arithmetic
 # ---------------------------------------------------------------------------
 
-def _ceil(n, d):
-    return -(-n // d)
-
-
 def infer_shapes(g: Genome, input_shape):
     """(c,h,w) trace through the genome's layers, input included."""
     c, h, w = input_shape
@@ -128,14 +125,14 @@ def infer_shapes(g: Genome, input_shape):
     trace = [(c, h, w)]
     for i, gene in enumerate(g.layers):
         if gene.kind == "conv":
-            c, h, w = gene.filters, _ceil(h, gene.stride), _ceil(w, gene.stride)
+            c, h, w = gene.filters, ceil_div(h, gene.stride), ceil_div(w, gene.stride)
         else:
             # a window larger than the input degenerates the dimension
             if h < gene.ph or w < gene.pw:
                 raise ShapeInferenceError(
                     i, f"pool {gene.ph}x{gene.pw} exceeds spatial dims {h}x{w}"
                 )
-            c, h, w = c, _ceil(h, gene.ph), _ceil(w, gene.pw)
+            c, h, w = c, ceil_div(h, gene.ph), ceil_div(w, gene.pw)
         if h < 1 or w < 1:
             raise ShapeInferenceError(i, f"{gene.kind} reduces spatial dims to {h}x{w}")
         trace.append((c, h, w))
@@ -253,10 +250,6 @@ def network_specs(g: Genome, input_shape, n_classes=10):
     return specs
 
 
-def encoder_output_shape(g: Genome, input_shape):
-    return infer_shapes(g, input_shape)[-1]
-
-
 # ---------------------------------------------------------------------------
 # Weight inheritance
 # ---------------------------------------------------------------------------
@@ -286,13 +279,6 @@ def layer_mapping(parent: Genome, child: Genome):
     raise LineageError(f"layer counts {len(p)} -> {len(c)} differ by more than one")
 
 
-def _fresh_conv(filters, in_channels, kh, kw, rng):
-    # Same init rule as the engine: Gaussian scaled by 1/sqrt(fan-in).
-    fan_in = in_channels * kh * kw
-    w = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(filters, in_channels, kh, kw))
-    return {"w": w, "b": np.zeros(filters)}
-
-
 def inherit_weights(parent_weights, parent: Genome, child: Genome, input_shape, rng):
     """Child weight list aligned with child.layers.
 
@@ -320,7 +306,7 @@ def inherit_weights(parent_weights, parent: Genome, child: Genome, input_shape, 
         if pw_entry["w"].shape == target_shape:
             out.append({"w": pw_entry["w"].copy(), "b": pw_entry["b"].copy()})
             continue
-        fresh = _fresh_conv(gene.filters, in_c, gene.kh, gene.kw, rng)
+        fresh = {"w": init_conv_weights(*target_shape, rng), "b": np.zeros(gene.filters)}
         f0, c0, h0, w0 = (min(a, b) for a, b in zip(pw_entry["w"].shape, target_shape))
         fresh["w"][:f0, :c0, :h0, :w0] = pw_entry["w"][:f0, :c0, :h0, :w0]
         fresh["b"][:f0] = pw_entry["b"][:f0]

@@ -23,8 +23,8 @@ class MutationKind(str, enum.Enum):
 ENCODER_KINDS = frozenset(k for k in MutationKind if k is not MutationKind.AlterLearningRate)
 CLASSIFIER_KINDS = frozenset(MutationKind)
 
-# Filter counts offered to InsertConv; overridable through apply_mutation.
-DEFAULT_INSERT_FILTERS = (8, 16, 32, 64)
+# Filter counts offered to InsertConv.
+INSERT_FILTERS = (8, 16, 32, 64)
 
 INAPPLICABLE = None
 
@@ -49,8 +49,7 @@ def _pick(indices, rng):
     return indices[int(rng.integers(len(indices)))]
 
 
-def apply_mutation(g, kind: MutationKind, rng, child_id,
-                   insert_filters=DEFAULT_INSERT_FILTERS):
+def apply_mutation(g, kind: MutationKind, rng, child_id):
     """One mutated child genome, or None when the draw is inapplicable.
 
     The parent is never modified; the child carries generation+1,
@@ -62,7 +61,7 @@ def apply_mutation(g, kind: MutationKind, rng, child_id,
         return g.with_child_fields(child_id, kind.value)
 
     if kind is MutationKind.InsertConv:
-        f = insert_filters[int(rng.integers(len(insert_filters)))]
+        f = INSERT_FILTERS[int(rng.integers(len(INSERT_FILTERS)))]
         pos = int(rng.integers(len(layers) + 1))
         layers.insert(pos, gn.ConvGene(f, 3, 3, 1))
         return g.with_child_fields(child_id, kind.value, layers=layers)
@@ -149,8 +148,7 @@ def apply_mutation(g, kind: MutationKind, rng, child_id,
 EXHAUSTED = "exhausted"
 
 
-def mutate_valid(g, input_shape, rng, child_id, max_tries=25, kind_set=None,
-                 insert_filters=DEFAULT_INSERT_FILTERS):
+def mutate_valid(g, input_shape, rng, child_id, max_tries=25, kind_set=None):
     """(sample, apply, validate) until a valid child appears.
 
     Returns the child genome, or EXHAUSTED after max_tries; the caller
@@ -162,7 +160,7 @@ def mutate_valid(g, input_shape, rng, child_id, max_tries=25, kind_set=None,
         kind_set = ENCODER_KINDS if g.kind == gn.ENCODER else CLASSIFIER_KINDS
     for _ in range(max_tries):
         kind = sample_mutation(kind_set, rng)
-        child = apply_mutation(g, kind, rng, child_id, insert_filters)
+        child = apply_mutation(g, kind, rng, child_id)
         if child is INAPPLICABLE:
             continue
         if g.kind == gn.ENCODER:

@@ -14,8 +14,6 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import data as dt
 from . import engine as eng
 from . import genome as gn
@@ -23,7 +21,11 @@ from .config import RunConfig, save_config
 from .mcdm import Alternative, TopsisWeights, select_best
 from .popstore import PopulationStore
 from .selection import pareto_fronts
-from .worker import Worker, build_network, load_run_data, n_classes_for
+from .worker import Worker, load_run_data, n_classes_for
+
+# Short name of each evolution step, used on the command line and in run directories.
+STEP_KINDS = {"cae": gn.ENCODER, "clf": gn.CLASSIFIER}
+_STEP_NAMES = {kind: name for name, kind in STEP_KINDS.items()}
 
 
 class PipelineError(Exception):
@@ -31,8 +33,7 @@ class PipelineError(Exception):
 
 
 def step_population_root(cfg: RunConfig, kind: str) -> Path:
-    sub = "cae" if kind == gn.ENCODER else "clf"
-    return Path(cfg.population_root) / sub
+    return Path(cfg.population_root) / _STEP_NAMES[kind]
 
 
 @dataclass
@@ -115,6 +116,7 @@ def run_step(cfg: RunConfig, kind: str, in_process=False) -> StepSummary:
     by tests and single-worker deterministic runs).
     """
     root = step_population_root(cfg, kind)
+    name = _STEP_NAMES[kind]
     step_cfg = replace(cfg, population_root=str(root))
     report_dir = Path(cfg.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -123,7 +125,7 @@ def run_step(cfg: RunConfig, kind: str, in_process=False) -> StepSummary:
         for i in range(cfg.workers):
             rounds.append(Worker(step_cfg, i, kind).run())
     else:
-        cfg_path = report_dir / f"worker_{'cae' if kind == gn.ENCODER else 'clf'}.cfg"
+        cfg_path = report_dir / f"worker_{name}.cfg"
         save_config(step_cfg, cfg_path)
         procs = [
             subprocess.Popen(
@@ -140,8 +142,7 @@ def run_step(cfg: RunConfig, kind: str, in_process=False) -> StepSummary:
                 # shared-nothing: others keep their results
                 print(f"worker exited with code {code}", file=sys.stderr)
             rounds.append(code)
-    tag = "cae" if kind == gn.ENCODER else "clf"
-    history = report_dir / f"history_{tag}.csv"
+    history = report_dir / f"history_{name}.csv"
     rows = export_history(root, history)
     return StepSummary(
         kind=kind,
@@ -220,18 +221,15 @@ def compose_final(cfg: RunConfig, encoder_id, classifier_id, datasets=None):
     test = datasets[2]
     # a mismatch between encoder output and classifier input surfaces as a
     # ShapeError from the first classifier layer during the forward pass
-    correct = 0
-    for i in range(0, test.n, 256):
-        logits = composed.forward(test.x[i:i + 256])
-        correct += int((logits.argmax(axis=1) == test.y[i:i + 256]).sum())
-    return composed, correct / test.n
+    return composed, eng.classifier_accuracy(composed, test.x, test.y)
 
 
 def run_full_pipeline(cfg: RunConfig):
     """All four steps end to end; returns a result dict."""
     cae_summary = run_step(cfg, gn.ENCODER)
     encoder_id, prefix = finalize_cae_step(cfg)
-    clf_cfg = replace(cfg, data_source="evod", evod_prefix=prefix)
+    # the encoded caches carry no class count; keep the raw source's
+    clf_cfg = replace(cfg, data_source="evod", evod_prefix=prefix, n_classes=n_classes_for(cfg))
     clf_summary = run_step(clf_cfg, gn.CLASSIFIER)
     classifier_id = best_classifier_id(cfg)
     composed, test_acc = compose_final(cfg, encoder_id, classifier_id)

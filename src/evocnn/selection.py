@@ -75,15 +75,6 @@ def isolation(ind, front, mode="mean"):
     return sum(dists) / len(dists)
 
 
-def front_rank_of(pairs, which):
-    fronts = pareto_fronts(pairs)
-    rank = {}
-    for r, front in enumerate(fronts):
-        for i in front:
-            rank[i] = r
-    return [rank[i] for i in which]
-
-
 def tournament_compare(id_a, id_b, records, rng, isolation_mode="mean"):
     """Pick winner and loser of a k=2 tournament.
 

@@ -47,7 +47,7 @@ def load_run_data(cfg: RunConfig):
     raise ValueError(f"unknown data source {cfg.data_source!r}")
 
 
-def n_classes_for(cfg: RunConfig, train: dt.Dataset):
+def n_classes_for(cfg: RunConfig):
     if cfg.data_source == "synth":
         return cfg.synth_classes
     return cfg.n_classes
@@ -58,30 +58,9 @@ def n_classes_for(cfg: RunConfig, train: dt.Dataset):
 # ---------------------------------------------------------------------------
 
 def build_network(g: gn.Genome, input_shape, rng, n_classes=10) -> eng.Network:
-    specs = gn.network_specs(g, input_shape, n_classes=n_classes)
-    layers = []
-    for spec in specs:
-        kind = spec["kind"]
-        if kind == "conv":
-            layer = eng.ConvLayer(
-                spec["in_channels"], spec["filters"], spec["kh"], spec["kw"],
-                spec["stride"], spec["activation"],
-            )
-            layer.init_weights(rng)
-        elif kind == "pool":
-            layer = eng.MaxPoolLayer(spec["ph"], spec["pw"])
-        elif kind == "upsample":
-            layer = eng.UpsampleLayer(spec["factor"])
-        elif kind == "crop":
-            layer = eng.CropLayer(spec["target_h"], spec["target_w"])
-        elif kind == "flatten":
-            layer = eng.FlattenLayer()
-        elif kind == "dense":
-            layer = eng.DenseLayer(spec["in_features"], spec["units"])
-            layer.init_weights(rng)
-        else:
-            raise ValueError(f"unknown spec kind {kind!r}")
-        layers.append(layer)
+    layers = [eng.layer_from_spec(s) for s in gn.network_specs(g, input_shape, n_classes=n_classes)]
+    for layer in layers:
+        layer.init_weights(rng)
     return eng.Network(layers)
 
 
@@ -107,15 +86,11 @@ def _overlay_parent_weights(net, child, parent, parent_net, input_shape, rng):
     inherited = gn.inherit_weights(aligned_parent, parent, child, input_shape, rng)
     for i, entry in enumerate(inherited):
         if entry is not None:
-            net.layers[i].w = entry["w"]
-            net.layers[i].b = entry["b"]
-            net.layers[i].reset_momentum()
+            net.layers[i].set_params(entry["w"], entry["b"])
     if child.kind == gn.CLASSIFIER:
         head, parent_head = net.layers[-1], parent_net.layers[-1]
         if parent_head.kind == "dense" and parent_head.w.shape == head.w.shape:
-            head.w = parent_head.w.copy()
-            head.b = parent_head.b.copy()
-            head.reset_momentum()
+            head.set_params(parent_head.w.copy(), parent_head.b.copy())
 
 
 def train_individual(g: gn.Genome, view: eng.DatasetView, cfg: RunConfig, rng,
@@ -125,8 +100,6 @@ def train_individual(g: gn.Genome, view: eng.DatasetView, cfg: RunConfig, rng,
     `parent` is an optional (parent_genome, parent_network) pair for
     weight inheritance.
     """
-    if cfg.epochs < 1:
-        raise ValueError("epochs must be >= 1")
     net = build_network(g, input_shape, rng, n_classes=n_classes)
     if parent is not None:
         _overlay_parent_weights(net, g, parent[0], parent[1], input_shape, rng)
@@ -154,7 +127,7 @@ class Worker:
         train, val, _test = datasets or load_run_data(cfg)
         self.view = eng.DatasetView(train.x, train.y, val.x, val.y)
         self.input_shape = train.sample_shape
-        self.n_classes = n_classes_for(cfg, train)
+        self.n_classes = n_classes_for(cfg)
         self.counter = 0
 
     def _next_id(self):

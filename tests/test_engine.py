@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -226,41 +227,55 @@ class TestSoftmaxHead:
             eng.softmax_cross_entropy(logits, np.array([0]))
 
     def test_dense_softmax_head_gradient(self, rng):
+        # the classifier head as the training loop runs it: flatten, dense, softmax
         layer = eng.DenseLayer(12, 3)
         layer.init_weights(rng)
+        head = eng.Network([eng.FlattenLayer(), layer])
         x = rng.standard_normal((4, 3, 2, 2))
         labels = np.array([0, 1, 2, 1])
 
         def loss():
-            return eng.dense_softmax_head(x, layer, labels)[0]
+            return eng.softmax_cross_entropy(head.forward(x), labels)[0]
 
-        _, gx = eng.dense_softmax_head(x, layer, labels)
+        _, glogits = eng.softmax_cross_entropy(head.forward(x), labels)
+        gx = head.backward(glogits)
+        gw = layer.gw.copy()
         assert_grads_close(gx, finite_difference(loss, x))
+        assert_grads_close(gw, finite_difference(loss, layer.w))
+
+
+class _Recon:
+    """Stands in for an autoencoder whose forward pass is `fn`."""
+
+    def __init__(self, fn):
+        self.forward = fn
 
 
 class TestReconstructionAccuracy:
     def test_perfect_reconstruction(self, rng):
         x = rng.random((2, 3, 4, 4))
-        assert eng.reconstruction_accuracy(x, x.copy()) == 1.0
+        assert eng.reconstruction_accuracy(_Recon(np.copy), x) == 1.0
 
     def test_maximal_error_on_unit_range(self):
         x = np.ones((1, 1, 2, 2))
-        assert eng.reconstruction_accuracy(x, np.zeros_like(x)) == 0.0
+        assert eng.reconstruction_accuracy(_Recon(np.zeros_like), x) == 0.0
 
     def test_constant_tensor_arithmetic(self):
-        x = np.full((1, 1, 3, 3), 0.5)
-        xr = np.full((1, 1, 3, 3), 0.3)
-        assert eng.reconstruction_accuracy(x, xr) == pytest.approx(0.96)
+        # five samples in chunks of two: the chunked sum must equal the plain mean
+        x = np.full((5, 1, 3, 3), 0.5)
+        recon = _Recon(lambda xb: np.full_like(xb, 0.3))
+        assert eng.reconstruction_accuracy(recon, x, chunk=2) == pytest.approx(0.96)
 
     def test_dim_mismatch_raises(self):
         with pytest.raises(eng.ShapeError):
-            eng.reconstruction_accuracy(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)))
+            eng.reconstruction_accuracy(_Recon(lambda xb: np.zeros((1, 1, 3, 3))),
+                                        np.zeros((1, 1, 2, 2)))
 
     def test_always_in_unit_interval(self, rng):
+        noisy = _Recon(lambda xb: rng.standard_normal(xb.shape) * 10)
         for _ in range(50):
             x = rng.random((1, 2, 3, 3))
-            xr = rng.standard_normal((1, 2, 3, 3)) * 10
-            assert 0.0 <= eng.reconstruction_accuracy(x, xr) <= 1.0
+            assert 0.0 <= eng.reconstruction_accuracy(noisy, x) <= 1.0
 
 
 class TestSgdMomentum:
@@ -357,7 +372,36 @@ class TestTrainIndividual:
         assert report.metric == 0.0
 
 
+def _classifier_blob():
+    """EVOW blob of a 4-layer classifier: conv, pool, flatten, dense."""
+    g = gn.Genome("c", gn.CLASSIFIER, (gn.ConvGene(2, 3, 3, 1), gn.PoolGene(2, 2)))
+    net = build_network(g, (1, 4, 4), np.random.default_rng(0), n_classes=3)
+    blob = eng.serialize_network(net)
+    # the conv layer's tag, hyperparameter count and activation code sit at 12, 13, 34
+    assert blob[12:14] == bytes([1, 6]) and blob[34:38] == struct.pack("<I", 0)
+    return blob
+
+
+def _with(blob, offset, raw):
+    return blob[:offset] + raw + blob[offset + len(raw):]
+
+
+_MALFORMED = {
+    "truncated": lambda blob: [blob[:cut] for cut in range(len(blob))],
+    "trailing bytes": lambda blob: [blob + b"\0", blob + bytes(8)],
+    "unknown tag": lambda blob: [_with(blob, 12, bytes([t])) for t in (0, 7, 255)],
+    "hyperparameter count": lambda blob: [_with(blob, 13, bytes([n])) for n in (0, 5, 7)],
+    "activation code": lambda blob: [_with(blob, 34, struct.pack("<I", c)) for c in (3, 2**32 - 1)],
+}
+
+
 class TestWeightsBlob:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_blob_rejected(self, case):
+        for bad in _MALFORMED[case](_classifier_blob()):
+            with pytest.raises(eng.EngineError):
+                eng.deserialize_network(bad)
+
     def test_round_trip(self, rng):
         g = gn.seed_genome(gn.ENCODER, "e", 0.01)
         net = build_network(g, (3, 8, 8), rng)
@@ -365,6 +409,8 @@ class TestWeightsBlob:
         net2 = eng.deserialize_network(blob)
         assert eng.serialize_network(net2) == blob
         assert [l.kind for l in net2.layers] == [l.kind for l in net.layers]
+        clf_blob = _classifier_blob()
+        assert eng.serialize_network(eng.deserialize_network(clf_blob)) == clf_blob
 
     def test_bad_magic(self):
         with pytest.raises(eng.EngineError):

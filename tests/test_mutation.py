@@ -97,7 +97,7 @@ class TestApplyMutation:
         child = mu.apply_mutation(g, mu.MutationKind.InsertConv, rng, "c")
         convs = [l for l in child.layers if l.kind == "conv"]
         assert len(convs) == 1
-        assert convs[0].filters in mu.DEFAULT_INSERT_FILTERS
+        assert convs[0].filters in mu.INSERT_FILTERS
         assert (convs[0].kh, convs[0].kw, convs[0].stride) == (3, 3, 1)
 
     def test_insert_pool_is_2x2(self, rng):

@@ -82,6 +82,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(round_budget=0, wall_budget=0.0).check()
 
+    def test_single_individual_population_rejected(self):
+        # one live individual can never be paired, so the worker would spin forever
+        with pytest.raises(ConfigError):
+            RunConfig(workers=1, seeds_per_worker=1, round_budget=1).check()
+
 
 class TestWorkerSeeding:
     def test_worker_seeds_deterministic_and_distinct(self):
@@ -182,6 +187,8 @@ class TestCompose:
         clf_net = eng.deserialize_network(clf_store.load_weights(result["classifier_id"]))
         encoder = eng.Network(enc_net.layers[: len(enc_g.layers)])
         composed, _ = pl.compose_final(result_cfg, result["encoder_id"], result["classifier_id"])
+        # the classifier step runs on EVOD caches but keeps the raw source's class count
+        assert composed.layers[-1].units == result_cfg.synth_classes == 2
 
         _train, _val, test = load_run_data(result_cfg)
         x = test.x[:32]
@@ -233,3 +240,9 @@ class TestCli:
         )
         store = PopulationStore(tmp_path / "pop" / "cae")
         assert len(store.list_live()) + len(store.list_dead()) == 3
+
+    def test_worker_unknown_kind_rejected(self):
+        from evocnn.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["worker", "--config", "x", "--index", "0", "--kind", "foo"])
