@@ -227,12 +227,13 @@ def compose_final(cfg: RunConfig, encoder_id, classifier_id, datasets=None):
 def run_full_pipeline(cfg: RunConfig):
     """All four steps end to end; returns a result dict."""
     cae_summary = run_step(cfg, gn.ENCODER)
-    encoder_id, prefix = finalize_cae_step(cfg)
+    datasets = load_run_data(cfg)
+    encoder_id, prefix = finalize_cae_step(cfg, datasets)
     # the encoded caches carry no class count; keep the raw source's
     clf_cfg = replace(cfg, data_source="evod", evod_prefix=prefix, n_classes=n_classes_for(cfg))
     clf_summary = run_step(clf_cfg, gn.CLASSIFIER)
     classifier_id = best_classifier_id(cfg)
-    composed, test_acc = compose_final(cfg, encoder_id, classifier_id)
+    composed, test_acc = compose_final(cfg, encoder_id, classifier_id, datasets)
     return {
         "cae_summary": cae_summary,
         "encoder_id": encoder_id,

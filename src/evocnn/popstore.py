@@ -5,10 +5,16 @@ population directory where the only commit primitive is an atomic
 rename. An individual becomes visible only when its fully written
 directory (genome, weights, fitness sidecar) is renamed into live/
 (publish-last rule), and dies by a rename into dead/.
+
+A fitness sidecar is written before the publish rename and never
+rewritten, and ids are never reused, so what a store once read for an
+id stays true for as long as the id is live. `load_all_fitness` relies
+on this: it lists live/ on every call but parses each sidecar once.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 from dataclasses import dataclass
@@ -58,22 +64,31 @@ def format_fitness_line(meta: FitnessMeta) -> str:
 
 
 def parse_fitness_line(line: str) -> FitnessMeta:
+    """Inverse of `format_fitness_line`; raises StoreError on any
+    malformed line, including non-finite metrics and wall times."""
     parts = line.strip().split(",")
     if len(parts) != 8:
         raise StoreError(f"bad fitness line {line!r}")
     iid, kind, metric, wall, worker, gen, parent, mutation = parts
-    if ":" in metric:
-        c, a = metric.split(":")
-        record = FitnessRecord(pair=(float(c), float(a)))
+    try:
+        values = [float(v) for v in metric.split(":")] + [float(wall)]
+        generation = int(gen)
+    except ValueError:
+        raise StoreError(f"bad number in fitness line {line!r}") from None
+    if len(values) > 3 or not all(math.isfinite(v) for v in values):
+        raise StoreError(f"bad metric or wall time in fitness line {line!r}")
+    *metrics, wall_seconds = values
+    if len(metrics) == 2:
+        record = FitnessRecord(pair=tuple(metrics))
     else:
-        record = FitnessRecord(scalar=float(metric))
+        record = FitnessRecord(scalar=metrics[0])
     return FitnessMeta(
         id=iid,
         kind=kind,
         record=record,
-        wall_seconds=float(wall),
+        wall_seconds=wall_seconds,
         worker_id=worker,
-        generation=int(gen),
+        generation=generation,
         parent_id=None if parent == "-" else parent,
         mutation=mutation,
     )
@@ -90,6 +105,7 @@ class PopulationStore:
         self.dead = self.root / "dead"
         self.tmp = self.root / "tmp"
         self.logs = self.root / "logs"
+        self._fitness = {}  # id -> FitnessMeta of the last live listing
 
     # -- write path ---------------------------------------------------------
 
@@ -158,15 +174,24 @@ class PopulationStore:
         return parse_fitness_line(path.read_text())
 
     def load_all_fitness(self):
-        """Snapshot of live fitness records; entries that vanish while
-        reading are skipped (stale snapshots are tolerated)."""
-        out = {}
+        """Snapshot of live fitness records, as a new dict.
+
+        Lists live/ on every call but reads only the sidecars of ids not
+        seen before (see the module docstring); entries that vanish or
+        fail to parse are skipped and not remembered (stale snapshots are
+        tolerated). Only the ids of this listing are kept.
+        """
+        known = {}
         for iid in self.list_live():
-            try:
-                out[iid] = self.load_fitness(iid)
-            except (OSError, StoreError):
-                continue
-        return out
+            meta = self._fitness.get(iid)
+            if meta is None:
+                try:
+                    meta = self.load_fitness(iid)
+                except (OSError, StoreError):
+                    continue
+            known[iid] = meta
+        self._fitness = known
+        return dict(known)
 
     def load_genome_text(self, individual_id) -> str:
         return (self.live / individual_id / GENOME_FILE).read_text()

@@ -4,6 +4,7 @@ rank plus same-front isolation for autoencoders."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
@@ -26,34 +27,42 @@ def dominates(a, b) -> bool:
 
 
 def pareto_fronts(pairs):
-    """Non-dominated sorting; front 0 is the non-dominated set.
+    """Non-dominated sorting of two-objective pairs (both maximised);
+    front 0 is the non-dominated set, front k+1 what front k dominates.
 
-    Returns a list of index lists partitioning range(len(pairs)).
+    Returns a list of index lists partitioning range(len(pairs)), each
+    front in ascending index order: `tournament_compare` hands fronts to
+    `isolation`, whose distance sum follows that order, so seeded
+    histories depend on it.
+
+    One sweep in O(N log N) (Jensen, IEEE TEC 7(5), 2003): visit the
+    distinct pairs in descending order. Every pair visited earlier is at
+    least as large in the first objective, so it dominates the current
+    pair exactly when its second objective is at least as large. Within
+    a front the second objective therefore rises along the sweep, and
+    the fronts' highest second objectives so far fall with the front
+    number. The pair joins the first front whose highest is below its
+    own, found by bisection; identical pairs share a front.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
-    n = len(pairs)
-    dominated_by = [[] for _ in range(n)]  # i dominates these
-    count = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(pairs[i], pairs[j]):
-                dominated_by[i].append(j)
-                count[j] += 1
-            elif dominates(pairs[j], pairs[i]):
-                dominated_by[j].append(i)
-                count[i] += 1
+    order = sorted(range(len(pairs)), key=pairs.__getitem__, reverse=True)
     fronts = []
-    current = [i for i in range(n) if count[i] == 0]
-    while current:
-        fronts.append(current)
-        nxt = []
-        for i in current:
-            for j in dominated_by[i]:
-                count[j] -= 1
-                if count[j] == 0:
-                    nxt.append(j)
-        current = sorted(nxt)
+    neg_top = []  # -(highest second objective) of each front, ascending
+    previous = None
+    for i in order:
+        pair = pairs[i]
+        if pair != previous:
+            rank = bisect_right(neg_top, -pair[1])
+            if rank == len(fronts):
+                fronts.append([])
+                neg_top.append(-pair[1])
+            else:
+                neg_top[rank] = -pair[1]
+            previous = pair
+        fronts[rank].append(i)
+    for front in fronts:
+        front.sort()
     return fronts
 
 
@@ -102,9 +111,10 @@ def tournament_compare(id_a, id_b, records, rng, isolation_mode="mean"):
     rank = {}
     front_of = {}
     for r, front in enumerate(fronts):
+        members = [pairs[j] for j in front]
         for i in front:
             rank[ids[i]] = r
-            front_of[ids[i]] = [pairs[j] for j in front]
+            front_of[ids[i]] = members
     if rank[id_a] != rank[id_b]:
         winner = id_a if rank[id_a] < rank[id_b] else id_b
         loser = id_b if winner == id_a else id_a

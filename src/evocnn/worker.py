@@ -1,5 +1,6 @@
-"""Worker process: seed, then loop sample -> compare -> kill -> mutate ->
-train -> publish against the shared population directory."""
+"""Worker process: seed, then loop sample -> compare -> read winner ->
+kill loser -> mutate -> train -> publish against the shared population
+directory."""
 
 from __future__ import annotations
 
@@ -178,12 +179,18 @@ class Worker:
         winner, loser, reason = tournament_compare(
             id_a, id_b, records, self.rng, self.cfg.isolation_mode
         )
-        self.store.kill(loser)
+        # read the winner before touching the loser: a round abandoned
+        # here has killed nothing
         try:
             parent = gn.deserialize(self.store.load_genome_text(winner))
             parent_net = eng.deserialize_network(self.store.load_weights(winner))
         except (OSError, StoreError, gn.GenomeError, eng.EngineError):
             log.info("round abandoned: winner %s vanished or unreadable", winner)
+            return False
+        # the kill is the loser's claim: when another worker took the loser
+        # first, publishing here would grow the population
+        if not self.store.kill(loser):
+            log.info("round abandoned: loser %s already taken", loser)
             return False
         child_id = self._next_id()
         child = mu.mutate_valid(

@@ -11,6 +11,7 @@ from evocnn import data as dt
 from evocnn import engine as eng
 from evocnn import genome as gn
 from evocnn import pipeline as pl
+from evocnn import worker as wk
 from evocnn.config import ConfigError, RunConfig, load_config, save_config
 from evocnn.popstore import PopulationStore
 from evocnn.worker import Worker, load_run_data, worker_seed_for
@@ -103,6 +104,66 @@ class TestWorkerSeeding:
         assert [a._next_id() for _ in range(5)] == [b._next_id() for _ in range(5)]
 
 
+class TestRoundProtocol:
+    """A second store on the same directory stands in for a racing worker,
+    which acts at a fixed point of the round through a monkeypatch."""
+
+    def seeded_worker(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, seeds_per_worker=4)
+        worker = Worker(cfg, 0, gn.ENCODER)
+        worker.seed_population()
+        sampled = []
+        sample_pair = worker.store.sample_pair
+
+        def recording_sample_pair(rng):
+            sampled.extend(sample_pair(rng))
+            return tuple(sampled)
+
+        worker.store.sample_pair = recording_sample_pair
+        return worker, PopulationStore(cfg.population_root), sampled
+
+    def snapshot(self, store):
+        return set(store.list_live()), store.read_claim_logs(), store.read_round_logs()
+
+    def test_winner_vanishing_before_read_keeps_loser(self, tmp_path, monkeypatch):
+        worker, racer, sampled = self.seeded_worker(tmp_path)
+        live, claims, rounds = self.snapshot(racer)
+        load_genome_text = worker.store.load_genome_text
+        taken = []
+
+        def winner_taken_first(winner):
+            assert racer.kill(winner)
+            taken.append(winner)
+            return load_genome_text(winner)
+
+        monkeypatch.setattr(worker.store, "load_genome_text", winner_taken_first)
+        assert worker.run_round(0) is False
+        (winner,) = taken
+        (loser,) = set(sampled) - {winner}
+        assert set(racer.list_live()) == live - {winner}
+        assert loser in racer.list_live()
+        assert self.snapshot(racer)[1:] == (claims, rounds)
+
+    def test_loser_already_taken_publishes_nothing(self, tmp_path, monkeypatch):
+        worker, racer, sampled = self.seeded_worker(tmp_path)
+        live, claims, rounds = self.snapshot(racer)
+        load_weights = worker.store.load_weights
+        taken = []
+
+        def loser_taken_first(winner):
+            (loser,) = set(sampled) - {winner}
+            assert racer.kill(loser)
+            taken.append(loser)
+            return load_weights(winner)
+
+        monkeypatch.setattr(worker.store, "load_weights", loser_taken_first)
+        assert worker.run_round(0) is False
+        (loser,) = taken
+        assert set(racer.list_live()) == live - {loser}
+        assert self.snapshot(racer)[1:] == (claims, rounds)
+        assert list(racer.tmp.iterdir()) == []
+
+
 class TestRunStep:
     def test_cae_step_conserves_individuals(self, tmp_path):
         cfg = tiny_cfg(tmp_path, round_budget=4)
@@ -120,9 +181,8 @@ class TestRunStep:
     def test_history_export_is_lineage_consistent(self, tmp_path):
         cfg = tiny_cfg(tmp_path, round_budget=4)
         pl.run_step(cfg, gn.ENCODER, in_process=True)
-        rows = list(
-            csv.DictReader(open(Path(cfg.report_dir) / "history_cae.csv"))
-        )
+        with open(Path(cfg.report_dir) / "history_cae.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         offsets = [int(r["offset"]) for r in rows]
         assert offsets == list(range(len(rows)))
         published_at = {r["id"]: int(r["offset"]) for r in rows}
@@ -175,9 +235,19 @@ class TestCaeSelection:
 
 
 class TestCompose:
-    def test_composed_network_equals_two_stage_evaluation(self, tmp_path):
+    def test_composed_network_equals_two_stage_evaluation(self, tmp_path, monkeypatch):
         result_cfg = tiny_cfg(tmp_path, round_budget=2)
+        sources = []
+
+        def counting_load_run_data(cfg):
+            sources.append(cfg.data_source)
+            return load_run_data(cfg)
+
+        monkeypatch.setattr(pl, "load_run_data", counting_load_run_data)
+        monkeypatch.setattr(wk, "load_run_data", counting_load_run_data)
         result = pl.run_full_pipeline(result_cfg)
+        # raw data: once for the CAE worker, once for finalize and compose
+        assert sorted(sources) == ["evod", "synth", "synth"]
         assert 0.0 <= result["test_accuracy"] <= 1.0
 
         cae_store = PopulationStore(pl.step_population_root(result_cfg, gn.ENCODER))

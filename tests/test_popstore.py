@@ -47,9 +47,25 @@ class TestFitnessLine:
         assert line.split(",")[6] == "-"
         assert parse_fitness_line(line).parent_id is None
 
-    def test_malformed_line_rejected(self):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param("only,three,fields\n", id="field count"),
+            pytest.param("a,Encoder,high,1.25,w0,0,-,Seed\n", id="non-numeric metric"),
+            pytest.param("a,Encoder,0.5:0.2:0.1,1.25,w0,0,-,Seed\n", id="three-part pair"),
+            pytest.param("a,Encoder,0.5:,1.25,w0,0,-,Seed\n", id="empty pair half"),
+            pytest.param("a,Encoder,0.5:0.2,slow,w0,0,-,Seed\n", id="non-numeric wall time"),
+            pytest.param("a,Encoder,0.5:0.2,1.25,w0,first,-,Seed\n", id="non-integer generation"),
+            pytest.param("a,Encoder,nan:0.5,1.25,w0,0,-,Seed\n", id="nan compression"),
+            pytest.param("a,Encoder,0.5:inf,1.25,w0,0,-,Seed\n", id="inf accuracy"),
+            pytest.param("a,Classifier,nan,1.25,w0,0,-,Seed\n", id="nan scalar"),
+            pytest.param("a,Encoder,0.5:0.2,inf,w0,0,-,Seed\n", id="inf wall time"),
+            pytest.param("a,Encoder,0.5:0.2,nan,w0,0,-,Seed\n", id="nan wall time"),
+        ],
+    )
+    def test_malformed_line_rejected(self, line):
         with pytest.raises(StoreError):
-            parse_fitness_line("only,three,fields\n")
+            parse_fitness_line(line)
 
 
 class TestPublishAndList:
@@ -92,6 +108,67 @@ class TestPublishAndList:
         m = store.load_fitness("p")
         assert m.record.pair == (0.66, 0.7028)
         assert m.generation == 7 and m.parent_id == "q"
+
+
+class CountingStore(PopulationStore):
+    """Counts the sidecar reads behind each snapshot."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.reads = []
+
+    def load_fitness(self, individual_id, dirname="live"):
+        self.reads.append(individual_id)
+        return super().load_fitness(individual_id, dirname)
+
+
+class TestFitnessSnapshot:
+    def test_each_sidecar_read_once(self, tmp_path):
+        store = CountingStore(tmp_path)
+        for iid in ("a", "b", "c"):
+            publish(store, iid)
+        for _ in range(5):
+            assert sorted(store.load_all_fitness()) == ["a", "b", "c"]
+        assert sorted(store.reads) == ["a", "b", "c"]
+
+    def test_snapshot_follows_kills_and_publishes(self, tmp_path):
+        # a second store on the same directory stands in for another worker
+        store, other = CountingStore(tmp_path), PopulationStore(tmp_path)
+        for iid in ("a", "b", "c"):
+            publish(store, iid)
+        store.load_all_fitness()
+        other.kill("b")
+        publish(other, "d", pair=(0.9, 0.1))
+        snapshot = store.load_all_fitness()
+        assert sorted(snapshot) == ["a", "c", "d"]
+        assert snapshot["d"].record.pair == (0.9, 0.1)
+        assert sorted(store.reads) == ["a", "b", "c", "d"]
+
+    def test_vanished_or_unreadable_entry_skipped_and_not_cached(self, tmp_path):
+        store = CountingStore(tmp_path)
+        publish(store, "a")
+        publish(store, "b")
+        sidecar = store.live / "b" / FITNESS_FILE
+        good = sidecar.read_text()
+        sidecar.write_text("not,a,sidecar\n")
+        assert sorted(store.load_all_fitness()) == ["a"]
+        sidecar.unlink()
+        assert sorted(store.load_all_fitness()) == ["a"]
+        sidecar.write_text(good)
+        assert sorted(store.load_all_fitness()) == ["a", "b"]
+        assert store.reads.count("b") == 3
+
+    def test_returned_dict_is_a_copy(self, tmp_path):
+        store = PopulationStore(tmp_path)
+        publish(store, "a", pair=(0.1, 0.2))
+        publish(store, "b", pair=(0.3, 0.4))
+        first = store.load_all_fitness()
+        first["b"] = first.pop("a")
+        first["ghost"] = first["b"]
+        again = store.load_all_fitness()
+        assert sorted(again) == ["a", "b"]
+        assert again["a"].record.pair == (0.1, 0.2)
+        assert again["b"].record.pair == (0.3, 0.4)
 
 
 class TestKill:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evocnn.selection import (
     FitnessRecord,
@@ -33,6 +35,12 @@ class TestDominates:
         assert not dominates(CAE_507, CAE_507)
 
 
+# a few grid values force ties and duplicates; any finite float covers the rest
+objectives = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(
+    -1e6, 1e6, allow_nan=False, allow_infinity=False
+)
+
+
 class TestParetoFronts:
     def test_single_element(self):
         assert pareto_fronts([(0.5, 0.5)]) == [[0]]
@@ -48,12 +56,16 @@ class TestParetoFronts:
         assert flat == list(range(40))
 
     def test_matches_brute_force_oracle(self, rng):
+        # fronts and the order inside each front, which isolation sums follow
         for _ in range(50):
             n = int(rng.integers(1, 65))
             pairs = [tuple(rng.integers(0, 6, 2) / 5) for _ in range(n)]
-            got = [sorted(f) for f in pareto_fronts(pairs)]
-            want = [sorted(f) for f in pareto_fronts_oracle(pairs)]
-            assert got == want
+            assert pareto_fronts(pairs) == pareto_fronts_oracle(pairs)
+
+    @given(st.lists(st.tuples(objectives, objectives), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_property(self, pairs):
+        assert pareto_fronts(pairs) == pareto_fronts_oracle(pairs)
 
     def test_rank_invariant_under_monotone_rescale(self, rng):
         pairs = [tuple(rng.random(2)) for _ in range(30)]
