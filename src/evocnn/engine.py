@@ -4,6 +4,13 @@ All tensors are numpy float64 arrays in (batch, channels, height, width)
 order. Convolutions use same-padding, so spatial reduction comes only
 from stride and pooling and output dims are closed-form ceil divisions.
 
+A convolution is one matrix product over an im2col matrix (Chellapilla
+et al. 2006) laid out channel-major, (in_channels*kh*kw, batch*oh*ow):
+building it copies whole output rows of ow values, where a
+(batch*oh*ow, in_channels*kh*kw) layout copies runs of only kw. The
+input gradient is scattered back per kernel tap as contiguous
+(in_channels, batch, oh, ow) slabs for the same reason.
+
 Weights are stored as an EVOW blob, all integers little-endian:
 
     b"EVOW", u32 version (1), u32 layer count, then per layer:
@@ -54,14 +61,9 @@ def ceil_div(n: int, d: int) -> int:
     return -(-n // d)
 
 
-def init_conv_weights(filters, in_channels, kh, kw, rng):
+def fan_in_normal(shape, fan_in, rng):
     """Zero-mean Gaussian scaled by 1/sqrt(fan-in)."""
-    fan_in = in_channels * kh * kw
-    return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(filters, in_channels, kh, kw))
-
-
-def init_dense_weights(in_features, units, rng):
-    return rng.normal(0.0, 1.0 / math.sqrt(in_features), size=(in_features, units))
+    return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
 
 
 def _activate(z, activation):
@@ -162,10 +164,8 @@ class ConvLayer(ParamLayer):
         self.activation = activation
 
     def init_weights(self, rng):
-        self.set_params(
-            init_conv_weights(self.filters, self.in_channels, self.kh, self.kw, rng),
-            np.zeros(self.filters),
-        )
+        fan_in = self.in_channels * self.kh * self.kw
+        self.set_params(fan_in_normal(self.param_shapes()[0], fan_in, rng), np.zeros(self.filters))
 
     def param_shapes(self):
         return (self.filters, self.in_channels, self.kh, self.kw), (self.filters,)
@@ -186,9 +186,9 @@ class ConvLayer(ParamLayer):
         pt, pl = ph // 2, pw // 2
         xp = np.pad(x, ((0, 0), (0, 0), (pt, ph - pt), (pl, pw - pl)))
         win = sliding_window_view(xp, (self.kh, self.kw), axis=(2, 3))[:, :, ::s, ::s]
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * self.kh * self.kw)
-        z = cols @ self.w.reshape(self.filters, -1).T + self.b
-        z = z.reshape(b, oh, ow, self.filters).transpose(0, 3, 1, 2)
+        cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * self.kh * self.kw, b * oh * ow)
+        z = self.w.reshape(self.filters, -1) @ cols + self.b[:, None]
+        z = z.reshape(self.filters, b, oh, ow).transpose(1, 0, 2, 3)
         self._cache = (x.shape, cols, z, (ph, pw, pt, pl, oh, ow))
         return _activate(z, self.activation)
 
@@ -198,17 +198,19 @@ class ConvLayer(ParamLayer):
         if gy.shape != z.shape:
             raise ShapeError(f"conv backward got grad shape {gy.shape}, expected {z.shape}")
         gz = gy * _activate_grad(z, self.activation)
-        gzc = gz.transpose(0, 2, 3, 1).reshape(b * oh * ow, self.filters)
-        self.gb = gzc.sum(axis=0)
-        self.gw = (gzc.T @ cols).reshape(self.w.shape)
-        gcols = gzc @ self.w.reshape(self.filters, -1)
-        g = gcols.reshape(b, oh, ow, c, self.kh, self.kw).transpose(0, 3, 1, 2, 4, 5)
-        gxp = np.zeros((b, c, h + ph, w + pw))
+        # summed row by row over a (b*oh*ow, filters) copy: a sum along
+        # gzc's rows would be pairwise and change gb in the last bit
+        self.gb = gz.transpose(0, 2, 3, 1).reshape(b * oh * ow, self.filters).sum(axis=0)
+        gzc = gz.transpose(1, 0, 2, 3).reshape(self.filters, b * oh * ow)
+        self.gw = (gzc @ cols.T).reshape(self.w.shape)
+        gcols = self.w.reshape(self.filters, -1).T @ gzc
+        g = gcols.reshape(c, self.kh, self.kw, b, oh, ow)
+        gxp = np.zeros((c, b, h + ph, w + pw))
         s = self.stride
         for i in range(self.kh):
             for j in range(self.kw):
-                gxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += g[:, :, :, :, i, j]
-        return gxp[:, :, pt:pt + h, pl:pl + w]
+                gxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += g[:, i, j]
+        return gxp[:, :, pt:pt + h, pl:pl + w].transpose(1, 0, 2, 3)
 
 
 class MaxPoolLayer(Layer):
@@ -330,7 +332,7 @@ class DenseLayer(ParamLayer):
 
     def init_weights(self, rng):
         self.set_params(
-            init_dense_weights(self.in_features, self.units, rng), np.zeros(self.units)
+            fan_in_normal(self.param_shapes()[0], self.in_features, rng), np.zeros(self.units)
         )
 
     def param_shapes(self):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import ceil_div, init_conv_weights
+from .engine import ceil_div, fan_in_normal
 
 # Search-space caps keeping desk-scale training bounded.
 STRIDE_MAX = 4
@@ -306,7 +306,8 @@ def inherit_weights(parent_weights, parent: Genome, child: Genome, input_shape, 
         if pw_entry["w"].shape == target_shape:
             out.append({"w": pw_entry["w"].copy(), "b": pw_entry["b"].copy()})
             continue
-        fresh = {"w": init_conv_weights(*target_shape, rng), "b": np.zeros(gene.filters)}
+        fan_in = in_c * gene.kh * gene.kw
+        fresh = {"w": fan_in_normal(target_shape, fan_in, rng), "b": np.zeros(gene.filters)}
         f0, c0, h0, w0 = (min(a, b) for a, b in zip(pw_entry["w"].shape, target_shape))
         fresh["w"][:f0, :c0, :h0, :w0] = pw_entry["w"][:f0, :c0, :h0, :w0]
         fresh["b"][:f0] = pw_entry["b"][:f0]

@@ -153,21 +153,15 @@ class PopulationStore:
     def list_dead(self):
         return sorted(p.name for p in self.dead.iterdir() if not p.name.startswith("."))
 
-    def sample_pair(self, rng, attempts=10):
-        """Two distinct live ids, uniform without replacement over a
-        listing snapshot; None when the population is still too small."""
-        for _ in range(attempts):
-            ids = self.list_live()
-            if len(ids) < 2:
-                return None
-            picked = rng.choice(len(ids), size=2, replace=False)
-            id_a, id_b = ids[int(picked[0])], ids[int(picked[1])]
-            if (self.live / id_a / FITNESS_FILE).exists() and (
-                self.live / id_b / FITNESS_FILE
-            ).exists():
-                return id_a, id_b
-            # a sampled entry vanished mid-round: resample
-        return None
+    def sample_pair(self, snapshot, rng):
+        """Two distinct ids of a `load_all_fitness` snapshot, uniform
+        without replacement over its sorted ids; None when it holds
+        fewer than two."""
+        ids = sorted(snapshot)
+        if len(ids) < 2:
+            return None
+        picked = rng.choice(len(ids), size=2, replace=False)
+        return ids[int(picked[0])], ids[int(picked[1])]
 
     def load_fitness(self, individual_id, dirname="live") -> FitnessMeta:
         path = self.root / dirname / individual_id / FITNESS_FILE

@@ -1,6 +1,6 @@
-"""Worker process: seed, then loop sample -> compare -> read winner ->
-kill loser -> mutate -> train -> publish against the shared population
-directory."""
+"""Worker process: seed, then loop snapshot -> sample -> compare -> read
+winner -> kill loser -> mutate -> train -> publish against the shared
+population directory."""
 
 from __future__ import annotations
 
@@ -166,15 +166,12 @@ class Worker:
 
     def run_round(self, round_index):
         """One tournament round; returns True when a child was published."""
-        pair = self.store.sample_pair(self.rng)
+        snapshot = self.store.load_all_fitness()
+        pair = self.store.sample_pair(snapshot, self.rng)
         if pair is None:
             time.sleep(0.05)
             return False
         id_a, id_b = pair
-        snapshot = self.store.load_all_fitness()
-        if id_a not in snapshot or id_b not in snapshot:
-            log.info("round abandoned: sampled individual vanished")
-            return False
         records = {iid: meta.record for iid, meta in snapshot.items()}
         winner, loser, reason = tournament_compare(
             id_a, id_b, records, self.rng, self.cfg.isolation_mode

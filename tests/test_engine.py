@@ -11,6 +11,7 @@ from evocnn.worker import build_network, train_individual
 
 from conftest import (
     assert_grads_close,
+    conv_backward_oracle,
     conv_oracle,
     finite_difference,
     maxpool_oracle,
@@ -26,6 +27,35 @@ def make_conv(in_c, f, kh, kw, stride=1, activation="relu", rng=None):
     else:
         layer.init_weights(rng)
     return layer
+
+
+def conv_sweep(rng, count=100):
+    """Random conv layers and inputs over the genome's search space.
+
+    Kernels reach FILTER_DIM_MAX and strides STRIDE_MAX; the cases
+    include batch 1, inputs smaller than the kernel, and channels both
+    below and above the filter count. Biases are nonzero.
+    """
+    cases = []
+    for _ in range(count):
+        c, f = (int(v) for v in rng.integers(1, 7, size=2))
+        kh, kw = (int(v) for v in rng.integers(1, gn.FILTER_DIM_MAX + 1, size=2))
+        s = int(rng.integers(1, gn.STRIDE_MAX + 1))
+        h, w = (int(v) for v in rng.integers(1, 11, size=2))
+        layer = make_conv(c, f, kh, kw, s, rng=rng)
+        layer.b[...] = 0.1 * rng.standard_normal(f)
+        cases.append((layer, rng.standard_normal((int(rng.integers(1, 4)), c, h, w))))
+    covered = {
+        "kernel 9": any(max(l.kh, l.kw) == gn.FILTER_DIM_MAX for l, _ in cases),
+        "stride 4": any(l.stride == gn.STRIDE_MAX for l, _ in cases),
+        "non-square": any(l.kh != l.kw for l, _ in cases),
+        "batch 1": any(x.shape[0] == 1 for _, x in cases),
+        "input < kernel": any(x.shape[2] < l.kh and x.shape[3] < l.kw for l, x in cases),
+        "c < f": any(l.in_channels < l.filters for l, _ in cases),
+        "c > f": any(l.in_channels > l.filters for l, _ in cases),
+    }
+    assert all(covered.values()), covered
+    return cases
 
 
 class TestConvForward:
@@ -58,19 +88,10 @@ class TestConvForward:
         np.testing.assert_allclose(y, ref, rtol=1e-6, atol=1e-9)
 
     def test_random_shape_stride_sweep_vs_oracle(self, rng):
-        for _ in range(100):
-            c = int(rng.integers(1, 4))
-            f = int(rng.integers(1, 5))
-            kh = int(rng.integers(1, 5))
-            kw = int(rng.integers(1, 5))
-            s = int(rng.integers(1, 4))
-            h = int(rng.integers(1, 8))
-            w = int(rng.integers(1, 8))
-            layer = make_conv(c, f, kh, kw, s, rng=rng)
-            x = rng.standard_normal((2, c, h, w))
+        for layer, x in conv_sweep(rng):
             np.testing.assert_allclose(
-                layer.forward(x), conv_oracle(x, layer.w, layer.b, s),
-                rtol=1e-6, atol=1e-9,
+                layer.forward(x), conv_oracle(x, layer.w, layer.b, layer.stride),
+                rtol=1e-10, atol=1e-10,
             )
 
     def test_channel_mismatch_raises(self, rng):
@@ -97,6 +118,15 @@ class TestConvBackward:
         layer.backward(np.ones_like(y))
         expected = x[x > 0].sum()
         assert math.isclose(layer.gw.item(), expected, rel_tol=1e-12)
+
+    def test_random_shape_stride_sweep_vs_oracle(self, rng):
+        for layer, x in conv_sweep(rng):
+            gy = rng.standard_normal(layer.forward(x).shape)
+            gx = layer.backward(gy)
+            ref_gx, ref_gw, ref_gb = conv_backward_oracle(x, layer.w, layer.b, layer.stride, gy)
+            np.testing.assert_allclose(gx, ref_gx, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(layer.gw, ref_gw, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(layer.gb, ref_gb, rtol=1e-10, atol=1e-10)
 
     def test_finite_difference(self, rng):
         layer = make_conv(2, 3, 3, 3, stride=2, rng=rng)

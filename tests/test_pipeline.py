@@ -115,8 +115,8 @@ class TestRoundProtocol:
         sampled = []
         sample_pair = worker.store.sample_pair
 
-        def recording_sample_pair(rng):
-            sampled.extend(sample_pair(rng))
+        def recording_sample_pair(snapshot, rng):
+            sampled.extend(sample_pair(snapshot, rng))
             return tuple(sampled)
 
         worker.store.sample_pair = recording_sample_pair

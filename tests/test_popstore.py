@@ -100,7 +100,7 @@ class TestPublishAndList:
         crashed.mkdir()
         (crashed / GENOME_FILE).write_text("half-written")
         assert store.list_live() == []
-        assert store.sample_pair(np.random.default_rng(0)) is None
+        assert store.sample_pair(store.load_all_fitness(), np.random.default_rng(0)) is None
 
     def test_load_fitness_round_trip(self, tmp_path):
         store = PopulationStore(tmp_path)
@@ -199,7 +199,7 @@ class TestKill:
         store.kill("b")
         rng = np.random.default_rng(0)
         for _ in range(50):
-            pair = store.sample_pair(rng)
+            pair = store.sample_pair(store.load_all_fitness(), rng)
             assert pair is not None and "b" not in pair
 
 
@@ -207,9 +207,9 @@ class TestSamplePair:
     def test_fewer_than_two_live_returns_none(self, tmp_path):
         store = PopulationStore(tmp_path)
         rng = np.random.default_rng(0)
-        assert store.sample_pair(rng) is None
+        assert store.sample_pair(store.load_all_fitness(), rng) is None
         publish(store, "only")
-        assert store.sample_pair(rng) is None
+        assert store.sample_pair(store.load_all_fitness(), rng) is None
 
     def test_pair_is_distinct(self, tmp_path):
         store = PopulationStore(tmp_path)
@@ -217,7 +217,7 @@ class TestSamplePair:
             publish(store, iid)
         rng = np.random.default_rng(1)
         for _ in range(200):
-            a, b = store.sample_pair(rng)
+            a, b = store.sample_pair(store.load_all_fitness(), rng)
             assert a != b
 
     def test_pairs_uniform_over_population(self, tmp_path):
@@ -229,7 +229,7 @@ class TestSamplePair:
         n = 4000
         counts = {}
         for _ in range(n):
-            pair = frozenset(store.sample_pair(rng))
+            pair = frozenset(store.sample_pair(store.load_all_fitness(), rng))
             counts[pair] = counts.get(pair, 0) + 1
         p = 1 / math.comb(5, 2)
         sigma = math.sqrt(p * (1 - p) / n)
