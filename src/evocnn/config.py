@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -58,6 +59,10 @@ class RunConfig:
     n_classes: int = 10
 
     def check(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                # a nan budget never expires and a nan rate never trains
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.workers < 1 or self.seeds_per_worker < 1:
             raise ConfigError("workers and seeds_per_worker must be positive")
         if self.workers * self.seeds_per_worker < 2:
@@ -69,6 +74,9 @@ class RunConfig:
             raise ConfigError("budgets must be non-negative")
         if self.round_budget == 0 and self.wall_budget == 0:
             raise ConfigError("either round_budget or wall_budget must be set")
+        if self.learning_rate <= 0:
+            # every seed would fail Genome.check on read-back, so no round completes
+            raise ConfigError("learning_rate must be positive")
         if self.momentum < 0 or self.momentum >= 1:
             raise ConfigError("momentum must be in [0,1)")
         if self.w_compression < 0 or self.w_accuracy < 0 or (

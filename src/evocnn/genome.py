@@ -1,13 +1,36 @@
 """Network DNA: layer-list genomes, shape inference, compression,
-decoder mirroring, weight inheritance, and the text file format."""
+decoder mirroring, weight inheritance, and the text file format.
+
+A genome is a list of genes, input side first. Each gene kind is one
+class in `GENE_KINDS`, and the class holds all that differs between
+kinds: its text tag, its field bounds (`check`), its output shape, the
+layer spec it builds, and the decoder layers that mirror it.
+
+A genome is stored as text, one whitespace-separated record per line:
+
+    GENOME v1 <kind> <id> <parent id, or -> <generation> <learning rate> <mutation>
+
+then one line per gene, its tag followed by its fields in dataclass
+order:
+
+    CONV filters kh kw stride
+    POOL ph pw
+
+The kind is Encoder or Classifier, the generation and every gene field
+are written as decimal integers, and the learning rate with `repr`, so
+it reads back exactly. Blank lines are skipped. `deserialize` raises
+GenomeParseError on a malformed line and GenomeError on a value out of
+range: an unknown kind, a gene field outside its bounds, a generation
+below 0, or a learning rate that is not positive and finite.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
-import numpy as np
-
-from .engine import ceil_div, fan_in_normal
+from .engine import ceil_div, layer_from_spec
 
 # Search-space caps keeping desk-scale training bounded.
 STRIDE_MAX = 4
@@ -24,7 +47,7 @@ class GenomeError(Exception):
 
 
 class ShapeInferenceError(GenomeError):
-    """A layer degenerates the shape (some dim reaches 0)."""
+    """A gene cannot apply to its input shape (a pool window exceeds it)."""
 
     def __init__(self, layer_index, message):
         super().__init__(f"layer {layer_index}: {message}")
@@ -41,6 +64,14 @@ class LineageError(GenomeError):
     """Parent/child pair not related by a single mutation."""
 
 
+def _upsample_to(factor, shape):
+    """Up-sample by `factor`, then crop back to shape's (h, w)."""
+    return [
+        {"kind": "upsample", "factor": factor},
+        {"kind": "crop", "target_h": shape[1], "target_w": shape[2]},
+    ]
+
+
 @dataclass(frozen=True)
 class ConvGene:
     filters: int
@@ -49,6 +80,7 @@ class ConvGene:
     stride: int = 1
 
     kind = "conv"
+    tag = "CONV"
 
     def check(self):
         if not (1 <= self.filters <= FILTERS_MAX):
@@ -58,6 +90,19 @@ class ConvGene:
         if not (1 <= self.stride <= STRIDE_MAX):
             raise GenomeError(f"stride {self.stride} out of [1,{STRIDE_MAX}]")
 
+    def out_shape(self, c, h, w):
+        return self.filters, ceil_div(h, self.stride), ceil_div(w, self.stride)
+
+    def spec(self, in_c):
+        return {"kind": self.kind, "in_channels": in_c, "filters": self.filters,
+                "kh": self.kh, "kw": self.kw, "stride": self.stride, "activation": "relu"}
+
+    def mirror(self, in_shape, out_c):
+        """A stride becomes up-sample + crop, then a stride-1 conv maps the
+        out_c channels back onto in_shape's."""
+        specs = _upsample_to(self.stride, in_shape) if self.stride > 1 else []
+        return specs + [{**self.spec(out_c), "filters": in_shape[0], "stride": 1}]
+
 
 @dataclass(frozen=True)
 class PoolGene:
@@ -65,10 +110,34 @@ class PoolGene:
     pw: int = 2
 
     kind = "pool"
+    tag = "POOL"
 
     def check(self):
         if not (2 <= self.ph <= POOL_MAX and 2 <= self.pw <= POOL_MAX):
             raise GenomeError(f"pool dims {self.ph}x{self.pw} out of [2,{POOL_MAX}]")
+
+    def out_shape(self, c, h, w):
+        # a window larger than the input degenerates the dimension
+        if h < self.ph or w < self.pw:
+            raise ValueError(f"pool {self.ph}x{self.pw} exceeds spatial dims {h}x{w}")
+        return c, ceil_div(h, self.ph), ceil_div(w, self.pw)
+
+    def spec(self, in_c):
+        return {"kind": self.kind, "ph": self.ph, "pw": self.pw}
+
+    def mirror(self, in_shape, out_c):
+        return _upsample_to(max(self.ph, self.pw), in_shape)
+
+
+class GeneKind(NamedTuple):
+    cls: type
+    fields: tuple  # field names in dataclass order, as a gene line lists their values
+
+
+# Text tag -> gene kind; a gene line is the tag, then the fields' values.
+GENE_KINDS = {
+    cls.tag: GeneKind(cls, tuple(f.name for f in fields(cls))) for cls in (ConvGene, PoolGene)
+}
 
 
 @dataclass(frozen=True)
@@ -86,8 +155,10 @@ class Genome:
             raise GenomeError(f"unknown genome kind {self.kind!r}")
         if not self.layers:
             raise GenomeError("genome has no layers")
-        if self.learning_rate <= 0:
-            raise GenomeError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise GenomeError(f"learning rate {self.learning_rate!r} must be positive and finite")
+        if self.generation < 0:
+            raise GenomeError(f"generation {self.generation} is negative")
         for gene in self.layers:
             gene.check()
 
@@ -124,56 +195,33 @@ def infer_shapes(g: Genome, input_shape):
         raise GenomeError(f"input shape {input_shape} not positive")
     trace = [(c, h, w)]
     for i, gene in enumerate(g.layers):
-        if gene.kind == "conv":
-            c, h, w = gene.filters, ceil_div(h, gene.stride), ceil_div(w, gene.stride)
-        else:
-            # a window larger than the input degenerates the dimension
-            if h < gene.ph or w < gene.pw:
-                raise ShapeInferenceError(
-                    i, f"pool {gene.ph}x{gene.pw} exceeds spatial dims {h}x{w}"
-                )
-            c, h, w = c, ceil_div(h, gene.ph), ceil_div(w, gene.pw)
-        if h < 1 or w < 1:
-            raise ShapeInferenceError(i, f"{gene.kind} reduces spatial dims to {h}x{w}")
-        trace.append((c, h, w))
+        try:
+            trace.append(gene.out_shape(*trace[-1]))
+        except ValueError as exc:
+            raise ShapeInferenceError(i, str(exc)) from None
     return tuple(trace)
-
-
-def _elements(shape):
-    return shape[0] * shape[1] * shape[2]
 
 
 def compression_ratio(g: Genome, input_shape):
     """1 - encoded/input element count; approaches 1 as the encoding
     shrinks to a single value."""
     trace = infer_shapes(g, input_shape)
-    return 1.0 - _elements(trace[-1]) / _elements(trace[0])
+    return 1.0 - math.prod(trace[-1]) / math.prod(trace[0])
 
 
-def validate_encoder(g: Genome, input_shape):
-    """None when valid, else a human-readable violation description."""
-    if g.kind != ENCODER:
-        return f"genome {g.id} is not an encoder"
+def validate(g: Genome, input_shape):
+    """None when the genome builds on input_shape (and, for an encoder,
+    compresses it), else a human-readable violation description."""
     try:
         g.check()
         trace = infer_shapes(g, input_shape)
     except GenomeError as exc:
         return str(exc)
-    if _elements(trace[-1]) >= _elements(trace[0]):
+    if g.kind == ENCODER and math.prod(trace[-1]) >= math.prod(trace[0]):
         return (
-            f"encoded size {_elements(trace[-1])} not smaller than "
-            f"input size {_elements(trace[0])}"
+            f"encoded size {math.prod(trace[-1])} not smaller than "
+            f"input size {math.prod(trace[0])}"
         )
-    return None
-
-
-def validate_classifier(g: Genome, input_shape):
-    """None when valid, else a violation description."""
-    try:
-        g.check()
-        infer_shapes(g, input_shape)
-    except GenomeError as exc:
-        return str(exc)
     return None
 
 
@@ -184,36 +232,18 @@ def validate_classifier(g: Genome, input_shape):
 def derive_decoder(g: Genome, input_shape):
     """Mirror the encoder into a decoder layer plan.
 
-    Pools become up-sampling (+ crop back to the recorded pre-pool
-    shape); strided convs become up-sample + crop + stride-1 conv onto
-    the previous channel count. The last conv gets a sigmoid so
-    reconstructions stay in [0,1].
+    Each gene, last first, contributes its `mirror`: pools become
+    up-sampling (+ crop back to the recorded pre-pool shape); strided
+    convs become up-sample + crop + stride-1 conv onto the previous
+    channel count. The last conv gets a sigmoid so reconstructions stay
+    in [0,1].
     """
     trace = infer_shapes(g, input_shape)
     specs = []
-    for i in range(len(g.layers) - 1, -1, -1):
-        in_c, in_h, in_w = trace[i]
-        gene = g.layers[i]
-        if gene.kind == "pool":
-            specs.append({"kind": "upsample", "factor": max(gene.ph, gene.pw)})
-            specs.append({"kind": "crop", "target_h": in_h, "target_w": in_w})
-        else:
-            if gene.stride > 1:
-                specs.append({"kind": "upsample", "factor": gene.stride})
-                specs.append({"kind": "crop", "target_h": in_h, "target_w": in_w})
-            specs.append(
-                {
-                    "kind": "conv",
-                    "in_channels": trace[i + 1][0],
-                    "filters": in_c,
-                    "kh": gene.kh,
-                    "kw": gene.kw,
-                    "stride": 1,
-                    "activation": "relu",
-                }
-            )
+    for i in reversed(range(len(g.layers))):
+        specs.extend(g.layers[i].mirror(trace[i], trace[i + 1][0]))
     for spec in reversed(specs):
-        if spec["kind"] == "conv":
+        if "activation" in spec:
             spec["activation"] = "sigmoid"
             break
     return specs
@@ -226,27 +256,12 @@ def network_specs(g: Genome, input_shape, n_classes=10):
     implicit flatten + dense softmax head.
     """
     trace = infer_shapes(g, input_shape)
-    specs = []
-    for i, gene in enumerate(g.layers):
-        if gene.kind == "conv":
-            specs.append(
-                {
-                    "kind": "conv",
-                    "in_channels": trace[i][0],
-                    "filters": gene.filters,
-                    "kh": gene.kh,
-                    "kw": gene.kw,
-                    "stride": gene.stride,
-                    "activation": "relu",
-                }
-            )
-        else:
-            specs.append({"kind": "pool", "ph": gene.ph, "pw": gene.pw})
+    specs = [gene.spec(shape[0]) for gene, shape in zip(g.layers, trace)]
     if g.kind == ENCODER:
         specs.extend(derive_decoder(g, input_shape))
     else:
         specs.append({"kind": "flatten"})
-        specs.append({"kind": "dense", "in_features": _elements(trace[-1]), "units": n_classes})
+        specs.append({"kind": "dense", "in_features": math.prod(trace[-1]), "units": n_classes})
     return specs
 
 
@@ -279,44 +294,38 @@ def layer_mapping(parent: Genome, child: Genome):
     raise LineageError(f"layer counts {len(p)} -> {len(c)} differ by more than one")
 
 
-def inherit_weights(parent_weights, parent: Genome, child: Genome, input_shape, rng):
-    """Child weight list aligned with child.layers.
+def inherit_weights(parent_params, parent: Genome, child: Genome, input_shape, rng):
+    """Child parameters aligned with child.layers.
 
-    Entries are None for pools and for freshly inserted convs (the
-    builder initializes those); mapped convs keep the parent weights
-    verbatim when shapes match, else the overlapping slice is copied
-    onto a fresh init.
+    `parent_params[i]` is the `params()` tuple of the layer built for
+    parent gene i (empty for a pool). Entries are None where the child
+    layer keeps the builder's init: pools and freshly inserted convs.
+    Mapped convs keep copies of the parent arrays when shapes match,
+    else the overlapping slice is copied onto a fresh init.
     """
     if child.parent_id != parent.id:
         raise LineageError(f"child parent_id {child.parent_id!r} != parent id {parent.id!r}")
     mapping = layer_mapping(parent, child)
     trace = infer_shapes(child, input_shape)
     out = []
-    for i, gene in enumerate(child.layers):
-        if gene.kind != "conv":
+    for gene, src, shape in zip(child.layers, mapping, trace):
+        kept = () if src is None else parent_params[src]
+        layer = layer_from_spec(gene.spec(shape[0]))
+        if not (kept and layer.param_shapes()):
             out.append(None)
-            continue
-        src = mapping[i]
-        if src is None or parent_weights[src] is None:
-            out.append(None)
-            continue
-        pw_entry = parent_weights[src]
-        in_c = trace[i][0]
-        target_shape = (gene.filters, in_c, gene.kh, gene.kw)
-        if pw_entry["w"].shape == target_shape:
-            out.append({"w": pw_entry["w"].copy(), "b": pw_entry["b"].copy()})
-            continue
-        fan_in = in_c * gene.kh * gene.kw
-        fresh = {"w": fan_in_normal(target_shape, fan_in, rng), "b": np.zeros(gene.filters)}
-        f0, c0, h0, w0 = (min(a, b) for a, b in zip(pw_entry["w"].shape, target_shape))
-        fresh["w"][:f0, :c0, :h0, :w0] = pw_entry["w"][:f0, :c0, :h0, :w0]
-        fresh["b"][:f0] = pw_entry["b"][:f0]
-        out.append(fresh)
+        elif tuple(a.shape for a in kept) == layer.param_shapes():
+            out.append(tuple(a.copy() for a in kept))
+        else:
+            layer.init_weights(rng)
+            for fresh, old in zip(layer.params(), kept):
+                overlap = tuple(slice(0, min(a, b)) for a, b in zip(fresh.shape, old.shape))
+                fresh[overlap] = old[overlap]
+            out.append(layer.params())
     return out
 
 
 # ---------------------------------------------------------------------------
-# Text serialization
+# Text serialization (format in the module docstring)
 # ---------------------------------------------------------------------------
 
 _FORMAT_VERSION = "v1"
@@ -329,15 +338,14 @@ def serialize(g: Genome) -> str:
         f"{g.generation} {g.learning_rate!r} {g.mutation_applied}"
     ]
     for gene in g.layers:
-        if gene.kind == "conv":
-            lines.append(f"CONV {gene.filters} {gene.kh} {gene.kw} {gene.stride}")
-        else:
-            lines.append(f"POOL {gene.ph} {gene.pw}")
+        names = GENE_KINDS[gene.tag].fields
+        lines.append(" ".join([gene.tag, *(str(getattr(gene, name)) for name in names)]))
     return "\n".join(lines) + "\n"
 
 
 def deserialize(text: str) -> Genome:
-    lines = [ln for ln in text.splitlines()]
+    """Inverse of `serialize`; malformed text raises GenomeError."""
+    lines = text.splitlines()
     if not lines:
         raise GenomeParseError(1, "empty genome file")
     head = lines[0].split()
@@ -346,20 +354,16 @@ def deserialize(text: str) -> Genome:
     if head[1] != _FORMAT_VERSION:
         raise GenomeParseError(1, f"unsupported genome format version {head[1]!r}")
     kind, gid, parent, gen, lr, mutation = head[2:]
-    if kind not in (ENCODER, CLASSIFIER):
-        raise GenomeParseError(1, f"unknown kind {kind!r}")
     genes = []
     for n, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        tok = line.split()
+        tag, *values = line.split()
+        gene_kind = GENE_KINDS.get(tag)
+        if gene_kind is None or len(values) != len(gene_kind.fields):
+            raise GenomeParseError(n, f"bad gene line {line!r}")
         try:
-            if tok[0] == "CONV" and len(tok) == 5:
-                genes.append(ConvGene(int(tok[1]), int(tok[2]), int(tok[3]), int(tok[4])))
-            elif tok[0] == "POOL" and len(tok) == 3:
-                genes.append(PoolGene(int(tok[1]), int(tok[2])))
-            else:
-                raise GenomeParseError(n, f"bad gene line {line!r}")
+            genes.append(gene_kind.cls(*map(int, values)))
         except ValueError as exc:
             raise GenomeParseError(n, f"bad integer in {line!r}") from exc
     if not genes:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from dataclasses import replace
 
 from . import genome as gn
 
@@ -37,16 +38,38 @@ def sample_mutation(kind_set, rng) -> MutationKind:
     return kinds[int(rng.integers(len(kinds)))]
 
 
-def _conv_indices(layers):
-    return [i for i, g in enumerate(layers) if g.kind == "conv"]
+def _new_conv(rng):
+    return gn.ConvGene(INSERT_FILTERS[int(rng.integers(len(INSERT_FILTERS)))], 3, 3, 1)
 
 
-def _pool_indices(layers):
-    return [i for i, g in enumerate(layers) if g.kind == "pool"]
+# Each family of per-gene mutations, by the gene kind it acts on.
+_INSERTS = {  # kind -> maker of the inserted gene
+    MutationKind.InsertConv: _new_conv,
+    MutationKind.InsertPool: lambda rng: gn.PoolGene(2, 2),
+}
+_REMOVES = {MutationKind.RemoveConv: gn.ConvGene, MutationKind.RemovePool: gn.PoolGene}
+_RESIZES = {  # kind -> (gene class, window fields)
+    MutationKind.AlterFilterSize: (gn.ConvGene, ("kh", "kw")),
+    MutationKind.AlterPoolSize: (gn.PoolGene, ("ph", "pw")),
+}
 
 
-def _pick(indices, rng):
-    return indices[int(rng.integers(len(indices)))]
+def _pick(layers, cls, rng):
+    """Index of a uniformly drawn gene of class cls, or None when there is none."""
+    indices = [i for i, gene in enumerate(layers) if type(gene) is cls]
+    return indices[int(rng.integers(len(indices)))] if indices else None
+
+
+def _altered(g, kind, child_id, layers, i, **changes):
+    """The child with gene i's fields changed, or None when they leave the
+    gene's bounds."""
+    gene = replace(layers[i], **changes)
+    try:
+        gene.check()
+    except gn.GenomeError:
+        return INAPPLICABLE
+    layers[i] = gene
+    return g.with_child_fields(child_id, kind.value, layers=layers)
 
 
 def apply_mutation(g, kind: MutationKind, rng, child_id):
@@ -60,82 +83,43 @@ def apply_mutation(g, kind: MutationKind, rng, child_id):
     if kind is MutationKind.Identity:
         return g.with_child_fields(child_id, kind.value)
 
-    if kind is MutationKind.InsertConv:
-        f = INSERT_FILTERS[int(rng.integers(len(INSERT_FILTERS)))]
-        pos = int(rng.integers(len(layers) + 1))
-        layers.insert(pos, gn.ConvGene(f, 3, 3, 1))
+    if kind in _INSERTS:
+        gene = _INSERTS[kind](rng)
+        layers.insert(int(rng.integers(len(layers) + 1)), gene)
         return g.with_child_fields(child_id, kind.value, layers=layers)
 
-    if kind is MutationKind.InsertPool:
-        pos = int(rng.integers(len(layers) + 1))
-        layers.insert(pos, gn.PoolGene(2, 2))
-        return g.with_child_fields(child_id, kind.value, layers=layers)
-
-    if kind is MutationKind.RemoveConv:
-        idx = _conv_indices(layers)
-        if not idx or len(layers) == 1:
+    if kind in _REMOVES:
+        i = None if len(layers) == 1 else _pick(layers, _REMOVES[kind], rng)
+        if i is None:
             return INAPPLICABLE
-        layers.pop(_pick(idx, rng))
+        layers.pop(i)
         return g.with_child_fields(child_id, kind.value, layers=layers)
 
-    if kind is MutationKind.RemovePool:
-        idx = _pool_indices(layers)
-        if not idx or len(layers) == 1:
+    if kind in _RESIZES:
+        cls, dims = _RESIZES[kind]
+        i = _pick(layers, cls, rng)
+        if i is None:
             return INAPPLICABLE
-        layers.pop(_pick(idx, rng))
-        return g.with_child_fields(child_id, kind.value, layers=layers)
+        dim = dims[int(rng.integers(2))]
+        delta = 1 if rng.integers(2) else -1
+        return _altered(g, kind, child_id, layers, i, **{dim: getattr(layers[i], dim) + delta})
 
     if kind is MutationKind.AlterStride:
-        idx = _conv_indices(layers)
-        if not idx:
+        i = _pick(layers, gn.ConvGene, rng)
+        if i is None:
             return INAPPLICABLE
-        i = _pick(idx, rng)
         delta = 1 if rng.integers(2) else -1
-        s = layers[i].stride + delta
-        if not (1 <= s <= gn.STRIDE_MAX):
-            return INAPPLICABLE
-        layers[i] = gn.ConvGene(layers[i].filters, layers[i].kh, layers[i].kw, s)
-        return g.with_child_fields(child_id, kind.value, layers=layers)
+        return _altered(g, kind, child_id, layers, i, stride=layers[i].stride + delta)
 
     if kind is MutationKind.AlterFilterNumber:
-        idx = _conv_indices(layers)
-        if not idx:
+        i = _pick(layers, gn.ConvGene, rng)
+        if i is None:
             return INAPPLICABLE
-        i = _pick(idx, rng)
         f = layers[i].filters
         new_f = min(f * 2, gn.FILTERS_MAX) if rng.integers(2) else max(f // 2, 1)
         if new_f == f:
             return INAPPLICABLE
-        layers[i] = gn.ConvGene(new_f, layers[i].kh, layers[i].kw, layers[i].stride)
-        return g.with_child_fields(child_id, kind.value, layers=layers)
-
-    if kind is MutationKind.AlterFilterSize:
-        idx = _conv_indices(layers)
-        if not idx:
-            return INAPPLICABLE
-        i = _pick(idx, rng)
-        dim = int(rng.integers(2))  # 0 = height, 1 = width
-        delta = 1 if rng.integers(2) else -1
-        kh = layers[i].kh + (delta if dim == 0 else 0)
-        kw = layers[i].kw + (delta if dim == 1 else 0)
-        if not (1 <= kh <= gn.FILTER_DIM_MAX and 1 <= kw <= gn.FILTER_DIM_MAX):
-            return INAPPLICABLE
-        layers[i] = gn.ConvGene(layers[i].filters, kh, kw, layers[i].stride)
-        return g.with_child_fields(child_id, kind.value, layers=layers)
-
-    if kind is MutationKind.AlterPoolSize:
-        idx = _pool_indices(layers)
-        if not idx:
-            return INAPPLICABLE
-        i = _pick(idx, rng)
-        dim = int(rng.integers(2))
-        delta = 1 if rng.integers(2) else -1
-        ph = layers[i].ph + (delta if dim == 0 else 0)
-        pw = layers[i].pw + (delta if dim == 1 else 0)
-        if not (2 <= ph <= gn.POOL_MAX and 2 <= pw <= gn.POOL_MAX):
-            return INAPPLICABLE
-        layers[i] = gn.PoolGene(ph, pw)
-        return g.with_child_fields(child_id, kind.value, layers=layers)
+        return _altered(g, kind, child_id, layers, i, filters=new_f)
 
     if kind is MutationKind.AlterLearningRate:
         factor = 2.0 if rng.integers(2) else 0.5
@@ -163,10 +147,6 @@ def mutate_valid(g, input_shape, rng, child_id, max_tries=25, kind_set=None):
         child = apply_mutation(g, kind, rng, child_id)
         if child is INAPPLICABLE:
             continue
-        if g.kind == gn.ENCODER:
-            violation = gn.validate_encoder(child, input_shape)
-        else:
-            violation = gn.validate_classifier(child, input_shape)
-        if violation is None:
+        if gn.validate(child, input_shape) is None:
             return child
     return EXHAUSTED

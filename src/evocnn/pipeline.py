@@ -42,7 +42,6 @@ class StepSummary:
     networks_generated: int
     best_metric: float
     history_csv: str
-    worker_rounds: list
 
 
 # ---------------------------------------------------------------------------
@@ -109,21 +108,16 @@ def _best_metric(rows, kind):
 # Evolution steps
 # ---------------------------------------------------------------------------
 
-def run_step(cfg: RunConfig, kind: str, in_process=False) -> StepSummary:
-    """Launch cfg.workers worker processes for one evolution step.
-
-    `in_process=True` runs workers sequentially in this process (used
-    by tests and single-worker deterministic runs).
-    """
+def run_step(cfg: RunConfig, kind: str) -> StepSummary:
+    """Run one evolution step: a single worker runs in this process,
+    more run as cfg.workers worker processes."""
     root = step_population_root(cfg, kind)
     name = _STEP_NAMES[kind]
     step_cfg = replace(cfg, population_root=str(root))
     report_dir = Path(cfg.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    rounds = []
-    if in_process or cfg.workers == 1:
-        for i in range(cfg.workers):
-            rounds.append(Worker(step_cfg, i, kind).run())
+    if cfg.workers == 1:
+        Worker(step_cfg, 0, kind).run()
     else:
         cfg_path = report_dir / f"worker_{name}.cfg"
         save_config(step_cfg, cfg_path)
@@ -141,7 +135,6 @@ def run_step(cfg: RunConfig, kind: str, in_process=False) -> StepSummary:
             if code != 0:
                 # shared-nothing: others keep their results
                 print(f"worker exited with code {code}", file=sys.stderr)
-            rounds.append(code)
     history = report_dir / f"history_{name}.csv"
     rows = export_history(root, history)
     return StepSummary(
@@ -149,7 +142,6 @@ def run_step(cfg: RunConfig, kind: str, in_process=False) -> StepSummary:
         networks_generated=len(rows),
         best_metric=_best_metric(rows, kind),
         history_csv=str(history),
-        worker_rounds=rounds,
     )
 
 

@@ -77,17 +77,11 @@ def _overlay_parent_weights(net, child, parent, parent_net, input_shape, rng):
             for d, s in zip(dst.params(), src.params()):
                 d[...] = s
         return
-    aligned_parent = []
-    for i, gene in enumerate(parent.layers):
-        if gene.kind == "conv":
-            layer = parent_net.layers[i]
-            aligned_parent.append({"w": layer.w, "b": layer.b})
-        else:
-            aligned_parent.append(None)
-    inherited = gn.inherit_weights(aligned_parent, parent, child, input_shape, rng)
-    for i, entry in enumerate(inherited):
-        if entry is not None:
-            net.layers[i].set_params(entry["w"], entry["b"])
+    parent_params = [layer.params() for layer in parent_net.layers[: len(parent.layers)]]
+    inherited = gn.inherit_weights(parent_params, parent, child, input_shape, rng)
+    for layer, params in zip(net.layers, inherited):
+        if params is not None:
+            layer.set_params(*params)
     if child.kind == gn.CLASSIFIER:
         head, parent_head = net.layers[-1], parent_net.layers[-1]
         if parent_head.kind == "dense" and parent_head.w.shape == head.w.shape:

@@ -449,7 +449,7 @@ def _history_bytes(tmp_path, tag):
         batch_size=10,
         master_seed=10,
     ).check()
-    summary = pl.run_step(cfg, gn.ENCODER, in_process=True)
+    summary = pl.run_step(cfg, gn.ENCODER)
     return Path(summary.history_csv).read_bytes()
 
 

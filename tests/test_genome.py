@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evocnn import genome as gn
@@ -26,7 +26,6 @@ pool_genes = st.builds(
 )
 gene_lists = st.lists(st.one_of(conv_genes, pool_genes), min_size=1, max_size=6)
 
-
 @st.composite
 def genomes(draw):
     kind = draw(st.sampled_from([gn.ENCODER, gn.CLASSIFIER]))
@@ -39,6 +38,32 @@ def genomes(draw):
         generation=draw(st.integers(0, 10_000)),
         mutation_applied=draw(st.sampled_from(["Seed", "Identity", "InsertConv"])),
     )
+
+
+# Tokens that break genome text: non-finite, signed, underscored, hex and
+# out-of-range numbers, an unknown tag, a gene tag in the header's place.
+BAD_TOKENS = ["nan", "inf", "-inf", "-1", "+2", "1_0", "0x3", "0", "1.5", "257", "x", "DENSE", "POOL"]
+
+
+@st.composite
+def genome_texts(draw):
+    """A serialized genome with up to three tokens replaced, dropped or
+    added (which also gives wrong field counts), or any text at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=60))
+    rows = [line.split() for line in gn.serialize(draw(genomes())).splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        tokens = rows[draw(st.integers(0, len(rows) - 1))]
+        pos = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["replace", "drop", "add"]))
+        if edit == "add":
+            tokens.insert(pos, draw(st.sampled_from(BAD_TOKENS)))
+        elif pos < len(tokens):
+            if edit == "replace":
+                tokens[pos] = draw(st.sampled_from(BAD_TOKENS))
+            else:
+                del tokens[pos]
+    return "\n".join(" ".join(tokens) for tokens in rows) + "\n"
 
 
 def random_valid_encoder(rng, input_shape=(3, 32, 32), max_layers=5):
@@ -58,7 +83,7 @@ def random_valid_encoder(rng, input_shape=(3, 32, 32), max_layers=5):
             else:
                 layers.append(gn.PoolGene(int(rng.integers(2, 5)), int(rng.integers(2, 5))))
         g = enc(*layers)
-        if gn.validate_encoder(g, input_shape) is None:
+        if gn.validate(g, input_shape) is None:
             return g
 
 
@@ -109,20 +134,34 @@ class TestCompressionRatio:
 class TestValidateEncoder:
     def test_equal_size_is_violation(self):
         g = enc(gn.ConvGene(3, 3, 3, 1))
-        assert gn.validate_encoder(g, (3, 32, 32)) is not None
+        assert gn.validate(g, (3, 32, 32)) is not None
 
     def test_compressing_encoder_ok(self):
         g = enc(gn.ConvGene(3, 3, 3, 1), gn.PoolGene(2, 2))
-        assert gn.validate_encoder(g, (3, 32, 32)) is None
+        assert gn.validate(g, (3, 32, 32)) is None
 
     def test_degenerate_shape_is_violation_not_crash(self):
         g = enc(gn.PoolGene(4, 4), gn.PoolGene(4, 4))
-        assert gn.validate_encoder(g, (3, 4, 4)) is not None
+        assert gn.validate(g, (3, 4, 4)) is not None
 
     def test_valid_implies_compression_in_unit_interval(self, rng):
         for _ in range(200):
             g = random_valid_encoder(rng)
             assert 0.0 < gn.compression_ratio(g, (3, 32, 32)) < 1.0
+
+
+class TestValidateClassifier:
+    def test_no_compression_needed(self):
+        g = gn.Genome("c", gn.CLASSIFIER, (gn.ConvGene(3, 3, 3, 1),))
+        assert gn.validate(g, (3, 32, 32)) is None
+
+    def test_degenerate_shape_is_violation(self):
+        g = gn.Genome("c", gn.CLASSIFIER, (gn.PoolGene(4, 4), gn.PoolGene(4, 4)))
+        assert "exceeds" in gn.validate(g, (3, 4, 4))
+
+    def test_out_of_bounds_gene_is_violation(self):
+        g = gn.Genome("c", gn.CLASSIFIER, (gn.ConvGene(3, 3, 3, gn.STRIDE_MAX + 1),))
+        assert "stride" in gn.validate(g, (3, 32, 32))
 
 
 class TestDeriveDecoder:
@@ -164,14 +203,15 @@ class TestDeriveDecoder:
 
 class TestInheritWeights:
     def _weights_for(self, g, input_shape, rng):
+        """params() of each gene's layer: (w, b) for a conv, () for a pool."""
         trace = gn.infer_shapes(g, input_shape)
         out = []
         for i, gene in enumerate(g.layers):
             if gene.kind == "conv":
                 w = rng.standard_normal((gene.filters, trace[i][0], gene.kh, gene.kw))
-                out.append({"w": w, "b": rng.standard_normal(gene.filters)})
+                out.append((w, rng.standard_normal(gene.filters)))
             else:
-                out.append(None)
+                out.append(())
         return out
 
     def test_identity_is_bit_identical(self, rng):
@@ -179,8 +219,8 @@ class TestInheritWeights:
         child = parent.with_child_fields("c", "Identity")
         pw = self._weights_for(parent, (3, 16, 16), rng)
         cw = gn.inherit_weights(pw, parent, child, (3, 16, 16), rng)
-        np.testing.assert_array_equal(cw[0]["w"], pw[0]["w"])
-        np.testing.assert_array_equal(cw[0]["b"], pw[0]["b"])
+        np.testing.assert_array_equal(cw[0][0], pw[0][0])
+        np.testing.assert_array_equal(cw[0][1], pw[0][1])
         assert cw[1] is None
 
     def test_filter_resize_copies_overlap(self, rng):
@@ -191,11 +231,11 @@ class TestInheritWeights:
         )
         pw = self._weights_for(parent, (3, 16, 16), rng)
         cw = gn.inherit_weights(pw, parent, child, (3, 16, 16), rng)
-        np.testing.assert_array_equal(cw[0]["w"][:8], pw[0]["w"])
-        np.testing.assert_array_equal(cw[0]["b"][:8], pw[0]["b"])
-        assert cw[0]["w"].shape == (16, 3, 3, 3)
+        np.testing.assert_array_equal(cw[0][0][:8], pw[0][0])
+        np.testing.assert_array_equal(cw[0][1][:8], pw[0][1])
+        assert cw[0][0].shape == (16, 3, 3, 3)
         # the new filters are a fresh init, not zeros
-        assert cw[0]["w"][8:].any()
+        assert cw[0][0][8:].any()
 
     def test_removal_keeps_other_layers_verbatim(self, rng):
         parent = enc(
@@ -206,7 +246,7 @@ class TestInheritWeights:
         )
         pw = self._weights_for(parent, (3, 16, 16), rng)
         cw = gn.inherit_weights(pw, parent, child, (3, 16, 16), rng)
-        np.testing.assert_array_equal(cw[0]["w"], pw[0]["w"])
+        np.testing.assert_array_equal(cw[0][0], pw[0][0])
 
     def test_inserted_layer_is_fresh(self, rng):
         parent = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2), gid="p")
@@ -216,7 +256,7 @@ class TestInheritWeights:
         )
         pw = self._weights_for(parent, (3, 16, 16), rng)
         cw = gn.inherit_weights(pw, parent, child, (3, 16, 16), rng)
-        np.testing.assert_array_equal(cw[0]["w"], pw[0]["w"])
+        np.testing.assert_array_equal(cw[0][0], pw[0][0])
         assert cw[1] is None  # builder initializes inserted convs
 
     def test_lineage_mismatch_raises(self, rng):
@@ -245,6 +285,32 @@ class TestSerialization:
         text = gn.serialize(g).replace("GENOME v1", "GENOME v9")
         with pytest.raises(gn.GenomeParseError, match="version"):
             gn.deserialize(text)
+
+    @given(genome_texts())
+    @example("GENOME v1 Encoder x - 0 nan Seed\nCONV 8 3 3 1\n")
+    @example("GENOME v1 Encoder x - -1 0.01 Seed\nCONV 8 3 3 1\n")
+    @example("GENOME v1 Encoder x - 1_0 0.01 Seed\nCONV 1_0 3 3 1\n")
+    @example("GENOME v1 Encoder x - 0 0.01 Seed\nDENSE 8 3\n")
+    @example("GENOME v1 Encoder x - 0 0.01 Seed\nCONV 8 3 3\nPOOL 2 2 2\n")
+    @settings(max_examples=500, deadline=None)
+    def test_arbitrary_lines_round_trip_or_raise(self, text):
+        try:
+            g = gn.deserialize(text)
+        except gn.GenomeError:
+            return
+        assert gn.deserialize(gn.serialize(g)) == g
+        assert gn.serialize(gn.deserialize(gn.serialize(g))) == gn.serialize(g)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lr", "nan"), ("lr", "inf"), ("lr", "-inf"), ("lr", "0"), ("lr", "-0.5"),
+         ("generation", "-1")],
+    )
+    def test_bad_header_value_rejected(self, field, value):
+        head = ["GENOME", "v1", "Encoder", "x", "-", "0", "0.01", "Seed"]
+        head[{"generation": 5, "lr": 6}[field]] = value
+        with pytest.raises(gn.GenomeError):
+            gn.deserialize(" ".join(head) + "\nCONV 8 3 3 1\nPOOL 2 2\n")
 
     def test_garbage_line_reports_offset(self):
         text = "GENOME v1 Encoder x - 0 0.01 Seed\nCONV 8 3 3 1\nBANANA 1\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -92,6 +93,34 @@ class TestApplyMutation:
             results.add(child.layers[0].filters)
         assert results == {4, 16}
 
+    @pytest.mark.parametrize(
+        "kind, gene, fields, step",
+        [
+            (mu.MutationKind.AlterFilterSize, gn.ConvGene(8, 1, 1, 2), ("kh", "kw"), +1),
+            (mu.MutationKind.AlterFilterSize,
+             gn.ConvGene(8, gn.FILTER_DIM_MAX, gn.FILTER_DIM_MAX, 2), ("kh", "kw"), -1),
+            (mu.MutationKind.AlterPoolSize, gn.PoolGene(2, 2), ("ph", "pw"), +1),
+            (mu.MutationKind.AlterPoolSize, gn.PoolGene(gn.POOL_MAX, gn.POOL_MAX), ("ph", "pw"), -1),
+        ],
+        ids=["filter-1x1", "filter-9x9", "pool-2x2", "pool-4x4"],
+    )
+    def test_alter_size_steps_one_dim_within_bounds(self, kind, gene, fields, step):
+        # at a bound only the inward step is valid; the outward one is inapplicable
+        g = enc(gene)
+        seen = set()
+        for seed in range(40):
+            child = mu.apply_mutation(g, kind, np.random.default_rng(seed), "c")
+            if child is None:
+                seen.add("inapplicable")
+                continue
+            (new,) = child.layers
+            changed = [f for f in fields if getattr(new, f) != getattr(gene, f)]
+            assert len(changed) == 1
+            assert getattr(new, changed[0]) == getattr(gene, changed[0]) + step
+            assert new == dataclasses.replace(gene, **{changed[0]: getattr(new, changed[0])})
+            seen.add(changed[0])
+        assert seen == {"inapplicable", *fields}
+
     def test_insert_conv_uses_filter_choices(self, rng):
         g = enc(gn.PoolGene(2, 2))
         child = mu.apply_mutation(g, mu.MutationKind.InsertConv, rng, "c")
@@ -126,7 +155,7 @@ class TestMutateValid:
                 g, (3, 32, 32), np.random.default_rng(seed), "c", max_tries=50
             )
             assert child is not mu.EXHAUSTED
-            assert gn.validate_encoder(child, (3, 32, 32)) is None
+            assert gn.validate(child, (3, 32, 32)) is None
 
     def test_accepted_children_always_compress(self, rng):
         g = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2))

@@ -88,6 +88,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(workers=1, seeds_per_worker=1, round_budget=1).check()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"learning_rate": 0.0},
+            {"learning_rate": -1.0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"round_budget": 0, "wall_budget": float("nan")},
+            {"round_budget": 0, "wall_budget": float("inf")},
+            {"momentum": float("nan")},
+            {"w_compression": float("nan")},
+            {"w_accuracy": float("inf")},
+        ],
+        ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_config_that_never_finishes_rejected(self, tmp_path, overrides):
+        # with a rate <= 0 every seed fails Genome.check on read-back and no
+        # round completes; a nan budget never expires
+        with pytest.raises(ConfigError):
+            tiny_cfg(tmp_path, **overrides)
+
 
 class TestWorkerSeeding:
     def test_worker_seeds_deterministic_and_distinct(self):
@@ -167,7 +188,7 @@ class TestRoundProtocol:
 class TestRunStep:
     def test_cae_step_conserves_individuals(self, tmp_path):
         cfg = tiny_cfg(tmp_path, round_budget=4)
-        summary = pl.run_step(cfg, gn.ENCODER, in_process=True)
+        summary = pl.run_step(cfg, gn.ENCODER)
         store = PopulationStore(pl.step_population_root(cfg, gn.ENCODER))
         live, dead = store.list_live(), store.list_dead()
         claims = [c for lst in store.read_claim_logs().values() for c in lst]
@@ -180,7 +201,7 @@ class TestRunStep:
 
     def test_history_export_is_lineage_consistent(self, tmp_path):
         cfg = tiny_cfg(tmp_path, round_budget=4)
-        pl.run_step(cfg, gn.ENCODER, in_process=True)
+        pl.run_step(cfg, gn.ENCODER)
         with open(Path(cfg.report_dir) / "history_cae.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         offsets = [int(r["offset"]) for r in rows]
@@ -195,7 +216,7 @@ class TestRunStep:
 
     def test_history_export_is_deterministic(self, tmp_path):
         cfg = tiny_cfg(tmp_path, round_budget=3)
-        pl.run_step(cfg, gn.ENCODER, in_process=True)
+        pl.run_step(cfg, gn.ENCODER)
         root = pl.step_population_root(cfg, gn.ENCODER)
         out1, out2 = tmp_path / "h1.csv", tmp_path / "h2.csv"
         pl.export_history(root, out1)
@@ -204,7 +225,7 @@ class TestRunStep:
 
     def test_classifier_step_reports_scalar_metric(self, tmp_path):
         cfg = tiny_cfg(tmp_path, round_budget=2)
-        summary = pl.run_step(cfg, gn.CLASSIFIER, in_process=True)
+        summary = pl.run_step(cfg, gn.CLASSIFIER)
         assert 0.0 <= summary.best_metric <= 1.0
         store = PopulationStore(pl.step_population_root(cfg, gn.CLASSIFIER))
         for iid, meta in store.load_all_fitness().items():
@@ -214,7 +235,7 @@ class TestRunStep:
 class TestCaeSelection:
     def test_finalize_writes_caches_and_choice(self, tmp_path):
         cfg = tiny_cfg(tmp_path, round_budget=3)
-        pl.run_step(cfg, gn.ENCODER, in_process=True)
+        pl.run_step(cfg, gn.ENCODER)
         encoder_id, prefix = pl.finalize_cae_step(cfg)
         assert (Path(cfg.report_dir) / "chosen_cae.txt").read_text().strip() == encoder_id
         train, val, test = load_run_data(cfg)
@@ -227,7 +248,7 @@ class TestCaeSelection:
 
     def test_chosen_encoder_is_on_front_zero(self, tmp_path):
         cfg = tiny_cfg(tmp_path, round_budget=3)
-        pl.run_step(cfg, gn.ENCODER, in_process=True)
+        pl.run_step(cfg, gn.ENCODER)
         store = PopulationStore(pl.step_population_root(cfg, gn.ENCODER))
         alts, _ = pl.live_cae_alternatives(store)
         encoder_id, _ = pl.finalize_cae_step(cfg)
