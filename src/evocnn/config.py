@@ -90,11 +90,12 @@ class RunConfig:
         return self
 
 
-def load_config(path) -> RunConfig:
-    cfg = RunConfig()
+def _parse(text, path) -> dict:
+    """key -> typed value of each key=value line; `#` starts a comment."""
     casts = {"int": int, "float": float, "str": str}
     known = {f.name: casts[f.type] for f in fields(RunConfig)}
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    values = {}
+    for n, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -104,9 +105,18 @@ def load_config(path) -> RunConfig:
         if key not in known:
             raise ConfigError(f"{path}:{n}: unknown key {key!r}")
         try:
-            setattr(cfg, key, known[key](value))
+            values[key] = known[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{n}: bad value for {key}: {exc}") from exc
+    return values
+
+
+def load_config(path) -> RunConfig:
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    cfg = RunConfig(**_parse(text, path))
     for env, attr in _ENV_PATHS.items():
         if env in os.environ:
             setattr(cfg, attr, os.environ[env])
@@ -114,5 +124,15 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path):
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write cfg as key=value lines; a value that would not read back
+    (a `#`, a line break, surrounding whitespace) raises ConfigError."""
+    text = "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(RunConfig))
+    try:
+        back = _parse(text, path)
+        data = text.encode("utf-8")
+    except (ConfigError, UnicodeEncodeError) as exc:
+        raise ConfigError(f"{path}: a value would not read back ({exc})") from exc
+    for key, value in back.items():
+        if value != getattr(cfg, key):
+            raise ConfigError(f"{path}: {key} value {getattr(cfg, key)!r} would not read back")
+    Path(path).write_bytes(data)

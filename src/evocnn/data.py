@@ -200,10 +200,12 @@ def read_evod(path, split="raw") -> Dataset:
     raw = Path(path).read_bytes()
     if raw[:4] != _EVOD_MAGIC:
         raise DataError(f"{path}: not an EVOD file")
+    off = 24
+    if len(raw) < off:
+        raise DataError(f"{path}: truncated EVOD header")
     version, n, c, h, w = struct.unpack_from("<IIIII", raw, 4)
     if version != _EVOD_VERSION:
         raise DataError(f"{path}: unsupported EVOD version {version}")
-    off = 24
     size = n * c * h * w
     if len(raw) != off + 4 * size + n:
         raise DataError(f"{path}: truncated EVOD file")

@@ -523,9 +523,9 @@ class DatasetView:
     """Train/validation arrays for one training job."""
 
     train_x: np.ndarray
-    train_y: np.ndarray | None
+    train_y: np.ndarray  # labels; a reconstruction loss ignores them
     val_x: np.ndarray
-    val_y: np.ndarray | None
+    val_y: np.ndarray
 
 
 def classifier_accuracy(net, x, y, chunk=256):
@@ -549,13 +549,14 @@ def reconstruction_accuracy(net, x, chunk=256):
     return min(max(1.0 - sq_sum / x.size, 0.0), 1.0)
 
 
-def train_network(net: Network, kind: str, view: DatasetView, epochs, batch_size,
+def train_network(net: Network, objective, view: DatasetView, epochs, batch_size,
                   lr, momentum, rng) -> TrainReport:
     """Minibatch SGD training loop for one network.
 
-    `kind` is "encoder" (reconstruction objective) or "classifier".
-    Divergence aborts training and reports metric 0.0 instead of raising,
-    so the evolutionary loop survives bad mutants.
+    `objective` is a genome kind's record (`genome.GENOME_KINDS`): its
+    `batch_loss` and `metric` say what is trained and measured. Divergence
+    aborts training and reports metric 0.0 instead of raising, so the
+    evolutionary loop survives bad mutants.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -567,20 +568,13 @@ def train_network(net: Network, kind: str, view: DatasetView, epochs, batch_size
         for _ in range(epochs):
             for idx in dt.batches(n, batch_size, rng):
                 xb = view.train_x[idx]
-                out = net.forward(xb)
-                if kind == "classifier":
-                    loss, gy = softmax_cross_entropy(out, view.train_y[idx])
-                else:
-                    loss, gy = mse_loss(out, xb)
+                loss, gy = objective.batch_loss(net.forward(xb), xb, view.train_y[idx])
                 if not math.isfinite(loss):
                     raise TrainingDiverged(f"loss became {loss}")
                 net.backward(gy)
                 net.step(lr, momentum)
             epochs_run += 1
-        if kind == "classifier":
-            metric = classifier_accuracy(net, view.val_x, view.val_y)
-        else:
-            metric = reconstruction_accuracy(net, view.val_x)
+        metric = objective.metric(net, view)
         if not math.isfinite(metric):
             raise TrainingDiverged("non-finite validation metric")
         diverged = False

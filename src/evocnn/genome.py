@@ -6,6 +6,10 @@ class in `GENE_KINDS`, and the class holds all that differs between
 kinds: its text tag, its field bounds (`check`), its output shape, the
 layer spec it builds, and the decoder layers that mirror it.
 
+A genome is an Encoder (step 1) or a Classifier (step 3); `GENOME_KINDS`
+holds all that differs between the two, from the seed genes and the
+training loss to the layers built after the genes and the fitness rule.
+
 A genome is stored as text, one whitespace-separated record per line:
 
     GENOME v1 <kind> <id> <parent id, or -> <generation> <learning rate> <mutation>
@@ -17,8 +21,9 @@ order:
     POOL ph pw
 
 The kind is Encoder or Classifier, the generation and every gene field
-are written as decimal integers, and the learning rate with `repr`, so
-it reads back exactly. Blank lines are skipped. `deserialize` raises
+are written as ASCII decimal integers without sign or leading zeros (no
+other spelling is read), and the learning rate with `repr`, so it reads
+back exactly. Blank lines are skipped. `deserialize` raises
 GenomeParseError on a malformed line and GenomeError on a value out of
 range: an unknown kind, a gene field outside its bounds, a generation
 below 0, or a learning rate that is not positive and finite.
@@ -26,11 +31,14 @@ below 0, or a learning rate that is not positive and finite.
 
 from __future__ import annotations
 
+import enum
 import math
+import re
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .engine import ceil_div, layer_from_spec
+from . import engine as eng
+from .selection import FitnessRecord
 
 # Search-space caps keeping desk-scale training bounded.
 STRIDE_MAX = 4
@@ -91,7 +99,7 @@ class ConvGene:
             raise GenomeError(f"stride {self.stride} out of [1,{STRIDE_MAX}]")
 
     def out_shape(self, c, h, w):
-        return self.filters, ceil_div(h, self.stride), ceil_div(w, self.stride)
+        return self.filters, eng.ceil_div(h, self.stride), eng.ceil_div(w, self.stride)
 
     def spec(self, in_c):
         return {"kind": self.kind, "in_channels": in_c, "filters": self.filters,
@@ -120,7 +128,7 @@ class PoolGene:
         # a window larger than the input degenerates the dimension
         if h < self.ph or w < self.pw:
             raise ValueError(f"pool {self.ph}x{self.pw} exceeds spatial dims {h}x{w}")
-        return c, ceil_div(h, self.ph), ceil_div(w, self.pw)
+        return c, eng.ceil_div(h, self.ph), eng.ceil_div(w, self.pw)
 
     def spec(self, in_c):
         return {"kind": self.kind, "ph": self.ph, "pw": self.pw}
@@ -143,7 +151,7 @@ GENE_KINDS = {
 @dataclass(frozen=True)
 class Genome:
     id: str
-    kind: str  # ENCODER or CLASSIFIER
+    kind: str  # a key of GENOME_KINDS: ENCODER or CLASSIFIER
     layers: tuple
     learning_rate: float = 0.01
     parent_id: str | None = None
@@ -151,7 +159,7 @@ class Genome:
     mutation_applied: str = "Seed"
 
     def check(self):
-        if self.kind not in (ENCODER, CLASSIFIER):
+        if self.kind not in GENOME_KINDS:
             raise GenomeError(f"unknown genome kind {self.kind!r}")
         if not self.layers:
             raise GenomeError("genome has no layers")
@@ -174,14 +182,57 @@ class Genome:
         )
 
 
+class MutationKind(str, enum.Enum):
+    Identity = "Identity"
+    InsertConv = "InsertConv"
+    RemoveConv = "RemoveConv"
+    AlterStride = "AlterStride"
+    InsertPool = "InsertPool"
+    RemovePool = "RemovePool"
+    AlterFilterNumber = "AlterFilterNumber"
+    AlterFilterSize = "AlterFilterSize"
+    AlterPoolSize = "AlterPoolSize"
+    AlterLearningRate = "AlterLearningRate"
+
+
+class GenomeKind(NamedTuple):
+    step: str             # short name of its evolution step: CLI choice and run directory
+    seed_layers: tuple    # genes of a seed genome
+    batch_loss: Callable  # (output, x batch, y batch) -> (loss, output gradient)
+    metric: Callable      # (network, DatasetView) -> validation metric
+    mutations: frozenset  # MutationKinds drawn for a child
+    tail: Callable        # (genome, shape trace, n_classes) -> specs of the layers after the genes
+    compresses: bool      # must shrink its input, and is scored (compression, metric)
+
+
+GENOME_KINDS = {
+    ENCODER: GenomeKind(
+        step="cae",
+        seed_layers=(ConvGene(8, 3, 3, 1), PoolGene(2, 2)),  # the pool makes the seed compress
+        batch_loss=lambda out, x, y: eng.mse_loss(out, x),
+        metric=lambda net, view: eng.reconstruction_accuracy(net, view.val_x),
+        mutations=frozenset(MutationKind) - {MutationKind.AlterLearningRate},
+        tail=lambda g, trace, n_classes: derive_decoder(g, trace[0]),
+        compresses=True,
+    ),
+    CLASSIFIER: GenomeKind(
+        step="clf",
+        seed_layers=(ConvGene(8, 3, 3, 1),),
+        batch_loss=lambda out, x, y: eng.softmax_cross_entropy(out, y),
+        metric=lambda net, view: eng.classifier_accuracy(net, view.val_x, view.val_y),
+        mutations=frozenset(MutationKind),
+        tail=lambda g, trace, n_classes: [
+            {"kind": "flatten"},
+            {"kind": "dense", "in_features": math.prod(trace[-1]), "units": n_classes},
+        ],
+        compresses=False,
+    ),
+}
+
+
 def seed_genome(kind, genome_id, learning_rate=0.01):
-    """Very simple initial network: one small conv (plus a pool for
-    encoders so the compression constraint holds)."""
-    if kind == ENCODER:
-        layers = (ConvGene(8, 3, 3, 1), PoolGene(2, 2))
-    else:
-        layers = (ConvGene(8, 3, 3, 1),)
-    return Genome(id=genome_id, kind=kind, layers=layers, learning_rate=learning_rate)
+    """Very simple initial network: the kind's seed genes."""
+    return Genome(genome_id, kind, GENOME_KINDS[kind].seed_layers, learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +260,22 @@ def compression_ratio(g: Genome, input_shape):
     return 1.0 - math.prod(trace[-1]) / math.prod(trace[0])
 
 
+def fitness_record(g: Genome, input_shape, metric):
+    """(compression, metric) for a kind that must compress, else the metric alone."""
+    if GENOME_KINDS[g.kind].compresses:
+        return FitnessRecord(pair=(compression_ratio(g, input_shape), metric))
+    return FitnessRecord(scalar=metric)
+
+
 def validate(g: Genome, input_shape):
-    """None when the genome builds on input_shape (and, for an encoder,
-    compresses it), else a human-readable violation description."""
+    """None when the genome builds on input_shape (and compresses it, when
+    its kind must), else a human-readable violation description."""
     try:
         g.check()
         trace = infer_shapes(g, input_shape)
     except GenomeError as exc:
         return str(exc)
-    if g.kind == ENCODER and math.prod(trace[-1]) >= math.prod(trace[0]):
+    if GENOME_KINDS[g.kind].compresses and math.prod(trace[-1]) >= math.prod(trace[0]):
         return (
             f"encoded size {math.prod(trace[-1])} not smaller than "
             f"input size {math.prod(trace[0])}"
@@ -250,19 +308,12 @@ def derive_decoder(g: Genome, input_shape):
 
 
 def network_specs(g: Genome, input_shape, n_classes=10):
-    """Full layer plan for the buildable network behind a genome.
-
-    Encoders get their mirrored decoder appended; classifiers get the
-    implicit flatten + dense softmax head.
-    """
+    """Full layer plan for the buildable network behind a genome: its
+    genes, then its kind's tail (an encoder's mirrored decoder, or a
+    classifier's flatten + dense softmax head)."""
     trace = infer_shapes(g, input_shape)
     specs = [gene.spec(shape[0]) for gene, shape in zip(g.layers, trace)]
-    if g.kind == ENCODER:
-        specs.extend(derive_decoder(g, input_shape))
-    else:
-        specs.append({"kind": "flatten"})
-        specs.append({"kind": "dense", "in_features": math.prod(trace[-1]), "units": n_classes})
-    return specs
+    return specs + GENOME_KINDS[g.kind].tail(g, trace, n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -294,34 +345,27 @@ def layer_mapping(parent: Genome, child: Genome):
     raise LineageError(f"layer counts {len(p)} -> {len(c)} differ by more than one")
 
 
-def inherit_weights(parent_params, parent: Genome, child: Genome, input_shape, rng):
-    """Child parameters aligned with child.layers.
+def inherit_weights(layers, parent_params, parent: Genome, child: Genome, rng):
+    """Write the parent's weights into the child's built gene layers.
 
-    `parent_params[i]` is the `params()` tuple of the layer built for
-    parent gene i (empty for a pool). Entries are None where the child
-    layer keeps the builder's init: pools and freshly inserted convs.
-    Mapped convs keep copies of the parent arrays when shapes match,
-    else the overlapping slice is copied onto a fresh init.
+    `layers[i]` is the freshly built and initialised layer of child gene
+    i, `parent_params[j]` the `params()` tuple of the layer built for
+    parent gene j (empty for a pool). Pools and inserted convs keep the
+    build's init. A mapped conv takes the parent arrays; when its shapes
+    changed it first draws a fresh init from rng, after the build's own
+    draws, and takes the parent arrays on the overlap only.
     """
     if child.parent_id != parent.id:
         raise LineageError(f"child parent_id {child.parent_id!r} != parent id {parent.id!r}")
-    mapping = layer_mapping(parent, child)
-    trace = infer_shapes(child, input_shape)
-    out = []
-    for gene, src, shape in zip(child.layers, mapping, trace):
+    for layer, src in zip(layers, layer_mapping(parent, child)):
         kept = () if src is None else parent_params[src]
-        layer = layer_from_spec(gene.spec(shape[0]))
         if not (kept and layer.param_shapes()):
-            out.append(None)
-        elif tuple(a.shape for a in kept) == layer.param_shapes():
-            out.append(tuple(a.copy() for a in kept))
-        else:
+            continue
+        if tuple(a.shape for a in kept) != layer.param_shapes():
             layer.init_weights(rng)
-            for fresh, old in zip(layer.params(), kept):
-                overlap = tuple(slice(0, min(a, b)) for a, b in zip(fresh.shape, old.shape))
-                fresh[overlap] = old[overlap]
-            out.append(layer.params())
-    return out
+        for fresh, old in zip(layer.params(), kept):
+            overlap = tuple(slice(0, min(a, b)) for a, b in zip(fresh.shape, old.shape))
+            fresh[overlap] = old[overlap]
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +373,13 @@ def inherit_weights(parent_params, parent: Genome, child: Genome, input_shape, r
 # ---------------------------------------------------------------------------
 
 _FORMAT_VERSION = "v1"
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")  # how serialize writes an integer
+
+
+def _decimal(text, line):
+    if not _DECIMAL.fullmatch(text):
+        raise GenomeParseError(line, f"bad integer {text!r}")
+    return int(text)
 
 
 def serialize(g: Genome) -> str:
@@ -362,10 +413,7 @@ def deserialize(text: str) -> Genome:
         gene_kind = GENE_KINDS.get(tag)
         if gene_kind is None or len(values) != len(gene_kind.fields):
             raise GenomeParseError(n, f"bad gene line {line!r}")
-        try:
-            genes.append(gene_kind.cls(*map(int, values)))
-        except ValueError as exc:
-            raise GenomeParseError(n, f"bad integer in {line!r}") from exc
+        genes.append(gene_kind.cls(*(_decimal(v, n) for v in values)))
     if not genes:
         raise GenomeParseError(len(lines), "genome has no gene lines")
     try:
@@ -375,7 +423,7 @@ def deserialize(text: str) -> Genome:
             layers=tuple(genes),
             learning_rate=float(lr),
             parent_id=None if parent == "-" else parent,
-            generation=int(gen),
+            generation=_decimal(gen, 1),
             mutation_applied=mutation,
         )
     except ValueError as exc:

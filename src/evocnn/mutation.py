@@ -2,27 +2,10 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import replace
 
 from . import genome as gn
-
-
-class MutationKind(str, enum.Enum):
-    Identity = "Identity"
-    InsertConv = "InsertConv"
-    RemoveConv = "RemoveConv"
-    AlterStride = "AlterStride"
-    InsertPool = "InsertPool"
-    RemovePool = "RemovePool"
-    AlterFilterNumber = "AlterFilterNumber"
-    AlterFilterSize = "AlterFilterSize"
-    AlterPoolSize = "AlterPoolSize"
-    AlterLearningRate = "AlterLearningRate"  # classifier-only
-
-
-ENCODER_KINDS = frozenset(k for k in MutationKind if k is not MutationKind.AlterLearningRate)
-CLASSIFIER_KINDS = frozenset(MutationKind)
+from .genome import MutationKind
 
 # Filter counts offered to InsertConv.
 INSERT_FILTERS = (8, 16, 32, 64)
@@ -141,7 +124,7 @@ def mutate_valid(g, input_shape, rng, child_id, max_tries=25, kind_set=None):
     if max_tries < 1:
         raise ValueError("max_tries must be >= 1")
     if kind_set is None:
-        kind_set = ENCODER_KINDS if g.kind == gn.ENCODER else CLASSIFIER_KINDS
+        kind_set = gn.GENOME_KINDS[g.kind].mutations
     for _ in range(max_tries):
         kind = sample_mutation(kind_set, rng)
         child = apply_mutation(g, kind, rng, child_id)

@@ -24,8 +24,7 @@ from .selection import pareto_fronts
 from .worker import Worker, load_run_data, n_classes_for
 
 # Short name of each evolution step, used on the command line and in run directories.
-STEP_KINDS = {"cae": gn.ENCODER, "clf": gn.CLASSIFIER}
-_STEP_NAMES = {kind: name for name, kind in STEP_KINDS.items()}
+STEP_KINDS = {k.step: kind for kind, k in gn.GENOME_KINDS.items()}
 
 
 class PipelineError(Exception):
@@ -33,7 +32,7 @@ class PipelineError(Exception):
 
 
 def step_population_root(cfg: RunConfig, kind: str) -> Path:
-    return Path(cfg.population_root) / _STEP_NAMES[kind]
+    return Path(cfg.population_root) / gn.GENOME_KINDS[kind].step
 
 
 @dataclass
@@ -95,15 +94,6 @@ def export_history(population_root, out_csv):
     return rows
 
 
-def _best_metric(rows, kind):
-    col = 4 if kind == gn.ENCODER else 3  # CAE: reconstruction accuracy
-    best = 0.0
-    for row in rows:
-        if row[col]:
-            best = max(best, float(row[col]))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Evolution steps
 # ---------------------------------------------------------------------------
@@ -112,7 +102,7 @@ def run_step(cfg: RunConfig, kind: str) -> StepSummary:
     """Run one evolution step: a single worker runs in this process,
     more run as cfg.workers worker processes."""
     root = step_population_root(cfg, kind)
-    name = _STEP_NAMES[kind]
+    name = gn.GENOME_KINDS[kind].step
     step_cfg = replace(cfg, population_root=str(root))
     report_dir = Path(cfg.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -140,7 +130,8 @@ def run_step(cfg: RunConfig, kind: str) -> StepSummary:
     return StepSummary(
         kind=kind,
         networks_generated=len(rows),
-        best_metric=_best_metric(rows, kind),
+        # a row's validation metric is its last filled metric column
+        best_metric=max([0.0] + [float(row[4] or row[3]) for row in rows]),
         history_csv=str(history),
     )
 

@@ -16,7 +16,7 @@ from . import genome as gn
 from . import mutation as mu
 from .config import RunConfig
 from .popstore import FitnessMeta, PopulationStore, StoreError
-from .selection import FitnessRecord, tournament_compare
+from .selection import tournament_compare
 
 log = logging.getLogger(__name__)
 
@@ -65,12 +65,12 @@ def build_network(g: gn.Genome, input_shape, rng, n_classes=10) -> eng.Network:
     return eng.Network(layers)
 
 
-def _overlay_parent_weights(net, child, parent, parent_net, input_shape, rng):
-    """Carry parent weights into the child network.
+def _overlay_parent_weights(net, child, parent, parent_net, rng):
+    """Carry parent weights into the child network, in place.
 
     Structurally identical genomes copy the whole network (decoder /
     head included). Otherwise genome-layer convs inherit per the
-    overlap rule; the classifier head survives when its shape matches.
+    overlap rule, and a dense head survives when its shape matches.
     """
     if parent.layers == child.layers:
         for dst, src in zip(net.layers, parent_net.layers):
@@ -78,14 +78,10 @@ def _overlay_parent_weights(net, child, parent, parent_net, input_shape, rng):
                 d[...] = s
         return
     parent_params = [layer.params() for layer in parent_net.layers[: len(parent.layers)]]
-    inherited = gn.inherit_weights(parent_params, parent, child, input_shape, rng)
-    for layer, params in zip(net.layers, inherited):
-        if params is not None:
-            layer.set_params(*params)
-    if child.kind == gn.CLASSIFIER:
-        head, parent_head = net.layers[-1], parent_net.layers[-1]
-        if parent_head.kind == "dense" and parent_head.w.shape == head.w.shape:
-            head.set_params(parent_head.w.copy(), parent_head.b.copy())
+    gn.inherit_weights(net.layers[: len(child.layers)], parent_params, parent, child, rng)
+    head, parent_head = net.layers[-1], parent_net.layers[-1]
+    if parent_head.kind == "dense" and parent_head.w.shape == head.w.shape:
+        head.set_params(parent_head.w.copy(), parent_head.b.copy())
 
 
 def train_individual(g: gn.Genome, view: eng.DatasetView, cfg: RunConfig, rng,
@@ -97,11 +93,9 @@ def train_individual(g: gn.Genome, view: eng.DatasetView, cfg: RunConfig, rng,
     """
     net = build_network(g, input_shape, rng, n_classes=n_classes)
     if parent is not None:
-        _overlay_parent_weights(net, g, parent[0], parent[1], input_shape, rng)
-    kind = "encoder" if g.kind == gn.ENCODER else "classifier"
-    report = eng.train_network(
-        net, kind, view, cfg.epochs, cfg.batch_size, g.learning_rate, cfg.momentum, rng
-    )
+        _overlay_parent_weights(net, g, parent[0], parent[1], rng)
+    report = eng.train_network(net, gn.GENOME_KINDS[g.kind], view, cfg.epochs, cfg.batch_size,
+                               g.learning_rate, cfg.momentum, rng)
     return net, report
 
 
@@ -111,8 +105,8 @@ def train_individual(g: gn.Genome, view: eng.DatasetView, cfg: RunConfig, rng,
 
 class Worker:
     def __init__(self, cfg: RunConfig, index: int, kind: str, store=None, datasets=None):
-        if kind not in (gn.ENCODER, gn.CLASSIFIER):
-            raise ValueError(f"worker kind must be Encoder or Classifier, got {kind!r}")
+        if kind not in gn.GENOME_KINDS:
+            raise ValueError(f"worker kind must be one of {sorted(gn.GENOME_KINDS)}, got {kind!r}")
         self.cfg = cfg
         self.index = index
         self.kind = kind
@@ -130,17 +124,11 @@ class Worker:
         suffix = "".join(f"{b:02x}" for b in self.rng.integers(0, 256, 4, dtype=np.uint8))
         return f"{self.worker_id}-{self.counter}-{suffix}"
 
-    def _fitness_record(self, g, report):
-        if self.kind == gn.ENCODER:
-            comp = gn.compression_ratio(g, self.input_shape)
-            return FitnessRecord(pair=(comp, report.metric))
-        return FitnessRecord(scalar=report.metric)
-
     def _publish(self, g, net, report):
         meta = FitnessMeta(
             id=g.id,
             kind=g.kind,
-            record=self._fitness_record(g, report),
+            record=gn.fitness_record(g, self.input_shape, report.metric),
             wall_seconds=report.wall_seconds,
             worker_id=self.worker_id,
             generation=g.generation,

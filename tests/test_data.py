@@ -1,7 +1,10 @@
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from evocnn import data as dt
 from evocnn import engine as eng
@@ -167,6 +170,23 @@ class TestEncodeDataset:
         np.testing.assert_allclose(enc.x, net.forward(ds.x))
 
 
+@st.composite
+def evod_bytes(draw):
+    """An EVOD cache with any header fields and a body of the length they
+    imply, cut short or extended; or any bytes at all, with or without
+    the magic."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([b"", b"EVOD"])) + draw(st.binary(max_size=40))
+    version = draw(st.sampled_from([1, 1, 1, 0, 2]))
+    n, c, h, w = draw(st.tuples(*[st.integers(0, 3)] * 4))
+    body = draw(st.binary(min_size=4 * n * c * h * w + n, max_size=4 * n * c * h * w + n))
+    raw = b"EVOD" + struct.pack("<IIIII", version, n, c, h, w) + body
+    edit = draw(st.sampled_from(["keep", "cut", "extend"]))
+    if edit == "cut":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    return raw + draw(st.binary(min_size=1, max_size=4)) if edit == "extend" else raw
+
+
 class TestEvodFormat:
     def test_round_trip(self, tmp_path):
         ds = dt.synth_dataset(2, 10, 6, seed=3)
@@ -190,3 +210,31 @@ class TestEvodFormat:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(dt.DataError, match="truncated"):
             dt.read_evod(path)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        ds = dt.synth_dataset(2, 10, 6, seed=3)
+        path = tmp_path / "cache.evod"
+        dt.write_evod(path, ds)
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(dt.DataError):
+                dt.read_evod(path)
+
+    @given(evod_bytes())
+    @example(b"EVOD\x01\x00")
+    @example(b"EVOD" + bytes(19))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arbitrary_bytes_read_back_or_raise(self, tmp_path, raw):
+        path = tmp_path / "fuzz.evod"
+        path.write_bytes(raw)
+        try:
+            ds = dt.read_evod(path)
+        except dt.DataError:
+            return
+        assert len(raw) == 24 + 4 * ds.x.size + ds.n
+        dt.write_evod(path, ds)
+        back = dt.read_evod(path)
+        np.testing.assert_array_equal(back.x, ds.x)
+        np.testing.assert_array_equal(back.y, ds.y)

@@ -377,6 +377,32 @@ class TestTrainIndividual:
         )
         assert report2.metric >= report.metric - 0.05
 
+    def test_resized_conv_redraws_after_the_build(self, monkeypatch):
+        # an AlterFilterNumber child (8 -> 16 filters) keeps the parent's
+        # filters on the overlap; the rest is a fresh init drawn after the
+        # build's own draws, so every lineage with a resize depends on it
+        shape = (3, 8, 8)
+        parent = gn.seed_genome(gn.ENCODER, "p")
+        parent_net = build_network(parent, shape, np.random.default_rng(1))
+        child = parent.with_child_fields(
+            "c", "AlterFilterNumber", layers=(gn.ConvGene(16, 3, 3, 1), gn.PoolGene(2, 2))
+        )
+        monkeypatch.setattr(eng, "train_network", lambda *args: None)
+        rng = np.random.default_rng(2)
+        net, _ = train_individual(child, None, RunConfig(wall_budget=1), rng, shape,
+                                  parent=(parent, parent_net))
+
+        expected_rng = np.random.default_rng(2)
+        build_network(child, shape, expected_rng)
+        fresh = eng.layer_from_spec(child.layers[0].spec(shape[0]))
+        fresh.init_weights(expected_rng)
+        conv, parent_conv = net.layers[0], parent_net.layers[0]
+        np.testing.assert_array_equal(conv.w[:8], parent_conv.w)
+        np.testing.assert_array_equal(conv.b[:8], parent_conv.b)
+        np.testing.assert_array_equal(conv.w[8:], fresh.w[8:])
+        np.testing.assert_array_equal(conv.b[8:], fresh.b[8:])
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
     def test_deterministic_given_seed(self):
         view = _separable_view(np.random.default_rng(7), n=80)
         g = gn.Genome(id="c", kind=gn.CLASSIFIER, layers=(gn.ConvGene(3, 3, 3, 1),),
@@ -397,7 +423,9 @@ class TestTrainIndividual:
         g = gn.Genome(id="c", kind=gn.CLASSIFIER, layers=(gn.ConvGene(2, 3, 3, 1),))
         net = build_network(g, (1, 8, 8), rng, n_classes=2)
         net.layers[0].w[0, 0, 0, 0] = np.nan
-        report = eng.train_network(net, "classifier", view, 3, 20, 0.01, 0.9, rng)
+        report = eng.train_network(
+            net, gn.GENOME_KINDS[gn.CLASSIFIER], view, 3, 20, 0.01, 0.9, rng
+        )
         assert report.diverged
         assert report.metric == 0.0
 

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evocnn import genome as gn
+from evocnn.worker import build_network
 
 
 def enc(*layers, gid="e", lr=0.01, parent=None, gen=0, mut="Seed"):
@@ -214,14 +215,19 @@ class TestInheritWeights:
                 out.append(())
         return out
 
+    def _built(self, g, input_shape, rng):
+        """The freshly built and initialised layers of g's genes."""
+        return build_network(g, input_shape, rng).layers[: len(g.layers)]
+
     def test_identity_is_bit_identical(self, rng):
         parent = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2), gid="p")
         child = parent.with_child_fields("c", "Identity")
         pw = self._weights_for(parent, (3, 16, 16), rng)
-        cw = gn.inherit_weights(pw, parent, child, (3, 16, 16), rng)
-        np.testing.assert_array_equal(cw[0][0], pw[0][0])
-        np.testing.assert_array_equal(cw[0][1], pw[0][1])
-        assert cw[1] is None
+        layers = self._built(child, (3, 16, 16), rng)
+        gn.inherit_weights(layers, pw, parent, child, rng)
+        np.testing.assert_array_equal(layers[0].w, pw[0][0])
+        np.testing.assert_array_equal(layers[0].b, pw[0][1])
+        assert layers[1].params() == ()
 
     def test_filter_resize_copies_overlap(self, rng):
         parent = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2), gid="p")
@@ -230,12 +236,13 @@ class TestInheritWeights:
             layers=(gn.ConvGene(16, 3, 3, 1), gn.PoolGene(2, 2)),
         )
         pw = self._weights_for(parent, (3, 16, 16), rng)
-        cw = gn.inherit_weights(pw, parent, child, (3, 16, 16), rng)
-        np.testing.assert_array_equal(cw[0][0][:8], pw[0][0])
-        np.testing.assert_array_equal(cw[0][1][:8], pw[0][1])
-        assert cw[0][0].shape == (16, 3, 3, 3)
+        layers = self._built(child, (3, 16, 16), rng)
+        gn.inherit_weights(layers, pw, parent, child, rng)
+        np.testing.assert_array_equal(layers[0].w[:8], pw[0][0])
+        np.testing.assert_array_equal(layers[0].b[:8], pw[0][1])
+        assert layers[0].w.shape == (16, 3, 3, 3)
         # the new filters are a fresh init, not zeros
-        assert cw[0][0][8:].any()
+        assert layers[0].w[8:].any()
 
     def test_removal_keeps_other_layers_verbatim(self, rng):
         parent = enc(
@@ -245,8 +252,9 @@ class TestInheritWeights:
             "c", "RemoveConv", layers=(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2))
         )
         pw = self._weights_for(parent, (3, 16, 16), rng)
-        cw = gn.inherit_weights(pw, parent, child, (3, 16, 16), rng)
-        np.testing.assert_array_equal(cw[0][0], pw[0][0])
+        layers = self._built(child, (3, 16, 16), rng)
+        gn.inherit_weights(layers, pw, parent, child, rng)
+        np.testing.assert_array_equal(layers[0].w, pw[0][0])
 
     def test_inserted_layer_is_fresh(self, rng):
         parent = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2), gid="p")
@@ -255,17 +263,22 @@ class TestInheritWeights:
             layers=(gn.ConvGene(8, 3, 3, 1), gn.ConvGene(4, 3, 3, 1), gn.PoolGene(2, 2)),
         )
         pw = self._weights_for(parent, (3, 16, 16), rng)
-        cw = gn.inherit_weights(pw, parent, child, (3, 16, 16), rng)
-        np.testing.assert_array_equal(cw[0][0], pw[0][0])
-        assert cw[1] is None  # builder initializes inserted convs
+        layers = self._built(child, (3, 16, 16), rng)
+        built = [a.copy() for a in layers[1].params()]
+        gn.inherit_weights(layers, pw, parent, child, rng)
+        np.testing.assert_array_equal(layers[0].w, pw[0][0])
+        # the build's init of the inserted conv is kept
+        for kept, fresh in zip(layers[1].params(), built, strict=True):
+            np.testing.assert_array_equal(kept, fresh)
 
     def test_lineage_mismatch_raises(self, rng):
         parent = enc(gn.ConvGene(8, 3, 3, 1), gid="p")
         stranger = enc(gn.ConvGene(4, 5, 5, 2), gn.PoolGene(3, 3), gid="s",
                        parent="someone-else", gen=3)
         pw = self._weights_for(parent, (3, 16, 16), rng)
+        layers = self._built(stranger, (3, 16, 16), rng)
         with pytest.raises(gn.LineageError):
-            gn.inherit_weights(pw, parent, stranger, (3, 16, 16), rng)
+            gn.inherit_weights(layers, pw, parent, stranger, rng)
 
 
 class TestSerialization:
@@ -290,6 +303,8 @@ class TestSerialization:
     @example("GENOME v1 Encoder x - 0 nan Seed\nCONV 8 3 3 1\n")
     @example("GENOME v1 Encoder x - -1 0.01 Seed\nCONV 8 3 3 1\n")
     @example("GENOME v1 Encoder x - 1_0 0.01 Seed\nCONV 1_0 3 3 1\n")
+    @example("GENOME v1 Encoder x - 0 0.01 Seed\nCONV \u0668 3 3 +1\n")
+    @example("GENOME v1 Encoder x - 0 0.01 Seed\nCONV 08 3 3 1\n")
     @example("GENOME v1 Encoder x - 0 0.01 Seed\nDENSE 8 3\n")
     @example("GENOME v1 Encoder x - 0 0.01 Seed\nCONV 8 3 3\nPOOL 2 2 2\n")
     @settings(max_examples=500, deadline=None)
@@ -298,6 +313,9 @@ class TestSerialization:
             g = gn.deserialize(text)
         except gn.GenomeError:
             return
+        # only the spelling serialize writes parses: the gene lines come back token for token
+        genes = [line.split() for line in text.splitlines()[1:] if line.strip()]
+        assert genes == [line.split() for line in gn.serialize(g).splitlines()[1:]]
         assert gn.deserialize(gn.serialize(g)) == g
         assert gn.serialize(gn.deserialize(gn.serialize(g))) == gn.serialize(g)
 

@@ -7,6 +7,9 @@ import pytest
 from evocnn import genome as gn
 from evocnn import mutation as mu
 
+ENCODER_MUTATIONS = gn.GENOME_KINDS[gn.ENCODER].mutations
+CLASSIFIER_MUTATIONS = gn.GENOME_KINDS[gn.CLASSIFIER].mutations
+
 
 def enc(*layers, gid="p"):
     return gn.Genome(id=gid, kind=gn.ENCODER, layers=tuple(layers))
@@ -24,7 +27,7 @@ class TestSampleMutation:
         n = 10_000
         counts = {}
         for _ in range(n):
-            k = mu.sample_mutation(mu.ENCODER_KINDS, rng)
+            k = mu.sample_mutation(ENCODER_MUTATIONS, rng)
             counts[k] = counts.get(k, 0) + 1
         p = 1 / 9
         sigma = math.sqrt(p * (1 - p) / n)
@@ -33,10 +36,10 @@ class TestSampleMutation:
             assert abs(c / n - p) < 5 * sigma, f"{k}: {c / n}"
 
     def test_encoder_set_excludes_learning_rate(self):
-        assert mu.MutationKind.AlterLearningRate not in mu.ENCODER_KINDS
-        assert mu.MutationKind.AlterLearningRate in mu.CLASSIFIER_KINDS
-        assert len(mu.ENCODER_KINDS) == 9
-        assert len(mu.CLASSIFIER_KINDS) == 10
+        assert mu.MutationKind.AlterLearningRate not in ENCODER_MUTATIONS
+        assert mu.MutationKind.AlterLearningRate in CLASSIFIER_MUTATIONS
+        assert len(ENCODER_MUTATIONS) == 9
+        assert len(CLASSIFIER_MUTATIONS) == 10
 
     def test_empty_set_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -57,7 +60,7 @@ class TestApplyMutation:
     def test_parent_never_modified(self, rng):
         g = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2))
         before = g.layers
-        for kind in mu.ENCODER_KINDS:
+        for kind in ENCODER_MUTATIONS:
             mu.apply_mutation(g, kind, rng, "c")
         assert g.layers == before and g.generation == 0
 

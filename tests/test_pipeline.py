@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import subprocess
 import sys
 from dataclasses import replace
@@ -6,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from evocnn import data as dt
 from evocnn import engine as eng
 from evocnn import genome as gn
 from evocnn import pipeline as pl
 from evocnn import worker as wk
+from evocnn import config as cf
 from evocnn.config import ConfigError, RunConfig, load_config, save_config
 from evocnn.popstore import PopulationStore
 from evocnn.worker import Worker, load_run_data, worker_seed_for
@@ -35,6 +39,22 @@ def tiny_cfg(tmp_path, **overrides):
     )
     base.update(overrides)
     return RunConfig(**base).check()
+
+
+PATH_FIELDS = ("population_root", "report_dir", "dataset_dir", "evod_prefix")
+FIELD_NAMES = [f.name for f in dataclasses.fields(RunConfig)]
+
+
+@st.composite
+def config_bytes(draw):
+    """key = value lines over the config's keys and any text, encoded as
+    UTF-8, or any bytes at all."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=60))
+    keys = st.sampled_from(FIELD_NAMES) | st.text(max_size=8)
+    values = st.text(max_size=12) | st.integers().map(str) | st.floats().map(str)
+    lines = draw(st.lists(st.tuples(keys, values), max_size=6))
+    return "\n".join(f"{k} = {v}" for k, v in lines).encode("utf-8")
 
 
 class TestConfig:
@@ -68,6 +88,55 @@ class TestConfig:
         cfg = tiny_cfg(tmp_path, workers=2, momentum=0.8)
         path = tmp_path / "saved.cfg"
         save_config(cfg, path)
+        assert load_config(path) == cfg
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"round_budget = 5\npopulation_root = \xff\xfe\n")
+        with pytest.raises(ConfigError, match="UTF-8"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["runs/run#1/pop", "two\nlines", "cr\rline", " lead", "trail\t", "sep\u2028"],
+        ids=["hash", "newline", "carriage return", "leading space", "trailing tab",
+             "line separator"],
+    )
+    def test_value_that_would_not_read_back_refused(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="would not read back"):
+            save_config(tiny_cfg(tmp_path, population_root=value), tmp_path / "saved.cfg")
+        assert not (tmp_path / "saved.cfg").exists()
+
+    @given(config_bytes())
+    @example(b"round_budget = 5\n\xff")
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_bytes_load_or_raise(self, tmp_path, raw):
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(raw)
+        try:
+            cfg = load_config(path)
+        except ConfigError:
+            return
+        assert cfg == cfg.check()
+
+    @given(
+        st.fixed_dictionaries({name: st.text(max_size=12) for name in PATH_FIELDS}),
+        st.floats(1e-9, 1e9),
+        st.integers(0, 2**64),
+    )
+    @example({"population_root": "runs/run#1/pop"}, 0.01, 0)
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_saved_config_loads_back_equal(self, tmp_path, monkeypatch, paths, lr, seed):
+        for env in cf._ENV_PATHS:
+            monkeypatch.delenv(env, raising=False)
+        cfg = RunConfig(round_budget=1, learning_rate=lr, master_seed=seed, **paths).check()
+        path = tmp_path / "saved.cfg"
+        try:
+            save_config(cfg, path)
+        except ConfigError:
+            return
         assert load_config(path) == cfg
 
     def test_env_overrides_paths_only(self, tmp_path, monkeypatch):

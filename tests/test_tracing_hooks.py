@@ -1,7 +1,9 @@
 """The benchmark's tracer (`perfbench/tracing.py`) wraps program functions
 by name. A renamed function, or a call that bypasses the module attribute
 the wrapper sits on, would silently read 0 in traced benchmark runs; this
-runs a short traced step so tier-1 catches it."""
+runs short traced steps so tier-1 catches it. The tracer also reads
+`train_network`'s arguments by position (the view at 2, the batch size
+at 4), so a reordered signature would miscount the trained samples."""
 
 import importlib.util
 from pathlib import Path
@@ -34,8 +36,8 @@ def namespaces():
     return out
 
 
-def test_traced_cae_step_reads_every_hook_and_uninstalls(tmp_path):
-    cfg = RunConfig(
+def step_config(tmp_path):
+    return RunConfig(
         population_root=str(tmp_path / "pop"),
         report_dir=str(tmp_path / "reports"),
         data_source="synth",
@@ -49,17 +51,25 @@ def test_traced_cae_step_reads_every_hook_and_uninstalls(tmp_path):
         batch_size=10,
         master_seed=11,
     ).check()
+
+
+def traced_step(cfg, kind):
+    """Run one step under the tracer; returns its metrics."""
     before = namespaces()
     tracer = load_tracing().Tracer()
     tracer.install(MODULES)
     try:
         assert namespaces() != before
-        pipeline.run_step(cfg, genome.ENCODER)
+        pipeline.run_step(cfg, kind)
     finally:
         tracer.uninstall()
     assert namespaces() == before
+    return tracer.summary()
 
-    metrics = tracer.summary()
+
+def test_traced_cae_step_reads_every_hook_and_uninstalls(tmp_path):
+    cfg = step_config(tmp_path)
+    metrics = traced_step(cfg, genome.ENCODER)
     for name in (
         "mutation.mutate_valid_s", "mutation.attempts", "mutation.valid",
         "genome.network_specs_s", "genome.inherit_weights_s",
@@ -70,3 +80,14 @@ def test_traced_cae_step_reads_every_hook_and_uninstalls(tmp_path):
         assert metrics[name] > 0, name
     assert metrics["mutation.attempts"] >= metrics["mutation.valid"]
     assert metrics["worker.rounds_completed"] == cfg.round_budget
+
+
+def test_traced_clf_step_counts_every_trained_sample(tmp_path):
+    cfg = step_config(tmp_path)
+    metrics = traced_step(cfg, genome.CLASSIFIER)
+    n_train = worker.load_run_data(cfg)[0].n
+    trained = cfg.seeds_per_worker + cfg.round_budget
+    per_epoch = n_train // cfg.batch_size * cfg.batch_size
+    assert metrics["engine.train_samples"] == trained * cfg.epochs * per_epoch
+    assert metrics["engine.train_loop_self_s"] > 0
+    assert metrics["engine.dense.calls"] > 0
