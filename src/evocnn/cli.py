@@ -1,8 +1,11 @@
 """Command-line entry points.
 
-Verbs: seed, evolve-cae, select-cae, encode, evolve-clf, compose,
-report, and the internal `worker` verb used by the orchestrator to
-launch worker processes.
+Verbs: evolve-cae, encode, evolve-clf, compose and report run the four
+steps in that order; each reads the run's one config file and derives
+what its step needs (`evolve-clf` reads the encoded caches of the
+encoder that `encode` picked). select-cae TOPSIS-ranks a front CSV, and
+the internal `worker` verb is what `run_step` launches per worker
+process.
 """
 
 import os
@@ -17,44 +20,34 @@ import csv
 import sys
 from pathlib import Path
 
-
-def _load_cfg(path):
-    from .config import load_config
-
-    return load_config(path)
+from .config import load_config
 
 
-def cmd_seed(args):
-    from dataclasses import replace
-
-    from .pipeline import STEP_KINDS, step_population_root
+def cmd_worker(cfg, args):
     from .worker import Worker
 
-    cfg = _load_cfg(args.config)
-    kind = STEP_KINDS[args.kind]
-    cfg = replace(cfg, population_root=str(step_population_root(cfg, kind)))
-    for i in range(cfg.workers):
-        Worker(cfg, i, kind).seed_population()
-    print(f"seeded {cfg.workers * cfg.seeds_per_worker} individuals into {cfg.population_root}")
-
-
-def cmd_worker(args):
-    from .worker import Worker
-
-    cfg = _load_cfg(args.config)
     completed = Worker(cfg, args.index, args.kind).run()
     print(f"worker {args.index} completed {completed} rounds")
 
 
-def cmd_evolve(args, name):
+def _evolve(cfg, name):
     from .pipeline import STEP_KINDS, run_step
 
-    cfg = _load_cfg(args.config)
     summary = run_step(cfg, STEP_KINDS[name])
     print(
         f"step={name} networks_generated={summary.networks_generated} "
         f"best_metric={summary.best_metric:.4f} history={summary.history_csv}"
     )
+
+
+def cmd_evolve_cae(cfg, args):
+    _evolve(cfg, "cae")
+
+
+def cmd_evolve_clf(cfg, args):
+    from .pipeline import chosen_encoder_id, classifier_config
+
+    _evolve(classifier_config(cfg, chosen_encoder_id(cfg)), "clf")
 
 
 def cmd_select_cae(args):
@@ -77,28 +70,25 @@ def cmd_select_cae(args):
         writer.writerow([alt.id, alt.compression, alt.accuracy, f"{score:.6f}"])
 
 
-def cmd_encode(args):
+def cmd_encode(cfg, args):
     from .pipeline import finalize_cae_step
 
-    cfg = _load_cfg(args.config)
     encoder_id, prefix = finalize_cae_step(cfg)
     print(f"chosen encoder {encoder_id}; encoded dataset cached at {prefix}{{train,val,test}}.evod")
 
 
-def cmd_compose(args):
-    from .pipeline import best_classifier_id, compose_final
+def cmd_compose(cfg, args):
+    from .pipeline import best_classifier_id, chosen_encoder_id, compose_final
 
-    cfg = _load_cfg(args.config)
-    encoder_id = args.encoder_id or Path(cfg.report_dir, "chosen_cae.txt").read_text().strip()
+    encoder_id = args.encoder_id or chosen_encoder_id(cfg)
     classifier_id = args.classifier_id or best_classifier_id(cfg)
     _net, acc = compose_final(cfg, encoder_id, classifier_id)
     print(f"composed {encoder_id} + {classifier_id}: test accuracy {acc:.4f}")
 
 
-def cmd_report(args):
+def cmd_report(cfg, args):
     from .pipeline import STEP_KINDS, export_history, step_population_root
 
-    cfg = _load_cfg(args.config)
     out = Path(cfg.report_dir) / f"history_{args.step}.csv"
     rows = export_history(step_population_root(cfg, STEP_KINDS[args.step]), out)
     print(f"wrote {len(rows)} rows to {out}")
@@ -110,30 +100,28 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="evocnn")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def with_config(p):
+    def verb(name, cmd, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="key=value run config file")
+        p.set_defaults(cmd=cmd)
         return p
 
-    with_config(sub.add_parser("seed", help="publish seed individuals")).add_argument(
-        "--kind", choices=list(STEP_KINDS), default="cae"
-    )
-    with_config(sub.add_parser("evolve-cae", help="run the autoencoder evolution step"))
-    with_config(sub.add_parser("evolve-clf", help="run the classifier evolution step"))
+    verb("evolve-cae", cmd_evolve_cae, "step 1: evolve autoencoders")
+    verb("encode", cmd_encode, "step 2: pick the TOPSIS-best CAE and cache encoded data")
+    verb("evolve-clf", cmd_evolve_clf, "step 3: evolve classifiers on the encoded data")
+    p = verb("compose", cmd_compose, "step 4: compose encoder + classifier")
+    p.add_argument("--encoder-id")
+    p.add_argument("--classifier-id")
+
+    p = verb("report", cmd_report, "export the evolution history CSV")
+    p.add_argument("--step", choices=list(STEP_KINDS), default="cae")
 
     p = sub.add_parser("select-cae", help="TOPSIS-rank a Pareto front CSV")
     p.add_argument("--weights", required=True, help="w_compression,w_accuracy")
     p.add_argument("--front", required=True, help="CSV with id,compression,accuracy")
+    p.set_defaults(cmd=cmd_select_cae)
 
-    with_config(sub.add_parser("encode", help="pick the best CAE and cache encoded data"))
-
-    p = with_config(sub.add_parser("compose", help="compose encoder + classifier"))
-    p.add_argument("--encoder-id")
-    p.add_argument("--classifier-id")
-
-    p = with_config(sub.add_parser("report", help="export the evolution history CSV"))
-    p.add_argument("--step", choices=list(STEP_KINDS), default="cae")
-
-    p = with_config(sub.add_parser("worker", help="internal: run one worker process"))
+    p = verb("worker", cmd_worker, "internal: run one worker process")
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--kind", required=True, choices=list(STEP_KINDS.values()))
 
@@ -142,20 +130,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.verb == "seed":
-        cmd_seed(args)
-    elif args.verb.startswith("evolve-"):
-        cmd_evolve(args, args.verb.removeprefix("evolve-"))
-    elif args.verb == "select-cae":
-        cmd_select_cae(args)
-    elif args.verb == "encode":
-        cmd_encode(args)
-    elif args.verb == "compose":
-        cmd_compose(args)
-    elif args.verb == "report":
-        cmd_report(args)
-    elif args.verb == "worker":
-        cmd_worker(args)
+    if "config" in args:
+        args.cmd(load_config(args.config), args)
+    else:
+        args.cmd(args)
 
 
 if __name__ == "__main__":

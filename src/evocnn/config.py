@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 # Env overrides apply to paths only.
-_ENV_PATHS = {
+ENV_PATHS = {
     "EVOCNN_POPULATION_ROOT": "population_root",
     "EVOCNN_REPORT_DIR": "report_dir",
     "EVOCNN_DATASET_DIR": "dataset_dir",
@@ -51,10 +51,8 @@ class RunConfig:
     # selection / mcdm
     w_compression: float = 0.5
     w_accuracy: float = 0.5
-    isolation_mode: str = "mean"   # mean | nearest
 
     # evolution knobs
-    mutation_max_tries: int = 25
     master_seed: int = 0
     n_classes: int = 10
 
@@ -83,8 +81,6 @@ class RunConfig:
             self.w_compression + self.w_accuracy
         ) <= 0:
             raise ConfigError("TOPSIS weights must be non-negative with positive sum")
-        if self.isolation_mode not in ("mean", "nearest"):
-            raise ConfigError(f"unknown isolation_mode {self.isolation_mode!r}")
         if self.data_source not in ("synth", "cifar10", "evod"):
             raise ConfigError(f"unknown data_source {self.data_source!r}")
         return self
@@ -117,7 +113,7 @@ def load_config(path) -> RunConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     cfg = RunConfig(**_parse(text, path))
-    for env, attr in _ENV_PATHS.items():
+    for env, attr in ENV_PATHS.items():
         if env in os.environ:
             setattr(cfg, attr, os.environ[env])
     return cfg.check()

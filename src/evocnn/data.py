@@ -206,6 +206,9 @@ def read_evod(path, split="raw") -> Dataset:
     version, n, c, h, w = struct.unpack_from("<IIIII", raw, 4)
     if version != _EVOD_VERSION:
         raise DataError(f"{path}: unsupported EVOD version {version}")
+    if 0 in (n, c, h, w):
+        # an empty split or sample fails later in training with another error
+        raise DataError(f"{path}: empty EVOD shape {(n, c, h, w)}")
     size = n * c * h * w
     if len(raw) != off + 4 * size + n:
         raise DataError(f"{path}: truncated EVOD file")

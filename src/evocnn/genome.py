@@ -417,11 +417,15 @@ def deserialize(text: str) -> Genome:
     if not genes:
         raise GenomeParseError(len(lines), "genome has no gene lines")
     try:
+        learning_rate = float(lr)
+        if repr(learning_rate) != lr:
+            # only the spelling serialize writes: float() also reads 0.0_1 and non-ASCII digits
+            raise ValueError(f"learning rate {lr!r} is not written as {learning_rate!r}")
         g = Genome(
             id=gid,
             kind=kind,
             layers=tuple(genes),
-            learning_rate=float(lr),
+            learning_rate=learning_rate,
             parent_id=None if parent == "-" else parent,
             generation=_decimal(gen, 1),
             mutation_applied=mutation,

@@ -9,6 +9,7 @@ processes coordinated only through the population directory.
 from __future__ import annotations
 
 import csv
+import os
 import subprocess
 import sys
 from dataclasses import dataclass, replace
@@ -17,7 +18,7 @@ from pathlib import Path
 from . import data as dt
 from . import engine as eng
 from . import genome as gn
-from .config import RunConfig, save_config
+from .config import ENV_PATHS, RunConfig, save_config
 from .mcdm import Alternative, TopsisWeights, select_best
 from .popstore import PopulationStore
 from .selection import pareto_fronts
@@ -111,12 +112,16 @@ def run_step(cfg: RunConfig, kind: str) -> StepSummary:
     else:
         cfg_path = report_dir / f"worker_{name}.cfg"
         save_config(step_cfg, cfg_path)
+        # the saved config already holds this step's paths; an environment
+        # override re-applied in the workers would drop the step's subdirectory
+        env = {k: v for k, v in os.environ.items() if k not in ENV_PATHS}
         procs = [
             subprocess.Popen(
                 [
                     sys.executable, "-m", "evocnn.cli", "worker",
                     "--config", str(cfg_path), "--index", str(i), "--kind", kind,
-                ]
+                ],
+                env=env,
             )
             for i in range(cfg.workers)
         ]
@@ -167,11 +172,30 @@ def finalize_cae_step(cfg: RunConfig, datasets=None):
         datasets = load_run_data(cfg)
     report_dir = Path(cfg.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    prefix = report_dir / f"encoded_{encoder_id}_"
+    prefix = _encoded_prefix(cfg, encoder_id)
     for ds in datasets:
         dt.write_evod(f"{prefix}{ds.split}.evod", dt.encode_dataset(encoder_net, ds))
     (report_dir / "chosen_cae.txt").write_text(f"{encoder_id}\n")
-    return encoder_id, str(prefix)
+    return encoder_id, prefix
+
+
+def _encoded_prefix(cfg: RunConfig, encoder_id) -> str:
+    return str(Path(cfg.report_dir) / f"encoded_{encoder_id}_")
+
+
+def chosen_encoder_id(cfg: RunConfig) -> str:
+    """The encoder `finalize_cae_step` picked for this run."""
+    path = Path(cfg.report_dir) / "chosen_cae.txt"
+    if not path.exists():
+        raise PipelineError(f"{path} is missing: pick and encode a CAE first")
+    return path.read_text().strip()
+
+
+def classifier_config(cfg: RunConfig, encoder_id) -> RunConfig:
+    """Step 3's config: the run's config reading the encoder's EVOD caches.
+    The caches carry no class count, so the raw source's is kept."""
+    return replace(cfg, data_source="evod", evod_prefix=_encoded_prefix(cfg, encoder_id),
+                   n_classes=n_classes_for(cfg))
 
 
 def best_classifier_id(cfg: RunConfig):
@@ -211,10 +235,8 @@ def run_full_pipeline(cfg: RunConfig):
     """All four steps end to end; returns a result dict."""
     cae_summary = run_step(cfg, gn.ENCODER)
     datasets = load_run_data(cfg)
-    encoder_id, prefix = finalize_cae_step(cfg, datasets)
-    # the encoded caches carry no class count; keep the raw source's
-    clf_cfg = replace(cfg, data_source="evod", evod_prefix=prefix, n_classes=n_classes_for(cfg))
-    clf_summary = run_step(clf_cfg, gn.CLASSIFIER)
+    encoder_id, _prefix = finalize_cae_step(cfg, datasets)
+    clf_summary = run_step(classifier_config(cfg, encoder_id), gn.CLASSIFIER)
     classifier_id = best_classifier_id(cfg)
     composed, test_acc = compose_final(cfg, encoder_id, classifier_id, datasets)
     return {

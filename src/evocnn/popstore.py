@@ -110,7 +110,11 @@ class PopulationStore:
     # -- write path ---------------------------------------------------------
 
     def publish(self, individual_id, genome_text, weights_blob, meta: FitnessMeta):
-        """Write everything to a temp dir, then rename into live/."""
+        """Write everything to a temp dir, then rename into live/. An id
+        that is live or dead already raises IdCollision."""
+        if (self.dead / individual_id).exists():
+            # a step rerun on the same directory draws the first run's ids again
+            raise IdCollision(f"id {individual_id} already published and killed")
         staging = self.tmp / f"{individual_id}.{os.getpid()}"
         staging.mkdir(parents=True)
         try:

@@ -66,11 +66,9 @@ def pareto_fronts(pairs):
     return fronts
 
 
-def isolation(ind, front, mode="mean"):
-    """Distance of `ind` to the rest of its front in raw objective space.
-
-    mode "mean" averages Euclidean distances; "nearest" takes the
-    minimum. Singleton fronts are infinitely isolated.
+def isolation(ind, front):
+    """Mean Euclidean distance of `ind` to the rest of its front in raw
+    objective space. Singleton fronts are infinitely isolated.
     """
     if ind not in front:
         raise ValueError("ind must be a member of front")
@@ -79,12 +77,10 @@ def isolation(ind, front, mode="mean"):
     if not others:
         return math.inf
     dists = [math.dist(ind, p) for p in others]
-    if mode == "nearest":
-        return min(dists)
     return sum(dists) / len(dists)
 
 
-def tournament_compare(id_a, id_b, records, rng, isolation_mode="mean"):
+def tournament_compare(id_a, id_b, records, rng):
     """Pick winner and loser of a k=2 tournament.
 
     `records` maps id -> FitnessRecord for the population snapshot
@@ -119,8 +115,8 @@ def tournament_compare(id_a, id_b, records, rng, isolation_mode="mean"):
         winner = id_a if rank[id_a] < rank[id_b] else id_b
         loser = id_b if winner == id_a else id_a
         return winner, loser, "front"
-    iso_a = isolation(rec_a.pair, front_of[id_a], isolation_mode)
-    iso_b = isolation(rec_b.pair, front_of[id_b], isolation_mode)
+    iso_a = isolation(rec_a.pair, front_of[id_a])
+    iso_b = isolation(rec_b.pair, front_of[id_b])
     if iso_a == iso_b:
         return coin()
     winner = id_a if iso_a > iso_b else id_b

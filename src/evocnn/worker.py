@@ -155,9 +155,7 @@ class Worker:
             return False
         id_a, id_b = pair
         records = {iid: meta.record for iid, meta in snapshot.items()}
-        winner, loser, reason = tournament_compare(
-            id_a, id_b, records, self.rng, self.cfg.isolation_mode
-        )
+        winner, loser, reason = tournament_compare(id_a, id_b, records, self.rng)
         # read the winner before touching the loser: a round abandoned
         # here has killed nothing
         try:
@@ -172,10 +170,7 @@ class Worker:
             log.info("round abandoned: loser %s already taken", loser)
             return False
         child_id = self._next_id()
-        child = mu.mutate_valid(
-            parent, self.input_shape, self.rng, child_id,
-            max_tries=self.cfg.mutation_max_tries,
-        )
+        child = mu.mutate_valid(parent, self.input_shape, self.rng, child_id)
         if child is mu.EXHAUSTED:
             log.info("mutation retries exhausted for %s; falling back to Identity", winner)
             child = mu.apply_mutation(parent, mu.MutationKind.Identity, self.rng, child_id)

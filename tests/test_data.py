@@ -221,6 +221,13 @@ class TestEvodFormat:
             with pytest.raises(dt.DataError):
                 dt.read_evod(path)
 
+    @pytest.mark.parametrize("shape", [(0, 3, 4, 4), (2, 0, 4, 4), (2, 3, 0, 4), (2, 3, 4, 0)])
+    def test_empty_shape_rejected(self, tmp_path, shape):
+        path = tmp_path / "empty.evod"
+        dt.write_evod(path, dt.Dataset(x=np.zeros(shape), y=np.zeros(shape[0], np.int64)))
+        with pytest.raises(dt.DataError, match="empty"):
+            dt.read_evod(path)
+
     @given(evod_bytes())
     @example(b"EVOD\x01\x00")
     @example(b"EVOD" + bytes(19))

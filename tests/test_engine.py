@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evocnn import engine as eng
 from evocnn import genome as gn
@@ -444,6 +446,34 @@ def _with(blob, offset, raw):
     return blob[:offset] + raw + blob[offset + len(raw):]
 
 
+def _encoder_blob():
+    g = gn.seed_genome(gn.ENCODER, "e", 0.01)
+    return eng.serialize_network(build_network(g, (3, 8, 8), np.random.default_rng(0)))
+
+
+@st.composite
+def evow_bytes(draw):
+    """A real EVOW blob with a few byte runs overwritten, then cut short or
+    extended; or any bytes behind the magic and version."""
+    if draw(st.booleans()):
+        return b"EVOW" + struct.pack("<I", 1) + draw(st.binary(max_size=80))
+    blob = bytearray(draw(st.sampled_from([_classifier_blob, _encoder_blob]))())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(blob) - 1))
+        run = draw(st.binary(min_size=1, max_size=4))
+        blob[at:at + len(run)] = run
+    edit = draw(st.sampled_from(["keep", "cut", "extend"]))
+    if edit == "cut":
+        return bytes(blob[: draw(st.integers(0, len(blob) - 1))])
+    if edit == "extend":
+        blob += draw(st.binary(min_size=1, max_size=8))
+    return bytes(blob)
+
+
+def _layer_facts(layer):
+    return layer.kind, [getattr(layer, name) for name in eng.LAYER_KINDS[layer.kind].hparams]
+
+
 _MALFORMED = {
     "truncated": lambda blob: [blob[:cut] for cut in range(len(blob))],
     "trailing bytes": lambda blob: [blob + b"\0", blob + bytes(8)],
@@ -459,6 +489,24 @@ class TestWeightsBlob:
         for bad in _MALFORMED[case](_classifier_blob()):
             with pytest.raises(eng.EngineError):
                 eng.deserialize_network(bad)
+
+    @given(evow_bytes())
+    @settings(max_examples=300, deadline=None)
+    def test_edited_or_arbitrary_bytes_read_back_or_raise(self, blob):
+        try:
+            net = eng.deserialize_network(blob)
+        except eng.EngineError:
+            return
+        again = eng.serialize_network(net)
+        back = eng.deserialize_network(again)
+        assert len(again) == len(blob)
+        assert [_layer_facts(l) for l in back.layers] == [_layer_facts(l) for l in net.layers]
+        weights = [p for layer in net.layers for p in layer.params()]
+        for stored, reread in zip(weights, (p for layer in back.layers for p in layer.params())):
+            np.testing.assert_array_equal(stored, reread)
+        # f32 -> f64 -> f32 keeps every value; only a NaN's payload bits may change
+        if not any(np.isnan(p).any() for p in weights):
+            assert again == blob
 
     def test_round_trip(self, rng):
         g = gn.seed_genome(gn.ENCODER, "e", 0.01)

@@ -322,6 +322,8 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "field, value",
         [("lr", "nan"), ("lr", "inf"), ("lr", "-inf"), ("lr", "0"), ("lr", "-0.5"),
+         # spellings float() reads but serialize never writes
+         ("lr", "0.0_1"), ("lr", "\u0660.\u0665"), ("lr", "1e-2"), ("lr", ".01"), ("lr", "+0.01"),
          ("generation", "-1")],
     )
     def test_bad_header_value_rejected(self, field, value):

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,10 +17,13 @@ from evocnn import engine as eng
 from evocnn import genome as gn
 from evocnn import pipeline as pl
 from evocnn import worker as wk
+from evocnn import cli
 from evocnn import config as cf
 from evocnn.config import ConfigError, RunConfig, load_config, save_config
-from evocnn.popstore import PopulationStore
+from evocnn.popstore import IdCollision, PopulationStore
 from evocnn.worker import Worker, load_run_data, worker_seed_for
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_cfg(tmp_path, **overrides):
@@ -129,7 +134,7 @@ class TestConfig:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_saved_config_loads_back_equal(self, tmp_path, monkeypatch, paths, lr, seed):
-        for env in cf._ENV_PATHS:
+        for env in cf.ENV_PATHS:
             monkeypatch.delenv(env, raising=False)
         cfg = RunConfig(round_budget=1, learning_rate=lr, master_seed=seed, **paths).check()
         path = tmp_path / "saved.cfg"
@@ -267,6 +272,15 @@ class TestRunStep:
         # each completed round killed one and published one
         assert len(store.read_round_logs()) == 4
         assert len(claims) == cfg.seeds_per_worker + 4
+
+    def test_worker_processes_ignore_env_path_overrides(self, tmp_path, monkeypatch):
+        # each worker process loads the step's saved config; an environment path
+        # override must not move its publishes from the step's cae/ dir to the root
+        monkeypatch.setenv("EVOCNN_POPULATION_ROOT", str(tmp_path / "pop"))
+        cfg = tiny_cfg(tmp_path, workers=2, seeds_per_worker=1, round_budget=1)
+        summary = pl.run_step(cfg, gn.ENCODER)
+        assert summary.networks_generated == 2 * (1 + 1)
+        assert not (tmp_path / "pop" / "live").exists()
 
     def test_history_export_is_lineage_consistent(self, tmp_path):
         cfg = tiny_cfg(tmp_path, round_budget=4)
@@ -406,3 +420,72 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["worker", "--config", "x", "--index", "0", "--kind", "foo"])
+
+    def test_seed_verb_is_gone(self):
+        # run_step seeds every worker itself, so a separate seed verb could only
+        # publish the same seed ids twice
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["seed", "--config", "x"])
+        assert exc.value.code == 2
+
+    def test_rerun_step_publishes_no_id_twice(self, tmp_path):
+        cfg, cfg_path = tiny_cfg(tmp_path, round_budget=2), tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+        cli.main(["evolve-cae", "--config", str(cfg_path)])
+        store = PopulationStore(pl.step_population_root(cfg, gn.ENCODER))
+        before = (store.list_live(), store.list_dead())
+        with pytest.raises(IdCollision):
+            cli.main(["evolve-cae", "--config", str(cfg_path)])
+        assert (store.list_live(), store.list_dead()) == before
+
+    def test_evolve_clf_before_encode_names_the_missing_choice(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        save_config(tiny_cfg(tmp_path), cfg_path)
+        with pytest.raises(pl.PipelineError, match="chosen_cae.txt"):
+            cli.main(["evolve-clf", "--config", str(cfg_path)])
+
+    def test_verbs_on_one_config_match_full_pipeline(self, tmp_path, capsys):
+        def run_cfg(workdir):
+            # n_classes stays at its default 10: the classifier head must still
+            # take the synthetic source's 4 classes
+            return tiny_cfg(workdir, synth_classes=4, synth_count=160, round_budget=2)
+
+        cli_cfg, full_cfg = run_cfg(tmp_path / "cli"), run_cfg(tmp_path / "full")
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cli_cfg, cfg_path)
+        steps = (["evolve-cae"], ["encode"], ["evolve-clf"], ["compose"], ["report", "--step", "clf"])
+        for verb in steps:
+            cli.main([*verb, "--config", str(cfg_path)])
+        out = capsys.readouterr().out.splitlines()
+        composed_line = [line for line in out if line.startswith("composed")]
+
+        result = pl.run_full_pipeline(full_cfg)
+        for name in ("history_cae.csv", "history_clf.csv"):
+            cli_bytes = (Path(cli_cfg.report_dir) / name).read_bytes()
+            assert cli_bytes == (Path(full_cfg.report_dir) / name).read_bytes()
+        encoder_id = pl.chosen_encoder_id(cli_cfg)
+        assert encoder_id == result["encoder_id"]
+        composed, accuracy = pl.compose_final(cli_cfg, encoder_id, pl.best_classifier_id(cli_cfg))
+        assert accuracy == result["test_accuracy"]
+        assert composed_line == [
+            f"composed {encoder_id} + {result['classifier_id']}: test accuracy {accuracy:.4f}"
+        ]
+        assert composed.layers[-1].units == 4
+
+
+class TestQuickStart:
+    def test_desk_pipeline_script_writes_summary(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_desk_pipeline.py"),
+             "--workdir", str(tmp_path), "--workers", "1", "--rounds", "1",
+             "--count", "80", "--size", "8", "--epochs", "1"],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert set(summary) == {
+            "encoder_id", "classifier_id", "cae_networks_generated",
+            "cae_best_reconstruction_accuracy", "clf_networks_generated",
+            "clf_best_validation_accuracy", "test_accuracy",
+        }
+        assert 0.0 <= summary["test_accuracy"] <= 1.0

@@ -93,6 +93,16 @@ class TestPublishAndList:
         assert store.list_live() == ["dup"]
         assert list(store.tmp.iterdir()) == []
 
+    def test_killed_id_is_not_published_again(self, tmp_path):
+        store = PopulationStore(tmp_path)
+        publish(store, "dup")
+        assert store.kill("dup")
+        with pytest.raises(IdCollision):
+            publish(store, "dup")
+        assert store.list_live() == []
+        assert store.list_dead() == ["dup"]
+        assert list(store.tmp.iterdir()) == []
+
     def test_partial_staging_dir_is_never_live(self, tmp_path):
         # simulate a crash mid-write: a staging dir exists but was never renamed
         store = PopulationStore(tmp_path)

@@ -90,10 +90,6 @@ class TestIsolation:
         front = [(0.3, 0.7), (0.6, 0.2)]
         assert isolation(front[0], front) == pytest.approx(isolation(front[1], front))
 
-    def test_nearest_mode(self):
-        front = [(0.0, 0.0), (0.0, 0.1), (1.0, 1.0)]
-        assert isolation(front[0], front, mode="nearest") == pytest.approx(0.1)
-
     def test_non_member_rejected(self):
         with pytest.raises(ValueError):
             isolation((0.9, 0.9), [(0.1, 0.1)])
