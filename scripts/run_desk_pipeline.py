@@ -36,7 +36,7 @@ def main():
         population_root=str(workdir / "population"),
         report_dir=str(workdir / "reports"),
         data_source="synth",
-        synth_classes=args.classes,
+        n_classes=args.classes,
         synth_count=args.count,
         synth_size=args.size,
         workers=args.workers,

@@ -2,10 +2,10 @@
 
 Verbs: evolve-cae, encode, evolve-clf, compose and report run the four
 steps in that order; each reads the run's one config file and derives
-what its step needs (`evolve-clf` reads the encoded caches of the
-encoder that `encode` picked). select-cae TOPSIS-ranks a front CSV, and
-the internal `worker` verb is what `run_step` launches per worker
-process.
+what its step needs from it and from the products of the steps before
+(`evolve-clf` reads the encoded caches of the encoder that `encode`
+picked, `compose` stacks that encoder and the best classifier). The
+internal `worker` verb is what `run_step` launches per worker process.
 """
 
 import os
@@ -16,8 +16,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
-import csv
-import sys
 from pathlib import Path
 
 from .config import load_config
@@ -50,26 +48,6 @@ def cmd_evolve_clf(cfg, args):
     _evolve(classifier_config(cfg, chosen_encoder_id(cfg)), "clf")
 
 
-def cmd_select_cae(args):
-    from .mcdm import Alternative, TopsisWeights, topsis_rank
-
-    wc, wa = (float(v) for v in args.weights.split(","))
-    alts = []
-    with open(args.front, newline="") as fh:
-        for row in csv.DictReader(fh):
-            alts.append(
-                Alternative(
-                    id=row["id"],
-                    compression=float(row["compression"]),
-                    accuracy=float(row["accuracy"]),
-                )
-            )
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["id", "compression", "accuracy", "score"])
-    for alt, score in topsis_rank(alts, TopsisWeights(wc, wa)):
-        writer.writerow([alt.id, alt.compression, alt.accuracy, f"{score:.6f}"])
-
-
 def cmd_encode(cfg, args):
     from .pipeline import finalize_cae_step
 
@@ -80,8 +58,7 @@ def cmd_encode(cfg, args):
 def cmd_compose(cfg, args):
     from .pipeline import best_classifier_id, chosen_encoder_id, compose_final
 
-    encoder_id = args.encoder_id or chosen_encoder_id(cfg)
-    classifier_id = args.classifier_id or best_classifier_id(cfg)
+    encoder_id, classifier_id = chosen_encoder_id(cfg), best_classifier_id(cfg)
     _net, acc = compose_final(cfg, encoder_id, classifier_id)
     print(f"composed {encoder_id} + {classifier_id}: test accuracy {acc:.4f}")
 
@@ -109,17 +86,10 @@ def build_parser():
     verb("evolve-cae", cmd_evolve_cae, "step 1: evolve autoencoders")
     verb("encode", cmd_encode, "step 2: pick the TOPSIS-best CAE and cache encoded data")
     verb("evolve-clf", cmd_evolve_clf, "step 3: evolve classifiers on the encoded data")
-    p = verb("compose", cmd_compose, "step 4: compose encoder + classifier")
-    p.add_argument("--encoder-id")
-    p.add_argument("--classifier-id")
+    verb("compose", cmd_compose, "step 4: compose encoder + classifier")
 
     p = verb("report", cmd_report, "export the evolution history CSV")
     p.add_argument("--step", choices=list(STEP_KINDS), default="cae")
-
-    p = sub.add_parser("select-cae", help="TOPSIS-rank a Pareto front CSV")
-    p.add_argument("--weights", required=True, help="w_compression,w_accuracy")
-    p.add_argument("--front", required=True, help="CSV with id,compression,accuracy")
-    p.set_defaults(cmd=cmd_select_cae)
 
     p = verb("worker", cmd_worker, "internal: run one worker process")
     p.add_argument("--index", type=int, required=True)
@@ -130,10 +100,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if "config" in args:
-        args.cmd(load_config(args.config), args)
-    else:
-        args.cmd(args)
+    args.cmd(load_config(args.config), args)
 
 
 if __name__ == "__main__":

@@ -30,10 +30,9 @@ class RunConfig:
 
     # data source: synth | cifar10 | evod
     data_source: str = "synth"
-    synth_classes: int = 4
+    n_classes: int = 10            # label count of every source
     synth_count: int = 1600
     synth_size: int = 16
-    synth_channels: int = 3
     synth_seed: int = 7
 
     # run scale
@@ -54,7 +53,6 @@ class RunConfig:
 
     # evolution knobs
     master_seed: int = 0
-    n_classes: int = 10
 
     def check(self):
         for f in fields(self):
@@ -81,6 +79,9 @@ class RunConfig:
             self.w_compression + self.w_accuracy
         ) <= 0:
             raise ConfigError("TOPSIS weights must be non-negative with positive sum")
+        if self.n_classes < 2:
+            # with one class every classifier scores 1.0; with none the synth source divides by 0
+            raise ConfigError(f"n_classes must be at least 2, got {self.n_classes}")
         if self.data_source not in ("synth", "cifar10", "evod"):
             raise ConfigError(f"unknown data_source {self.data_source!r}")
         return self

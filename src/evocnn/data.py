@@ -120,6 +120,9 @@ def split(raw: Dataset, seed) -> tuple[Dataset, Dataset, Dataset]:
         buckets[2].append(idx[n_train + n_val:])
     out = []
     for tag, parts in zip(("train", "val", "test"), buckets):
+        if sum(p.size for p in parts) == 0:
+            # an empty split fails later (no batch, a 0/0 accuracy) with another error
+            raise DataError(f"{raw.n} samples leave the {tag} split empty")
         sel = np.sort(np.concatenate(parts))
         out.append(Dataset(x=raw.x[sel], y=raw.y[sel], split=tag))
     return tuple(out)

@@ -22,7 +22,7 @@ from .config import ENV_PATHS, RunConfig, save_config
 from .mcdm import Alternative, TopsisWeights, select_best
 from .popstore import PopulationStore
 from .selection import pareto_fronts
-from .worker import Worker, load_run_data, n_classes_for
+from .worker import Worker, load_run_data
 
 # Short name of each evolution step, used on the command line and in run directories.
 STEP_KINDS = {k.step: kind for kind, k in gn.GENOME_KINDS.items()}
@@ -125,11 +125,10 @@ def run_step(cfg: RunConfig, kind: str) -> StepSummary:
             )
             for i in range(cfg.workers)
         ]
-        for p in procs:
-            code = p.wait()
-            if code != 0:
-                # shared-nothing: others keep their results
-                print(f"worker exited with code {code}", file=sys.stderr)
+        codes = [p.wait() for p in procs]
+        failed = [f"worker {i} exited with code {code}" for i, code in enumerate(codes) if code]
+        if failed:
+            raise PipelineError(f"{name} step: " + "; ".join(failed))
     history = report_dir / f"history_{name}.csv"
     rows = export_history(root, history)
     return StepSummary(
@@ -192,10 +191,9 @@ def chosen_encoder_id(cfg: RunConfig) -> str:
 
 
 def classifier_config(cfg: RunConfig, encoder_id) -> RunConfig:
-    """Step 3's config: the run's config reading the encoder's EVOD caches.
-    The caches carry no class count, so the raw source's is kept."""
-    return replace(cfg, data_source="evod", evod_prefix=_encoded_prefix(cfg, encoder_id),
-                   n_classes=n_classes_for(cfg))
+    """Step 3's config: the run's config, `n_classes` included, reading the
+    encoder's EVOD caches."""
+    return replace(cfg, data_source="evod", evod_prefix=_encoded_prefix(cfg, encoder_id))
 
 
 def best_classifier_id(cfg: RunConfig):

@@ -27,31 +27,31 @@ def worker_seed_for(master_seed, worker_index):
 
 
 def load_run_data(cfg: RunConfig):
-    """(train, val, test) datasets for this run's data source."""
+    """(train, val, test) datasets for this run's data source; a label
+    outside [0, n_classes) raises DataError."""
     if cfg.data_source == "synth":
         raw = dt.synth_dataset(
-            classes=cfg.synth_classes,
+            classes=cfg.n_classes,
             count=cfg.synth_count,
             size=cfg.synth_size,
-            channels=cfg.synth_channels,
             seed=cfg.synth_seed,
         )
-        return dt.split(raw, seed=cfg.synth_seed)
-    if cfg.data_source == "cifar10":
+        splits = dt.split(raw, seed=cfg.synth_seed)
+    elif cfg.data_source == "cifar10":
         raw = dt.load_cifar10(cfg.dataset_dir)
-        return dt.split(raw, seed=cfg.master_seed)
-    if cfg.data_source == "evod":
-        return tuple(
+        splits = dt.split(raw, seed=cfg.master_seed)
+    elif cfg.data_source == "evod":
+        splits = tuple(
             dt.read_evod(f"{cfg.evod_prefix}{tag}.evod", split=tag)
             for tag in ("train", "val", "test")
         )
-    raise ValueError(f"unknown data source {cfg.data_source!r}")
-
-
-def n_classes_for(cfg: RunConfig):
-    if cfg.data_source == "synth":
-        return cfg.synth_classes
-    return cfg.n_classes
+    else:
+        raise ValueError(f"unknown data source {cfg.data_source!r}")
+    top = max(int(ds.y.max()) for ds in splits)
+    if top >= cfg.n_classes:
+        # the classifier head has n_classes units; a larger label fails deep in training
+        raise dt.DataError(f"label {top} is out of range for n_classes = {cfg.n_classes}")
+    return splits
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +85,13 @@ def _overlay_parent_weights(net, child, parent, parent_net, rng):
 
 
 def train_individual(g: gn.Genome, view: eng.DatasetView, cfg: RunConfig, rng,
-                     input_shape, n_classes=10, parent=None):
+                     input_shape, parent=None):
     """Train one genome; returns (network, TrainReport).
 
     `parent` is an optional (parent_genome, parent_network) pair for
     weight inheritance.
     """
-    net = build_network(g, input_shape, rng, n_classes=n_classes)
+    net = build_network(g, input_shape, rng, n_classes=cfg.n_classes)
     if parent is not None:
         _overlay_parent_weights(net, g, parent[0], parent[1], rng)
     report = eng.train_network(net, gn.GENOME_KINDS[g.kind], view, cfg.epochs, cfg.batch_size,
@@ -104,7 +104,7 @@ def train_individual(g: gn.Genome, view: eng.DatasetView, cfg: RunConfig, rng,
 # ---------------------------------------------------------------------------
 
 class Worker:
-    def __init__(self, cfg: RunConfig, index: int, kind: str, store=None, datasets=None):
+    def __init__(self, cfg: RunConfig, index: int, kind: str, datasets=None):
         if kind not in gn.GENOME_KINDS:
             raise ValueError(f"worker kind must be one of {sorted(gn.GENOME_KINDS)}, got {kind!r}")
         self.cfg = cfg
@@ -112,11 +112,10 @@ class Worker:
         self.kind = kind
         self.worker_id = f"w{index}"
         self.rng = np.random.default_rng(worker_seed_for(cfg.master_seed, index))
-        self.store = store or PopulationStore(cfg.population_root)
+        self.store = PopulationStore(cfg.population_root)
         train, val, _test = datasets or load_run_data(cfg)
         self.view = eng.DatasetView(train.x, train.y, val.x, val.y)
         self.input_shape = train.sample_shape
-        self.n_classes = n_classes_for(cfg)
         self.counter = 0
 
     def _next_id(self):
@@ -140,9 +139,7 @@ class Worker:
     def seed_population(self):
         for _ in range(self.cfg.seeds_per_worker):
             g = gn.seed_genome(self.kind, self._next_id(), self.cfg.learning_rate)
-            net, report = train_individual(
-                g, self.view, self.cfg, self.rng, self.input_shape, self.n_classes
-            )
+            net, report = train_individual(g, self.view, self.cfg, self.rng, self.input_shape)
             self.store.append_claim(self.worker_id, g.id)
             self._publish(g, net, report)
 
@@ -175,7 +172,7 @@ class Worker:
             log.info("mutation retries exhausted for %s; falling back to Identity", winner)
             child = mu.apply_mutation(parent, mu.MutationKind.Identity, self.rng, child_id)
         net, report = train_individual(
-            child, self.view, self.cfg, self.rng, self.input_shape, self.n_classes,
+            child, self.view, self.cfg, self.rng, self.input_shape,
             parent=(parent, parent_net),
         )
         self.store.append_claim(self.worker_id, child.id)

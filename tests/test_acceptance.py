@@ -255,7 +255,7 @@ def _store_cfg(tmp_path, **overrides):
         population_root=str(tmp_path / "pop"),
         report_dir=str(tmp_path / "reports"),
         data_source="synth",
-        synth_classes=2,
+        n_classes=2,
         synth_count=60,
         synth_size=8,
         synth_seed=1,
@@ -341,7 +341,7 @@ def test_criterion_7_desk_scale_evolution(tmp_path):
         population_root=str(tmp_path / "pop"),
         report_dir=str(tmp_path / "reports"),
         data_source="synth",
-        synth_classes=4,
+        n_classes=4,
         synth_count=480,
         synth_size=16,
         synth_seed=9,
@@ -372,7 +372,7 @@ def _rounds_in_wall_budget(tmp_path, tag, seed, datasets, budget):
         population_root=str(tmp_path / f"pop_{tag}_{seed}"),
         report_dir=str(tmp_path / "reports"),
         data_source="synth",
-        synth_classes=4,
+        n_classes=4,
         workers=1,
         seeds_per_worker=2,
         wall_budget=budget,
@@ -438,7 +438,7 @@ def _history_bytes(tmp_path, tag):
         population_root=str(tmp_path / tag / "pop"),
         report_dir=str(tmp_path / tag / "reports"),
         data_source="synth",
-        synth_classes=2,
+        n_classes=2,
         synth_count=60,
         synth_size=8,
         synth_seed=2,

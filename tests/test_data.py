@@ -85,6 +85,12 @@ class TestSplit:
             counts = np.bincount(part.y, minlength=4)
             assert all(abs(c - share) <= 1 for c in counts)
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_empty_split_rejected(self, count):
+        # 0 samples leave nothing to concatenate; 2 leave val and test empty
+        with pytest.raises(dt.DataError, match="split empty"):
+            dt.split(dt.synth_dataset(2, count, 8, seed=0), seed=0)
+
     def test_deterministic_under_seed(self):
         raw = self.make_raw()
         a = dt.split(raw, seed=7)

@@ -354,28 +354,28 @@ class TestTrainIndividual:
         view = _separable_view(rng)
         g = gn.Genome(id="c", kind=gn.CLASSIFIER, layers=(gn.ConvGene(4, 3, 3, 1),),
                       learning_rate=0.05)
-        cfg = RunConfig(epochs=5, batch_size=20, wall_budget=1)
-        _, report = train_individual(g, view, cfg, rng, (1, 8, 8), n_classes=2)
+        cfg = RunConfig(epochs=5, batch_size=20, wall_budget=1, n_classes=2)
+        _, report = train_individual(g, view, cfg, rng, (1, 8, 8))
         assert report.metric > 0.9
         assert not report.diverged
 
     def test_zero_epochs_forbidden(self, rng):
         view = _separable_view(rng, n=40)
         g = gn.Genome(id="c", kind=gn.CLASSIFIER, layers=(gn.ConvGene(2, 3, 3, 1),))
-        cfg = RunConfig(epochs=5, batch_size=20, wall_budget=1)
+        cfg = RunConfig(epochs=5, batch_size=20, wall_budget=1, n_classes=2)
         cfg.epochs = 0
         with pytest.raises(ValueError):
-            train_individual(g, view, cfg, rng, (1, 8, 8), n_classes=2)
+            train_individual(g, view, cfg, rng, (1, 8, 8))
 
     def test_identity_retrain_does_not_regress_beyond_noise(self, rng):
         view = _separable_view(rng, n=240)
-        cfg = RunConfig(epochs=4, batch_size=20, wall_budget=1)
+        cfg = RunConfig(epochs=4, batch_size=20, wall_budget=1, n_classes=2)
         g = gn.Genome(id="p", kind=gn.CLASSIFIER, layers=(gn.ConvGene(4, 3, 3, 1),),
                       learning_rate=0.05)
-        net, report = train_individual(g, view, cfg, rng, (1, 8, 8), n_classes=2)
+        net, report = train_individual(g, view, cfg, rng, (1, 8, 8))
         child = g.with_child_fields("ch", "Identity")
         _, report2 = train_individual(
-            child, view, cfg, rng, (1, 8, 8), n_classes=2, parent=(g, net)
+            child, view, cfg, rng, (1, 8, 8), parent=(g, net)
         )
         assert report2.metric >= report.metric - 0.05
 
@@ -409,11 +409,11 @@ class TestTrainIndividual:
         view = _separable_view(np.random.default_rng(7), n=80)
         g = gn.Genome(id="c", kind=gn.CLASSIFIER, layers=(gn.ConvGene(3, 3, 3, 1),),
                       learning_rate=0.05)
-        cfg = RunConfig(epochs=2, batch_size=20, wall_budget=1)
+        cfg = RunConfig(epochs=2, batch_size=20, wall_budget=1, n_classes=2)
         nets = []
         for _ in range(2):
             net, _ = train_individual(
-                g, view, cfg, np.random.default_rng(99), (1, 8, 8), n_classes=2
+                g, view, cfg, np.random.default_rng(99), (1, 8, 8)
             )
             nets.append(eng.serialize_network(net))
         assert nets[0] == nets[1]

@@ -31,7 +31,7 @@ def tiny_cfg(tmp_path, **overrides):
         population_root=str(tmp_path / "pop"),
         report_dir=str(tmp_path / "reports"),
         data_source="synth",
-        synth_classes=2,
+        n_classes=2,
         synth_count=60,
         synth_size=8,
         synth_seed=3,
@@ -81,6 +81,14 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("round_budget = 5\nbogus_key = 1\n")
         with pytest.raises(ConfigError, match=":2"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["synth_classes", "synth_channels"])
+    def test_removed_synth_key_rejected(self, tmp_path, key):
+        # n_classes is every source's class count, and synth images have 3 channels
+        path = tmp_path / "run.cfg"
+        path.write_text(f"round_budget = 5\n{key} = 4\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             load_config(path)
 
     def test_bad_value_rejected(self, tmp_path):
@@ -153,6 +161,15 @@ class TestConfig:
         assert cfg.population_root == "from_env"
         assert cfg.report_dir == "rep_env"
 
+    @pytest.mark.parametrize("n_classes", [-1, 0, 1])
+    def test_fewer_than_two_classes_rejected(self, tmp_path, n_classes):
+        # with no class the synth source divides by zero; with one every
+        # classifier scores 1.0
+        path = tmp_path / "run.cfg"
+        path.write_text(f"round_budget = 5\nn_classes = {n_classes}\n")
+        with pytest.raises(ConfigError, match="n_classes"):
+            load_config(path)
+
     def test_missing_budget_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             RunConfig(round_budget=0, wall_budget=0.0).check()
@@ -182,6 +199,19 @@ class TestConfig:
         # round completes; a nan budget never expires
         with pytest.raises(ConfigError):
             tiny_cfg(tmp_path, **overrides)
+
+
+class TestRunData:
+    def test_label_beyond_class_count_rejected(self, tmp_path):
+        # a 10-class EVOD cache read as a 4-class run would index past the head
+        rng = np.random.default_rng(0)
+        for tag in ("train", "val", "test"):
+            y = np.arange(20) % 10
+            dt.write_evod(tmp_path / f"{tag}.evod", dt.Dataset(x=rng.random((20, 2, 4, 4)), y=y))
+        cfg = tiny_cfg(tmp_path, data_source="evod", evod_prefix=f"{tmp_path}/", n_classes=4)
+        with pytest.raises(dt.DataError, match="label 9 .* n_classes = 4"):
+            load_run_data(cfg)
+        assert load_run_data(replace(cfg, n_classes=10))[0].n == 20
 
 
 class TestWorkerSeeding:
@@ -361,8 +391,8 @@ class TestCompose:
         clf_net = eng.deserialize_network(clf_store.load_weights(result["classifier_id"]))
         encoder = eng.Network(enc_net.layers[: len(enc_g.layers)])
         composed, _ = pl.compose_final(result_cfg, result["encoder_id"], result["classifier_id"])
-        # the classifier step runs on EVOD caches but keeps the raw source's class count
-        assert composed.layers[-1].units == result_cfg.synth_classes == 2
+        # the classifier step runs on EVOD caches but keeps the run's class count
+        assert composed.layers[-1].units == result_cfg.n_classes == 2
 
         _train, _val, test = load_run_data(result_cfg)
         x = test.x[:32]
@@ -384,25 +414,6 @@ class TestCompose:
 
 
 class TestCli:
-    def test_select_cae_ranks_front_csv(self, tmp_path):
-        front = tmp_path / "front.csv"
-        with open(front, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "compression", "accuracy"])
-            writer.writerow(["0", "1.00", "0.0"])
-            writer.writerow(["507", "0.66", "0.7028"])
-            writer.writerow(["841", "0.98", "0.1493"])
-        out = subprocess.run(
-            [sys.executable, "-m", "evocnn.cli", "select-cae",
-             "--weights", "0.5,0.5", "--front", str(front)],
-            capture_output=True, text=True, check=True,
-        )
-        lines = out.stdout.strip().splitlines()
-        assert lines[0].startswith("id,")
-        assert lines[1].startswith("507,")
-        score = float(lines[1].split(",")[3])
-        assert score == pytest.approx(0.681018, abs=1e-6)
-
     def test_worker_subprocess_round_trip(self, tmp_path):
         cfg = tiny_cfg(tmp_path, round_budget=1, seeds_per_worker=2)
         cfg_path = tmp_path / "run.cfg"
@@ -421,11 +432,22 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["worker", "--config", "x", "--index", "0", "--kind", "foo"])
 
-    def test_seed_verb_is_gone(self):
-        # run_step seeds every worker itself, so a separate seed verb could only
-        # publish the same seed ids twice
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # run_step seeds every worker itself, so a seed verb could only
+            # publish the same seed ids twice
+            ["seed", "--config", "x"],
+            # the TOPSIS weights are w_compression/w_accuracy in the config
+            ["select-cae", "--weights", "0.5,0.5", "--front", "front.csv"],
+            # the step products chosen_cae.txt and the classifier population name the pair
+            ["compose", "--config", "x", "--encoder-id", "x"],
+        ],
+        ids=["seed", "select-cae", "compose --encoder-id"],
+    )
+    def test_seed_verb_is_gone(self, argv):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["seed", "--config", "x"])
+            cli.main(argv)
         assert exc.value.code == 2
 
     def test_rerun_step_publishes_no_id_twice(self, tmp_path):
@@ -438,6 +460,16 @@ class TestCli:
             cli.main(["evolve-cae", "--config", str(cfg_path)])
         assert (store.list_live(), store.list_dead()) == before
 
+    def test_rerun_multi_worker_step_names_failed_workers(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, workers=2, seeds_per_worker=1, round_budget=1)
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+        cli.main(["evolve-cae", "--config", str(cfg_path)])
+        # both worker processes stop with IdCollision on their first seed
+        with pytest.raises(pl.PipelineError,
+                           match="worker 0 exited with code 1; worker 1 exited with code 1"):
+            cli.main(["evolve-cae", "--config", str(cfg_path)])
+
     def test_evolve_clf_before_encode_names_the_missing_choice(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         save_config(tiny_cfg(tmp_path), cfg_path)
@@ -446,9 +478,9 @@ class TestCli:
 
     def test_verbs_on_one_config_match_full_pipeline(self, tmp_path, capsys):
         def run_cfg(workdir):
-            # n_classes stays at its default 10: the classifier head must still
-            # take the synthetic source's 4 classes
-            return tiny_cfg(workdir, synth_classes=4, synth_count=160, round_budget=2)
+            # step 3 runs on EVOD caches, which carry no class count: the
+            # classifier head must still take the run's 4 classes
+            return tiny_cfg(workdir, n_classes=4, synth_count=160, round_budget=2)
 
         cli_cfg, full_cfg = run_cfg(tmp_path / "cli"), run_cfg(tmp_path / "full")
         cfg_path = tmp_path / "run.cfg"

@@ -41,7 +41,7 @@ def step_config(tmp_path):
         population_root=str(tmp_path / "pop"),
         report_dir=str(tmp_path / "reports"),
         data_source="synth",
-        synth_classes=2,
+        n_classes=2,
         synth_count=60,
         synth_size=8,
         synth_seed=3,
