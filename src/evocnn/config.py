@@ -82,6 +82,12 @@ class RunConfig:
         if self.n_classes < 2:
             # with one class every classifier scores 1.0; with none the synth source divides by 0
             raise ConfigError(f"n_classes must be at least 2, got {self.n_classes}")
+        if self.synth_count < 1 or self.synth_size < 2:
+            # the seed encoder's 2x2 pool needs at least 2x2 pixels
+            raise ConfigError(
+                f"synth_count must be positive and synth_size at least 2, "
+                f"got {self.synth_count} and {self.synth_size}"
+            )
         if self.data_source not in ("synth", "cifar10", "evod"):
             raise ConfigError(f"unknown data_source {self.data_source!r}")
         return self

@@ -9,7 +9,13 @@ et al. 2006) laid out channel-major, (in_channels*kh*kw, batch*oh*ow):
 building it copies whole output rows of ow values, where a
 (batch*oh*ow, in_channels*kh*kw) layout copies runs of only kw. The
 input gradient is scattered back per kernel tap as contiguous
-(in_channels, batch, oh, ow) slabs for the same reason.
+(in_channels, batch, oh, ow) slabs for the same reason. The input is
+written once into a zero-padded buffer, and the matrix is one copy of a
+single strided (in_channels, kh, kw, batch, oh, ow) view of that buffer.
+
+Training needs no input gradient, so its backward pass stops at the
+lowest layer with parameters: that layer computes only its own weight
+and bias gradients, and the layers below it are not called.
 
 Weights are stored as an EVOW blob, all integers little-endian:
 
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import data as dt
 
@@ -76,14 +82,14 @@ def _activate(z, activation):
     raise EngineError(f"unknown activation {activation!r}")
 
 
-def _activate_grad(z, activation):
+def _activate_grad(y, activation):
+    """The activation's derivative, from its output y = _activate(z)."""
     if activation == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return (y > 0.0).astype(y.dtype)
     if activation == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-z))
-        return s * (1.0 - s)
+        return y * (1.0 - y)
     if activation == "linear":
-        return np.ones_like(z)
+        return np.ones_like(y)
     raise EngineError(f"unknown activation {activation!r}")
 
 
@@ -96,6 +102,8 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, gy):
+        """The input gradient; a layer with parameters also sets its own
+        gradients and takes `input_grad=False` to compute only those."""
         raise NotImplementedError
 
     def init_weights(self, rng):
@@ -184,25 +192,30 @@ class ConvLayer(ParamLayer):
         ph = max((oh - 1) * s + self.kh - h, 0)
         pw = max((ow - 1) * s + self.kw - w, 0)
         pt, pl = ph // 2, pw // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pt, ph - pt), (pl, pw - pl)))
-        win = sliding_window_view(xp, (self.kh, self.kw), axis=(2, 3))[:, :, ::s, ::s]
-        cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * self.kh * self.kw, b * oh * ow)
+        xp = np.zeros((b, c, h + ph, w + pw))
+        xp[:, :, pt:pt + h, pl:pl + w] = x
+        sb, sc, sh, sw = xp.strides
+        win = as_strided(xp, (c, self.kh, self.kw, b, oh, ow),
+                         (sc, sh, sw, sb, s * sh, s * sw), writeable=False)
+        cols = win.reshape(c * self.kh * self.kw, b * oh * ow)
         z = self.w.reshape(self.filters, -1) @ cols + self.b[:, None]
-        z = z.reshape(self.filters, b, oh, ow).transpose(1, 0, 2, 3)
-        self._cache = (x.shape, cols, z, (ph, pw, pt, pl, oh, ow))
-        return _activate(z, self.activation)
+        y = _activate(z.reshape(self.filters, b, oh, ow).transpose(1, 0, 2, 3), self.activation)
+        self._cache = (x.shape, cols, y, (ph, pw, pt, pl, oh, ow))
+        return y
 
-    def backward(self, gy):
-        xshape, cols, z, (ph, pw, pt, pl, oh, ow) = self._cache
+    def backward(self, gy, input_grad=True):
+        xshape, cols, y, (ph, pw, pt, pl, oh, ow) = self._cache
         b, c, h, w = xshape
-        if gy.shape != z.shape:
-            raise ShapeError(f"conv backward got grad shape {gy.shape}, expected {z.shape}")
-        gz = gy * _activate_grad(z, self.activation)
+        if gy.shape != y.shape:
+            raise ShapeError(f"conv backward got grad shape {gy.shape}, expected {y.shape}")
+        gz = gy * _activate_grad(y, self.activation)
         # summed row by row over a (b*oh*ow, filters) copy: a sum along
         # gzc's rows would be pairwise and change gb in the last bit
         self.gb = gz.transpose(0, 2, 3, 1).reshape(b * oh * ow, self.filters).sum(axis=0)
         gzc = gz.transpose(1, 0, 2, 3).reshape(self.filters, b * oh * ow)
         self.gw = (gzc @ cols.T).reshape(self.w.shape)
+        if not input_grad:
+            return None
         gcols = self.w.reshape(self.filters, -1).T @ gzc
         g = gcols.reshape(c, self.kh, self.kw, b, oh, ow)
         gxp = np.zeros((c, b, h + ph, w + pw))
@@ -344,11 +357,11 @@ class DenseLayer(ParamLayer):
         self._cache = x
         return x @ self.w + self.b
 
-    def backward(self, gy):
+    def backward(self, gy, input_grad=True):
         x = self._cache
         self.gw = x.T @ gy
         self.gb = gy.sum(axis=0)
-        return gy @ self.w.T
+        return gy @ self.w.T if input_grad else None
 
 
 def softmax_probs(logits):
@@ -400,10 +413,22 @@ class Network:
                 raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from exc
         return x
 
-    def backward(self, gy):
-        for layer in reversed(self.layers):
-            gy = layer.backward(gy)
-        return gy
+    def backward(self, gy, input_grad=True):
+        """Backpropagate `gy` and return the input gradient.
+
+        With `input_grad=False` the pass stops at the lowest layer with
+        parameters, which computes only its own gradients; the layers
+        below it are not called and None is returned.
+        """
+        lowest = 0
+        if not input_grad:
+            lowest = next((i for i, l in enumerate(self.layers) if l.params()), len(self.layers))
+        for i in reversed(range(lowest, len(self.layers))):
+            if input_grad or i > lowest:
+                gy = self.layers[i].backward(gy)
+            else:
+                self.layers[i].backward(gy, input_grad=False)
+        return gy if input_grad else None
 
     def step(self, lr, momentum):
         for layer in self.layers:
@@ -571,7 +596,7 @@ def train_network(net: Network, objective, view: DatasetView, epochs, batch_size
                 loss, gy = objective.batch_loss(net.forward(xb), xb, view.train_y[idx])
                 if not math.isfinite(loss):
                     raise TrainingDiverged(f"loss became {loss}")
-                net.backward(gy)
+                net.backward(gy, input_grad=False)
                 net.step(lr, momentum)
             epochs_run += 1
         metric = objective.metric(net, view)

@@ -111,9 +111,12 @@ class Worker:
         self.index = index
         self.kind = kind
         self.worker_id = f"w{index}"
+        train, val, _test = datasets or load_run_data(cfg)
+        if cfg.batch_size > train.n:
+            # batches drop the remainder, so no epoch would train on anything
+            raise dt.DataError(f"batch_size {cfg.batch_size} exceeds the {train.n} training samples")
         self.rng = np.random.default_rng(worker_seed_for(cfg.master_seed, index))
         self.store = PopulationStore(cfg.population_root)
-        train, val, _test = datasets or load_run_data(cfg)
         self.view = eng.DatasetView(train.x, train.y, val.x, val.y)
         self.input_shape = train.sample_shape
         self.counter = 0

@@ -69,7 +69,7 @@ def test_criterion_1_topsis_fixture():
 # 2. Gradient suite
 # ---------------------------------------------------------------------------
 
-def _random_stack(rng):
+def random_stack(rng):
     """A random small layer stack plus matching input, ready for training."""
     c = int(rng.integers(1, 3))
     h = int(rng.integers(3, 7))
@@ -152,7 +152,7 @@ def test_criterion_2_gradient_suite():
     skipped, total = 0, 0
     with criterion(2, "analytic gradients match finite differences on 100 random stacks"):
         for _ in range(100):
-            net, x, labels, target = _random_stack(rng)
+            net, x, labels, target = random_stack(rng)
 
             def loss_only():
                 out = net.forward(x)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from evocnn import engine as eng
 from evocnn import genome as gn
@@ -18,6 +19,7 @@ from conftest import (
     finite_difference,
     maxpool_oracle,
 )
+from test_acceptance import random_stack
 
 
 def make_conv(in_c, f, kh, kw, stride=1, activation="relu", rng=None):
@@ -60,6 +62,23 @@ def conv_sweep(rng, count=100):
     return cases
 
 
+def padded_window_forward(layer, x):
+    """(output, im2col matrix) from a second construction of the same
+    windows: np.pad, sliding_window_view, a ::stride slice and a 6-axis
+    transpose."""
+    b, c, h, w = x.shape
+    s, kh, kw = layer.stride, layer.kh, layer.kw
+    oh, ow = layer.out_shape(h, w)
+    ph = max((oh - 1) * s + kh - h, 0)
+    pw = max((ow - 1) * s + kw - w, 0)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * oh * ow)
+    z = layer.w.reshape(layer.filters, -1) @ cols + layer.b[:, None]
+    z = z.reshape(layer.filters, b, oh, ow).transpose(1, 0, 2, 3)
+    return eng._activate(z, layer.activation), cols
+
+
 class TestConvForward:
     def test_uniform_input_counts_overlaps(self):
         layer = make_conv(1, 1, 2, 2)
@@ -95,6 +114,16 @@ class TestConvForward:
                 layer.forward(x), conv_oracle(x, layer.w, layer.b, layer.stride),
                 rtol=1e-10, atol=1e-10,
             )
+
+    def test_strided_view_matches_padded_windows_bytewise(self, rng):
+        # the matrix product's operands, and so its sums, are unchanged
+        for layer, x in conv_sweep(rng):
+            for activation in ("relu", "sigmoid", "linear"):
+                layer.activation = activation
+                y = layer.forward(x)
+                ref_y, ref_cols = padded_window_forward(layer, x)
+                assert layer._cache[1].tobytes() == ref_cols.tobytes()
+                assert y.tobytes() == ref_y.tobytes()
 
     def test_channel_mismatch_raises(self, rng):
         layer = make_conv(3, 4, 3, 3, rng=rng)
@@ -149,6 +178,113 @@ class TestConvBackward:
         layer.forward(rng.standard_normal((1, 2, 4, 4)))
         with pytest.raises(eng.ShapeError):
             layer.backward(np.zeros((1, 3, 9, 9)))
+
+
+class ReadCounter(np.ndarray):
+    """Weights that count the arithmetic that reads them. In backward only
+    the input gradient reads a layer's weights."""
+
+    reads = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        ReadCounter.reads += 1
+        inputs = [a.view(np.ndarray) if isinstance(a, ReadCounter) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def grad_bytes(net):
+    return [g.tobytes() for layer in net.layers for g in layer.grads()]
+
+
+def output_grad(net, x, labels, target):
+    out = net.forward(x)
+    if labels is not None:
+        return eng.softmax_cross_entropy(out, labels)[1]
+    return eng.mse_loss(out, target)[1]
+
+
+def record_backward_calls(net):
+    """Wrap each layer's backward; returns the list of (index, kwargs) calls."""
+    calls = []
+    for i, layer in enumerate(net.layers):
+        def spy(gy, _original=layer.backward, _i=i, **kwargs):
+            calls.append((_i, kwargs))
+            return _original(gy, **kwargs)
+        layer.backward = spy
+    return calls
+
+
+class TestTrainingBackward:
+    """`input_grad=False`, training's backward: the parameter gradients of
+    the full pass and none of the work below them."""
+
+    def test_random_stacks_keep_parameter_grads_bytewise(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            net, x, labels, target = random_stack(rng)
+            gy = output_grad(net, x, labels, target)
+            net.backward(gy)
+            full = grad_bytes(net)
+            for layer in net.layers:
+                if layer.params():
+                    layer.gw = layer.gb = None
+            assert net.backward(gy, input_grad=False) is None
+            assert grad_bytes(net) == full
+
+    def test_conv_sweep_keeps_parameter_grads_bytewise(self, rng):
+        for layer, x in conv_sweep(rng):
+            for activation in ("relu", "sigmoid", "linear"):
+                layer.activation = activation
+                gy = rng.standard_normal(layer.forward(x).shape)
+                layer.backward(gy)
+                full = (layer.gw.tobytes(), layer.gb.tobytes())
+                layer.gw = layer.gb = None
+                assert layer.backward(gy, input_grad=False) is None
+                assert (layer.gw.tobytes(), layer.gb.tobytes()) == full
+
+    @pytest.mark.parametrize("kind", ["conv", "dense"])
+    def test_lowest_layer_skips_its_input_gradient(self, rng, kind):
+        if kind == "conv":
+            layer, x = make_conv(2, 3, 3, 3, stride=2, rng=rng), rng.standard_normal((2, 2, 5, 5))
+        else:
+            layer, x = eng.DenseLayer(6, 4), rng.standard_normal((2, 6))
+            layer.init_weights(rng)
+        gy = rng.standard_normal(layer.forward(x).shape)
+        layer.w = layer.w.view(ReadCounter)
+        ReadCounter.reads = 0
+        layer.backward(gy, input_grad=False)
+        assert ReadCounter.reads == 0
+        layer.backward(gy)
+        assert ReadCounter.reads > 0
+
+    def test_no_layer_below_the_lowest_weighted_one_is_called(self):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(100):
+            net, x, labels, target = random_stack(rng)
+            gy = output_grad(net, x, labels, target)
+            calls = record_backward_calls(net)
+            net.backward(gy, input_grad=False)
+            lowest = min((i for i, l in enumerate(net.layers) if l.params()), default=len(net.layers))
+            expected = [(i, {}) for i in range(len(net.layers) - 1, lowest, -1)]
+            if lowest < len(net.layers):
+                expected.append((lowest, {"input_grad": False}))
+            assert calls == expected
+            if lowest == len(net.layers):
+                seen.add("no weights")
+            else:
+                seen.add("layers below" if lowest else "weights first")
+        assert seen == {"no weights", "layers below", "weights first"}
+
+    def test_pool_only_autoencoder_trains_without_backward(self, rng):
+        g = gn.Genome(id="p", kind=gn.ENCODER, layers=(gn.PoolGene(2, 2),))
+        net = build_network(g, (1, 8, 8), rng)
+        calls = record_backward_calls(net)
+        report = eng.train_network(
+            net, gn.GENOME_KINDS[gn.ENCODER], _separable_view(rng, n=40), 2, 8, 0.1, 0.9, rng
+        )
+        assert calls == []
+        assert report.epochs_run == 2 and report.final_train_loss > 0 and not report.diverged
 
 
 class TestMaxPool:

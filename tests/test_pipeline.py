@@ -170,6 +170,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_classes"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "overrides", [{"synth_count": -4}, {"synth_count": 0}, {"synth_size": 1}, {"synth_size": 0}],
+        ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_synth_shape_without_a_seed_network_rejected(self, tmp_path, overrides):
+        # a negative count fails in numpy, and the seed encoder's 2x2 pool
+        # does not fit a 1x1 image
+        with pytest.raises(ConfigError, match="synth_"):
+            tiny_cfg(tmp_path, **overrides)
+
+    def test_smallest_synth_shape_accepted(self, tmp_path):
+        tiny_cfg(tmp_path, synth_count=1, synth_size=2)
+
     def test_missing_budget_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             RunConfig(round_budget=0, wall_budget=0.0).check()
@@ -212,6 +225,15 @@ class TestRunData:
         with pytest.raises(dt.DataError, match="label 9 .* n_classes = 4"):
             load_run_data(cfg)
         assert load_run_data(replace(cfg, n_classes=10))[0].n == 20
+
+    def test_batch_larger_than_train_split_rejected(self, tmp_path):
+        # batches drop the remainder, so every epoch would train on nothing
+        cfg = tiny_cfg(tmp_path)
+        n = load_run_data(cfg)[0].n
+        with pytest.raises(dt.DataError, match=f"batch_size {n + 1} .* {n} training"):
+            Worker(replace(cfg, batch_size=n + 1), 0, gn.ENCODER)
+        assert not Path(cfg.population_root).exists()
+        Worker(replace(cfg, batch_size=n), 0, gn.ENCODER).seed_population()
 
 
 class TestWorkerSeeding:

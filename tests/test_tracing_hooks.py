@@ -5,6 +5,7 @@ runs short traced steps so tier-1 catches it. The tracer also reads
 `train_network`'s arguments by position (the view at 2, the batch size
 at 4), so a reordered signature would miscount the trained samples."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -91,3 +92,16 @@ def test_traced_clf_step_counts_every_trained_sample(tmp_path):
     assert metrics["engine.train_samples"] == trained * cfg.epochs * per_epoch
     assert metrics["engine.train_loop_self_s"] > 0
     assert metrics["engine.dense.calls"] > 0
+
+
+def test_traced_step_history_equals_untraced(tmp_path):
+    # the tracer wraps every layer's backward, which training calls with a
+    # keyword: a wrapper that rejects it fails the step, and one that
+    # changes arguments or results changes what evolves
+    digests = []
+    for name, run in (("traced", traced_step), ("untraced", pipeline.run_step)):
+        cfg = step_config(tmp_path / name)
+        run(cfg, genome.ENCODER)
+        history = Path(cfg.report_dir) / f"history_{genome.GENOME_KINDS[genome.ENCODER].step}.csv"
+        digests.append(hashlib.sha256(history.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
