@@ -1,19 +1,11 @@
-"""Run configuration: one flat key=value text file, env overrides for paths."""
+"""Run configuration: one flat key=value text file, the only source of a
+run's settings; no environment variable overrides it, paths included."""
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-
-# Env overrides apply to paths only.
-ENV_PATHS = {
-    "EVOCNN_POPULATION_ROOT": "population_root",
-    "EVOCNN_REPORT_DIR": "report_dir",
-    "EVOCNN_DATASET_DIR": "dataset_dir",
-    "EVOCNN_EVOD_PREFIX": "evod_prefix",
-}
 
 
 class ConfigError(Exception):
@@ -119,11 +111,7 @@ def load_config(path) -> RunConfig:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    cfg = RunConfig(**_parse(text, path))
-    for env, attr in ENV_PATHS.items():
-        if env in os.environ:
-            setattr(cfg, attr, os.environ[env])
-    return cfg.check()
+    return RunConfig(**_parse(text, path)).check()
 
 
 def save_config(cfg: RunConfig, path):

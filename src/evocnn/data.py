@@ -66,17 +66,12 @@ def serialize_cifar_batch(labels, pixels) -> bytes:
 
 
 def load_cifar10(path) -> Dataset:
-    """All records from the binary batch files under `path`, scaled to [0,1].
-
-    Looks for the standard data_batch_*.bin / test_batch.bin names and
-    falls back to every *.bin file, sorted.
-    """
+    """All records from the binary batch files under `path`, scaled to [0,1]:
+    the standard data_batch_*.bin and test_batch.bin names only."""
     root = Path(path)
     files = sorted(root.glob("data_batch_*.bin")) + sorted(root.glob("test_batch.bin"))
     if not files:
-        files = sorted(root.glob("*.bin"))
-    if not files:
-        raise DataError(f"no CIFAR-10 binary batch files under {root}")
+        raise DataError(f"no CIFAR-10 batch files (data_batch_*.bin, test_batch.bin) under {root}")
     labels, pixels = [], []
     for f in files:
         lab, pix = parse_cifar_batch(f.read_bytes())

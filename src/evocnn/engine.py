@@ -124,7 +124,8 @@ class Layer:
 
 
 class ParamLayer(Layer):
-    """A layer with one weight array and one bias vector."""
+    """A layer with one weight array and one bias vector; `fan_in` is the
+    number of inputs that feed each output."""
 
     def __init__(self):
         self.w = None
@@ -134,6 +135,10 @@ class ParamLayer(Layer):
         self.gw = None
         self.gb = None
         self._cache = None
+
+    def init_weights(self, rng):
+        w_shape, b_shape = self.param_shapes()
+        self.set_params(fan_in_normal(w_shape, self.fan_in, rng), np.zeros(b_shape))
 
     def set_params(self, w, b):
         """Install weights and biases; momentum restarts from zero."""
@@ -170,10 +175,7 @@ class ConvLayer(ParamLayer):
         self.kw = kw
         self.stride = stride
         self.activation = activation
-
-    def init_weights(self, rng):
-        fan_in = self.in_channels * self.kh * self.kw
-        self.set_params(fan_in_normal(self.param_shapes()[0], fan_in, rng), np.zeros(self.filters))
+        self.fan_in = in_channels * kh * kw
 
     def param_shapes(self):
         return (self.filters, self.in_channels, self.kh, self.kw), (self.filters,)
@@ -342,11 +344,7 @@ class DenseLayer(ParamLayer):
         super().__init__()
         self.in_features = in_features
         self.units = units
-
-    def init_weights(self, rng):
-        self.set_params(
-            fan_in_normal(self.param_shapes()[0], self.in_features, rng), np.zeros(self.units)
-        )
+        self.fan_in = in_features
 
     def param_shapes(self):
         return (self.in_features, self.units), (self.units,)
@@ -364,21 +362,16 @@ class DenseLayer(ParamLayer):
         return gy @ self.w.T if input_grad else None
 
 
-def softmax_probs(logits):
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy over the batch and its gradient wrt logits."""
     if not np.all(np.isfinite(logits)):
         raise TrainingDiverged("non-finite logits in softmax head")
     n = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    loss = float((lse - logits[np.arange(n), labels]).mean())
-    grad = softmax_probs(logits)
+    e = np.exp(logits - m)
+    total = e.sum(axis=1)
+    loss = float((m[:, 0] + np.log(total) - logits[np.arange(n), labels]).mean())
+    grad = e / total[:, None]  # the softmax probabilities
     grad[np.arange(n), labels] -= 1.0
     return loss, grad / n
 

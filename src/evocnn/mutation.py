@@ -31,9 +31,21 @@ _INSERTS = {  # kind -> maker of the inserted gene
     MutationKind.InsertPool: lambda rng: gn.PoolGene(2, 2),
 }
 _REMOVES = {MutationKind.RemoveConv: gn.ConvGene, MutationKind.RemovePool: gn.PoolGene}
-_RESIZES = {  # kind -> (gene class, window fields)
-    MutationKind.AlterFilterSize: (gn.ConvGene, ("kh", "kw")),
-    MutationKind.AlterPoolSize: (gn.PoolGene, ("ph", "pw")),
+
+
+def _step(old, up):
+    return old + 1 if up else old - 1
+
+
+def _double_or_halve(old, up):
+    return min(old * 2, gn.FILTERS_MAX) if up else max(old // 2, 1)
+
+
+_ALTERS = {  # kind -> (gene class, its fields, new value from the old one and the direction)
+    MutationKind.AlterFilterSize: (gn.ConvGene, ("kh", "kw"), _step),
+    MutationKind.AlterPoolSize: (gn.PoolGene, ("ph", "pw"), _step),
+    MutationKind.AlterStride: (gn.ConvGene, ("stride",), _step),
+    MutationKind.AlterFilterNumber: (gn.ConvGene, ("filters",), _double_or_halve),
 }
 
 
@@ -41,18 +53,6 @@ def _pick(layers, cls, rng):
     """Index of a uniformly drawn gene of class cls, or None when there is none."""
     indices = [i for i, gene in enumerate(layers) if type(gene) is cls]
     return indices[int(rng.integers(len(indices)))] if indices else None
-
-
-def _altered(g, kind, child_id, layers, i, **changes):
-    """The child with gene i's fields changed, or None when they leave the
-    gene's bounds."""
-    gene = replace(layers[i], **changes)
-    try:
-        gene.check()
-    except gn.GenomeError:
-        return INAPPLICABLE
-    layers[i] = gene
-    return g.with_child_fields(child_id, kind.value, layers=layers)
 
 
 def apply_mutation(g, kind: MutationKind, rng, child_id):
@@ -78,31 +78,24 @@ def apply_mutation(g, kind: MutationKind, rng, child_id):
         layers.pop(i)
         return g.with_child_fields(child_id, kind.value, layers=layers)
 
-    if kind in _RESIZES:
-        cls, dims = _RESIZES[kind]
+    if kind in _ALTERS:
+        # seeded histories depend on the draw order: the gene, the field
+        # (two-field kinds only), then the direction
+        cls, names, new_value = _ALTERS[kind]
         i = _pick(layers, cls, rng)
         if i is None:
             return INAPPLICABLE
-        dim = dims[int(rng.integers(2))]
-        delta = 1 if rng.integers(2) else -1
-        return _altered(g, kind, child_id, layers, i, **{dim: getattr(layers[i], dim) + delta})
-
-    if kind is MutationKind.AlterStride:
-        i = _pick(layers, gn.ConvGene, rng)
-        if i is None:
+        name = names[int(rng.integers(2))] if len(names) == 2 else names[0]
+        old = getattr(layers[i], name)
+        new = new_value(old, bool(rng.integers(2)))
+        if new == old:
             return INAPPLICABLE
-        delta = 1 if rng.integers(2) else -1
-        return _altered(g, kind, child_id, layers, i, stride=layers[i].stride + delta)
-
-    if kind is MutationKind.AlterFilterNumber:
-        i = _pick(layers, gn.ConvGene, rng)
-        if i is None:
+        layers[i] = replace(layers[i], **{name: new})
+        try:
+            layers[i].check()
+        except gn.GenomeError:  # the new value leaves the gene's bounds
             return INAPPLICABLE
-        f = layers[i].filters
-        new_f = min(f * 2, gn.FILTERS_MAX) if rng.integers(2) else max(f // 2, 1)
-        if new_f == f:
-            return INAPPLICABLE
-        return _altered(g, kind, child_id, layers, i, filters=new_f)
+        return g.with_child_fields(child_id, kind.value, layers=layers)
 
     if kind is MutationKind.AlterLearningRate:
         factor = 2.0 if rng.integers(2) else 0.5

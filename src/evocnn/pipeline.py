@@ -9,7 +9,6 @@ processes coordinated only through the population directory.
 from __future__ import annotations
 
 import csv
-import os
 import subprocess
 import sys
 from dataclasses import dataclass, replace
@@ -18,7 +17,7 @@ from pathlib import Path
 from . import data as dt
 from . import engine as eng
 from . import genome as gn
-from .config import ENV_PATHS, RunConfig, save_config
+from .config import RunConfig, save_config
 from .mcdm import Alternative, TopsisWeights, select_best
 from .popstore import PopulationStore
 from .selection import pareto_fronts
@@ -112,16 +111,12 @@ def run_step(cfg: RunConfig, kind: str) -> StepSummary:
     else:
         cfg_path = report_dir / f"worker_{name}.cfg"
         save_config(step_cfg, cfg_path)
-        # the saved config already holds this step's paths; an environment
-        # override re-applied in the workers would drop the step's subdirectory
-        env = {k: v for k, v in os.environ.items() if k not in ENV_PATHS}
         procs = [
             subprocess.Popen(
                 [
                     sys.executable, "-m", "evocnn.cli", "worker",
                     "--config", str(cfg_path), "--index", str(i), "--kind", kind,
-                ],
-                env=env,
+                ]
             )
             for i in range(cfg.workers)
         ]
@@ -141,7 +136,7 @@ def run_step(cfg: RunConfig, kind: str) -> StepSummary:
 
 
 def live_cae_alternatives(store: PopulationStore):
-    """(alternatives on Pareto front 0, id -> (compression, accuracy))."""
+    """The live autoencoders on Pareto front 0, as TOPSIS alternatives."""
     fitness = store.load_all_fitness()
     pairs = {iid: meta.record.pair for iid, meta in fitness.items() if meta.record.pair}
     if not pairs:
@@ -149,24 +144,26 @@ def live_cae_alternatives(store: PopulationStore):
     ids = sorted(pairs)
     fronts = pareto_fronts([pairs[i] for i in ids])
     front0 = [ids[i] for i in fronts[0]]
-    alts = [
+    return [
         Alternative(id=iid, compression=pairs[iid][0], accuracy=min(pairs[iid][1], 1.0))
         for iid in front0
     ]
-    return alts, pairs
+
+
+def load_encoder(store: PopulationStore, encoder_id) -> eng.Network:
+    """A stored autoencoder's encoder: the layers of its genes, decoder dropped."""
+    g = gn.deserialize(store.load_genome_text(encoder_id))
+    net = eng.deserialize_network(store.load_weights(encoder_id))
+    return eng.Network(net.layers[: len(g.layers)])
 
 
 def finalize_cae_step(cfg: RunConfig, datasets=None):
     """Pick the TOPSIS-best front-0 autoencoder and cache the encoded
     train/val/test splits next to its id. Returns (encoder id, prefix)."""
     store = PopulationStore(step_population_root(cfg, gn.ENCODER))
-    alts, _ = live_cae_alternatives(store)
     weights = TopsisWeights(cfg.w_compression, cfg.w_accuracy)
-    chosen = select_best(alts, weights)
-    encoder_id = chosen.id
-    g = gn.deserialize(store.load_genome_text(encoder_id))
-    full_net = eng.deserialize_network(store.load_weights(encoder_id))
-    encoder_net = eng.Network(full_net.layers[: len(g.layers)])
+    encoder_id = select_best(live_cae_alternatives(store), weights).id
+    encoder_net = load_encoder(store, encoder_id)
     if datasets is None:
         datasets = load_run_data(cfg)
     report_dir = Path(cfg.report_dir)
@@ -214,13 +211,10 @@ def compose_final(cfg: RunConfig, encoder_id, classifier_id, datasets=None):
 
     Returns (composed Network, test accuracy).
     """
-    cae_store = PopulationStore(step_population_root(cfg, gn.ENCODER))
+    encoder = load_encoder(PopulationStore(step_population_root(cfg, gn.ENCODER)), encoder_id)
     clf_store = PopulationStore(step_population_root(cfg, gn.CLASSIFIER))
-    enc_g = gn.deserialize(cae_store.load_genome_text(encoder_id))
-    enc_net = eng.deserialize_network(cae_store.load_weights(encoder_id))
     clf_net = eng.deserialize_network(clf_store.load_weights(classifier_id))
-    encoder_layers = enc_net.layers[: len(enc_g.layers)]
-    composed = eng.Network(encoder_layers + clf_net.layers)
+    composed = eng.Network(encoder.layers + clf_net.layers)
     if datasets is None:
         datasets = load_run_data(cfg)
     test = datasets[2]

@@ -91,15 +91,13 @@ def tournament_compare(id_a, id_b, records, rng):
         raise ValueError("contestants must differ")
     rec_a, rec_b = records[id_a], records[id_b]
 
-    def coin():
-        return (id_a, id_b, "coin") if rng.integers(2) else (id_b, id_a, "coin")
+    def ordered(a_wins, reason):
+        return (id_a, id_b, reason) if a_wins else (id_b, id_a, reason)
 
     if rec_a.scalar is not None:
         if rec_a.scalar == rec_b.scalar:
-            return coin()
-        if rec_a.scalar > rec_b.scalar:
-            return id_a, id_b, "scalar"
-        return id_b, id_a, "scalar"
+            return ordered(rng.integers(2), "coin")
+        return ordered(rec_a.scalar > rec_b.scalar, "scalar")
 
     ids = sorted(records)
     pairs = [records[i].pair for i in ids]
@@ -112,13 +110,9 @@ def tournament_compare(id_a, id_b, records, rng):
             rank[ids[i]] = r
             front_of[ids[i]] = members
     if rank[id_a] != rank[id_b]:
-        winner = id_a if rank[id_a] < rank[id_b] else id_b
-        loser = id_b if winner == id_a else id_a
-        return winner, loser, "front"
+        return ordered(rank[id_a] < rank[id_b], "front")
     iso_a = isolation(rec_a.pair, front_of[id_a])
     iso_b = isolation(rec_b.pair, front_of[id_b])
     if iso_a == iso_b:
-        return coin()
-    winner = id_a if iso_a > iso_b else id_b
-    loser = id_b if winner == id_a else id_a
-    return winner, loser, "isolation"
+        return ordered(rng.integers(2), "coin")
+    return ordered(iso_a > iso_b, "isolation")

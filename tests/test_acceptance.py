@@ -3,11 +3,13 @@
 Each test covers one numbered acceptance criterion and prints a
 ``PASS criterion N`` line on success (run with ``pytest -s`` to see
 them); a failed assertion prints a matching ``FAIL`` line and fails
-the test as usual.
+the test as usual. Facts a test adds to the list that `criterion`
+yields are printed at the end of that line.
 """
 
 import contextlib
 import csv
+import hashlib
 import os
 import signal
 import statistics
@@ -37,12 +39,13 @@ from test_genome import random_valid_encoder
 
 @contextlib.contextmanager
 def criterion(number, description):
+    facts = []
     try:
-        yield
+        yield facts
     except Exception:
-        print(f"FAIL criterion {number}: {description}")
+        print(f"FAIL criterion {number}: {description}" + "".join(f"; {f}" for f in facts))
         raise
-    print(f"PASS criterion {number}: {description}")
+    print(f"PASS criterion {number}: {description}" + "".join(f"; {f}" for f in facts))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +355,13 @@ def test_criterion_7_desk_scale_evolution(tmp_path):
         batch_size=30,
         master_seed=7,
     ).check()
-    with criterion(7, "150-round classifier evolution reaches validation accuracy >= 0.60"):
+    with criterion(7, "150-round classifier evolution reaches validation accuracy >= 0.60") as facts:
         summary = pl.run_step(cfg, gn.CLASSIFIER)
+        # the work done, so that a slow run shows whether it did more work or ran slower
+        store = PopulationStore(pl.step_population_root(cfg, gn.CLASSIFIER))
+        walls = [store.load_fitness(i).wall_seconds for i in store.list_live()]
+        walls += [store.load_fitness(i, dirname="dead").wall_seconds for i in store.list_dead()]
+        facts.append(f"{len(walls)} individuals published, {sum(walls):.1f} s summed training wall")
         assert summary.best_metric >= 0.60
         with open(summary.history_csv, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -433,7 +441,7 @@ def test_criterion_9_cifar_loader(tmp_path):
 # 10. Determinism of history exports
 # ---------------------------------------------------------------------------
 
-def _history_bytes(tmp_path, tag):
+def _history_bytes(tmp_path, tag, kind=gn.ENCODER, round_budget=6):
     cfg = RunConfig(
         population_root=str(tmp_path / tag / "pop"),
         report_dir=str(tmp_path / tag / "reports"),
@@ -444,13 +452,21 @@ def _history_bytes(tmp_path, tag):
         synth_seed=2,
         workers=1,
         seeds_per_worker=2,
-        round_budget=6,
+        round_budget=round_budget,
         epochs=1,
         batch_size=10,
         master_seed=10,
     ).check()
-    summary = pl.run_step(cfg, gn.ENCODER)
+    summary = pl.run_step(cfg, kind)
     return Path(summary.history_csv).read_bytes()
+
+
+# sha256 of each step's 30-round history; a change that alters the seeded
+# numerics changes these constants in its own diff
+PINNED_HISTORY_SHA256 = {
+    gn.ENCODER: "4690a1bd499f7ff805c3bcac12c94febacc8aa20be376ce25782aaf1dfc03321",
+    gn.CLASSIFIER: "f6e452bde0b31ea1c04328bcc4e41aa14e5b242054eaebf7c9f0d0cd65c4320a",
+}
 
 
 def test_criterion_10_bit_identical_history(tmp_path):
@@ -459,3 +475,10 @@ def test_criterion_10_bit_identical_history(tmp_path):
         second = _history_bytes(tmp_path, "b")
         assert first == second
         assert len(first.splitlines()) == 1 + 2 + 6  # header + seeds + rounds
+
+
+def test_criterion_10_pinned_history_digests(tmp_path):
+    with criterion(10, "seeded 30-round histories of both steps match their pinned sha256"):
+        for kind, digest in PINNED_HISTORY_SHA256.items():
+            history = _history_bytes(tmp_path, kind, kind=kind, round_budget=30)
+            assert hashlib.sha256(history).hexdigest() == digest, kind

@@ -56,6 +56,13 @@ class TestCifarFormat:
         with pytest.raises(dt.DataError):
             dt.load_cifar10(tmp_path)
 
+    def test_stray_bin_file_is_not_cifar(self, tmp_path, rng):
+        # a valid record under another name is not a CIFAR-10 batch
+        labels, pixels = random_batch(rng, 1)
+        (tmp_path / "other.bin").write_bytes(dt.serialize_cifar_batch(labels, pixels))
+        with pytest.raises(dt.DataError, match=r"data_batch_\*\.bin, test_batch\.bin"):
+            dt.load_cifar10(tmp_path)
+
 
 class TestSplit:
     def make_raw(self, per_class=60, classes=4, seed=0):

@@ -384,9 +384,39 @@ class TestSoftmaxHead:
         )
         assert loss == pytest.approx(ref, rel=1e-6)
 
-    def test_probabilities_sum_to_one(self, rng):
-        probs = eng.softmax_probs(rng.standard_normal((8, 10)) * 5)
+    def test_gradient_holds_probabilities(self, rng):
+        # grad = (probs - one_hot) / n, so grad * n + one_hot gives the probabilities back
+        labels = rng.integers(0, 10, 8)
+        _, grad = eng.softmax_cross_entropy(rng.standard_normal((8, 10)) * 5, labels)
+        probs = grad * 8 + np.eye(10)[labels]
+        assert np.all((probs > 0) & (probs <= 1))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+
+    @staticmethod
+    def two_pass(logits, labels):
+        """Reference: the loss, then the probabilities from a separate softmax
+        pass with its own max, exp and sum."""
+        n = logits.shape[0]
+        m = logits.max(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+        loss = float((lse - logits[np.arange(n), labels]).mean())
+        m = logits.max(axis=1, keepdims=True)
+        e = np.exp(logits - m)
+        grad = e / e.sum(axis=1, keepdims=True)
+        grad[np.arange(n), labels] -= 1.0
+        return loss, grad / n
+
+    def test_one_pass_equals_two_pass_bytes(self, rng):
+        for scale in np.geomspace(0.1, 300, 60):
+            for _ in range(10):
+                n, k = int(rng.integers(1, 40)), int(rng.integers(2, 12))
+                logits = rng.standard_normal((n, k)) * scale
+                labels = rng.integers(0, k, n)
+                loss, grad = eng.softmax_cross_entropy(logits, labels)
+                ref_loss, ref_grad = self.two_pass(logits, labels)
+                assert struct.pack("<d", loss) == struct.pack("<d", ref_loss)
+                assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
+                assert grad.tobytes() == ref_grad.tobytes()
 
     def test_nonfinite_logits_raise_training_failure(self):
         logits = np.zeros((1, 3))

@@ -195,3 +195,93 @@ class TestMutateValid:
         g = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2))
         with pytest.raises(ValueError):
             mu.mutate_valid(g, (3, 32, 32), rng, "c", max_tries=0)
+
+
+# The four alteration kinds as `apply_mutation` drew them in three separate
+# branches before they became one table; the reference the table must match.
+ALTERATIONS = (
+    mu.MutationKind.AlterFilterSize, mu.MutationKind.AlterPoolSize,
+    mu.MutationKind.AlterStride, mu.MutationKind.AlterFilterNumber,
+)
+
+
+def reference_alteration(g, kind, rng, child_id):
+    layers = list(g.layers)
+
+    def pick(cls):
+        indices = [i for i, gene in enumerate(layers) if type(gene) is cls]
+        return indices[int(rng.integers(len(indices)))] if indices else None
+
+    def altered(i, **changes):
+        gene = dataclasses.replace(layers[i], **changes)
+        try:
+            gene.check()
+        except gn.GenomeError:
+            return None
+        layers[i] = gene
+        return g.with_child_fields(child_id, kind.value, layers=layers)
+
+    resizes = {
+        mu.MutationKind.AlterFilterSize: (gn.ConvGene, ("kh", "kw")),
+        mu.MutationKind.AlterPoolSize: (gn.PoolGene, ("ph", "pw")),
+    }
+    if kind in resizes:
+        cls, dims = resizes[kind]
+        i = pick(cls)
+        if i is None:
+            return None
+        dim = dims[int(rng.integers(2))]
+        delta = 1 if rng.integers(2) else -1
+        return altered(i, **{dim: getattr(layers[i], dim) + delta})
+    if kind is mu.MutationKind.AlterStride:
+        i = pick(gn.ConvGene)
+        if i is None:
+            return None
+        delta = 1 if rng.integers(2) else -1
+        return altered(i, stride=layers[i].stride + delta)
+    assert kind is mu.MutationKind.AlterFilterNumber
+    i = pick(gn.ConvGene)
+    if i is None:
+        return None
+    f = layers[i].filters
+    new_f = min(f * 2, gn.FILTERS_MAX) if rng.integers(2) else max(f // 2, 1)
+    if new_f == f:
+        return None
+    return altered(i, filters=new_f)
+
+
+def _bounded(rng, low, high):
+    """A value in [low, high], at a bound half the time so both steps off it are drawn."""
+    return int(rng.choice((low, high))) if rng.random() < 0.5 else int(rng.integers(low, high + 1))
+
+
+def random_genes_genome(rng):
+    """An encoder of 1-5 in-bounds genes; pool-free and conv-free ones included."""
+    layers = []
+    for _ in range(int(rng.integers(1, 6))):
+        if rng.random() < 0.6:
+            layers.append(gn.ConvGene(
+                _bounded(rng, 1, gn.FILTERS_MAX), _bounded(rng, 1, gn.FILTER_DIM_MAX),
+                _bounded(rng, 1, gn.FILTER_DIM_MAX), _bounded(rng, 1, gn.STRIDE_MAX)))
+        else:
+            layers.append(gn.PoolGene(_bounded(rng, 2, gn.POOL_MAX), _bounded(rng, 2, gn.POOL_MAX)))
+    return enc(*layers)
+
+
+class TestAlterationTable:
+    def test_draws_what_the_separate_branches_drew(self):
+        genomes = np.random.default_rng(2024)
+        ours, theirs = np.random.default_rng(77), np.random.default_rng(77)
+        outcomes = set()
+        for n in range(10_000):
+            g = random_genes_genome(genomes)
+            for kind in ALTERATIONS:
+                child = mu.apply_mutation(g, kind, ours, f"c{n}")
+                expected = reference_alteration(g, kind, theirs, f"c{n}")
+                assert (child is None) == (expected is None), (gn.serialize(g), kind)
+                if child is not None:
+                    assert gn.serialize(child) == gn.serialize(expected), (gn.serialize(g), kind)
+                assert ours.bit_generator.state == theirs.bit_generator.state, (gn.serialize(g), kind)
+                outcomes.add((kind, child is None))
+        # every kind was both applied and found inapplicable
+        assert outcomes == {(kind, none) for kind in ALTERATIONS for none in (True, False)}

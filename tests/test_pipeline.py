@@ -18,7 +18,6 @@ from evocnn import genome as gn
 from evocnn import pipeline as pl
 from evocnn import worker as wk
 from evocnn import cli
-from evocnn import config as cf
 from evocnn.config import ConfigError, RunConfig, load_config, save_config
 from evocnn.popstore import IdCollision, PopulationStore
 from evocnn.worker import Worker, load_run_data, worker_seed_for
@@ -141,9 +140,7 @@ class TestConfig:
     @example({"population_root": "runs/run#1/pop"}, 0.01, 0)
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_saved_config_loads_back_equal(self, tmp_path, monkeypatch, paths, lr, seed):
-        for env in cf.ENV_PATHS:
-            monkeypatch.delenv(env, raising=False)
+    def test_saved_config_loads_back_equal(self, tmp_path, paths, lr, seed):
         cfg = RunConfig(round_budget=1, learning_rate=lr, master_seed=seed, **paths).check()
         path = tmp_path / "saved.cfg"
         try:
@@ -152,14 +149,16 @@ class TestConfig:
             return
         assert load_config(path) == cfg
 
-    def test_env_overrides_paths_only(self, tmp_path, monkeypatch):
+    def test_environment_does_not_override_paths(self, tmp_path, monkeypatch):
+        # the four variables that once overrode the path keys
+        for name in ("POPULATION_ROOT", "REPORT_DIR", "DATASET_DIR", "EVOD_PREFIX"):
+            monkeypatch.setenv(f"EVOCNN_{name}", f"from_env_{name.lower()}")
         path = tmp_path / "run.cfg"
-        path.write_text("round_budget = 5\npopulation_root = from_file\n")
-        monkeypatch.setenv("EVOCNN_POPULATION_ROOT", "from_env")
-        monkeypatch.setenv("EVOCNN_REPORT_DIR", "rep_env")
+        path.write_text("round_budget = 5\npopulation_root = pop_file\nreport_dir = rep_file\n"
+                        "dataset_dir = data_file\nevod_prefix = evod_file\n")
         cfg = load_config(path)
-        assert cfg.population_root == "from_env"
-        assert cfg.report_dir == "rep_env"
+        assert (cfg.population_root, cfg.report_dir, cfg.dataset_dir, cfg.evod_prefix) == (
+            "pop_file", "rep_file", "data_file", "evod_file")
 
     @pytest.mark.parametrize("n_classes", [-1, 0, 1])
     def test_fewer_than_two_classes_rejected(self, tmp_path, n_classes):
@@ -385,7 +384,7 @@ class TestCaeSelection:
         cfg = tiny_cfg(tmp_path, round_budget=3)
         pl.run_step(cfg, gn.ENCODER)
         store = PopulationStore(pl.step_population_root(cfg, gn.ENCODER))
-        alts, _ = pl.live_cae_alternatives(store)
+        alts = pl.live_cae_alternatives(store)
         encoder_id, _ = pl.finalize_cae_step(cfg)
         assert encoder_id in {a.id for a in alts}
 
