@@ -173,12 +173,9 @@ def synth_dataset(classes, count, size, channels=3, seed=0, noise=0.05) -> Datas
 # Encoding through a trained CAE and the EVOD cache format
 # ---------------------------------------------------------------------------
 
-def encode_dataset(encoder_net, ds: Dataset, chunk=256) -> Dataset:
+def encode_dataset(encoder_net, ds: Dataset) -> Dataset:
     """Replace every sample with its encoding; labels and split kept."""
-    parts = []
-    for i in range(0, ds.n, chunk):
-        parts.append(encoder_net.forward(ds.x[i:i + chunk]))
-    return replace(ds, x=np.concatenate(parts))
+    return replace(ds, x=np.concatenate([out for _, out in encoder_net.forward_chunks(ds.x)]))
 
 
 _EVOD_MAGIC = b"EVOD"

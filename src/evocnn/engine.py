@@ -32,7 +32,7 @@ Tags and hyperparameter orders come from `LAYER_KINDS`:
     5 flatten   -
     6 dense     in_features units
 
-Activations are coded relu 0, sigmoid 1, linear 2. Conv weights are
+Activations are coded relu 0, sigmoid 1. Conv weights are
 laid out (filters, in_channels, kh, kw), dense weights (in_features,
 units).
 """
@@ -77,8 +77,6 @@ def _activate(z, activation):
         return np.maximum(z, 0.0)
     if activation == "sigmoid":
         return 1.0 / (1.0 + np.exp(-z))
-    if activation == "linear":
-        return z
     raise EngineError(f"unknown activation {activation!r}")
 
 
@@ -88,8 +86,6 @@ def _activate_grad(y, activation):
         return (y > 0.0).astype(y.dtype)
     if activation == "sigmoid":
         return y * (1.0 - y)
-    if activation == "linear":
-        return np.ones_like(y)
     raise EngineError(f"unknown activation {activation!r}")
 
 
@@ -392,11 +388,20 @@ def sgd_momentum_step(weights, grads, velocity, lr, momentum):
     weights += velocity
 
 
+# Samples per forward pass when a whole dataset is evaluated or encoded.
+EVAL_CHUNK = 256
+
+
 class Network:
     """An ordered stack of layers trained with SGD + momentum."""
 
     def __init__(self, layers):
         self.layers = list(layers)
+
+    def forward_chunks(self, x):
+        """(sample slice, output) of each EVAL_CHUNK-sample pass over x, in order."""
+        for i in range(0, x.shape[0], EVAL_CHUNK):
+            yield slice(i, i + EVAL_CHUNK), self.forward(x[i:i + EVAL_CHUNK])
 
     def forward(self, x):
         for i, layer in enumerate(self.layers):
@@ -451,7 +456,7 @@ _KINDS_BY_TAG = {k.tag: k for k in LAYER_KINDS.values()}
 
 _MAGIC = b"EVOW"
 _VERSION = 1
-_ACT_CODES = {"relu": 0, "sigmoid": 1, "linear": 2}
+_ACT_CODES = {"relu": 0, "sigmoid": 1}
 _CODE_ACTS = {v: k for k, v in _ACT_CODES.items()}
 
 
@@ -546,21 +551,19 @@ class DatasetView:
     val_y: np.ndarray
 
 
-def classifier_accuracy(net, x, y, chunk=256):
+def classifier_accuracy(net, x, y):
     """Share of samples whose largest logit is at their label."""
     correct = 0
-    for i in range(0, x.shape[0], chunk):
-        logits = net.forward(x[i:i + chunk])
-        correct += int((logits.argmax(axis=1) == y[i:i + chunk]).sum())
+    for part, logits in net.forward_chunks(x):
+        correct += int((logits.argmax(axis=1) == y[part]).sum())
     return correct / x.shape[0]
 
 
-def reconstruction_accuracy(net, x, chunk=256):
+def reconstruction_accuracy(net, x):
     """clamp(1 - MSE, 0, 1) of the network's reconstruction of [0,1]-scaled x."""
     sq_sum = 0.0
-    for i in range(0, x.shape[0], chunk):
-        xb = x[i:i + chunk]
-        recon = net.forward(xb)
+    for part, recon in net.forward_chunks(x):
+        xb = x[part]
         if recon.shape != xb.shape:
             raise ShapeError(f"reconstruction shapes differ: {xb.shape} vs {recon.shape}")
         sq_sum += float(((xb - recon) ** 2).sum())

@@ -299,7 +299,8 @@ def derive_decoder(g: Genome, input_shape):
     trace = infer_shapes(g, input_shape)
     specs = []
     for i in reversed(range(len(g.layers))):
-        specs.extend(g.layers[i].mirror(trace[i], trace[i + 1][0]))
+        specs.extend({**spec, "source": ("mirror", i)}
+                     for spec in g.layers[i].mirror(trace[i], trace[i + 1][0]))
     for spec in reversed(specs):
         if "activation" in spec:
             spec["activation"] = "sigmoid"
@@ -310,10 +311,14 @@ def derive_decoder(g: Genome, input_shape):
 def network_specs(g: Genome, input_shape, n_classes=10):
     """Full layer plan for the buildable network behind a genome: its
     genes, then its kind's tail (an encoder's mirrored decoder, or a
-    classifier's flatten + dense softmax head)."""
+    classifier's flatten + dense softmax head). Each spec's "source" is
+    ("gene", i) for gene i, ("mirror", i) for a decoder layer mirroring
+    gene i, or ("tail", n) for the n-th layer of any other tail."""
     trace = infer_shapes(g, input_shape)
-    specs = [gene.spec(shape[0]) for gene, shape in zip(g.layers, trace)]
-    return specs + GENOME_KINDS[g.kind].tail(g, trace, n_classes)
+    specs = [{**gene.spec(shape[0]), "source": ("gene", i)}
+             for i, (gene, shape) in enumerate(zip(g.layers, trace))]
+    tail = GENOME_KINDS[g.kind].tail(g, trace, n_classes)
+    return specs + [{"source": ("tail", n), **spec} for n, spec in enumerate(tail)]
 
 
 # ---------------------------------------------------------------------------
@@ -321,51 +326,58 @@ def network_specs(g: Genome, input_shape, n_classes=10):
 # ---------------------------------------------------------------------------
 
 def layer_mapping(parent: Genome, child: Genome):
-    """child gene index -> parent gene index (None for inserted genes).
+    """child gene index -> parent gene index (None for an inserted gene).
 
     Only single-edit lineages (one insertion, one removal, or one
-    altered gene) are accepted.
+    altered gene) are accepted. The edit sits at `pos`, the first index
+    past the common suffix; the genes before it must be the common
+    prefix. Where equal neighbours leave a choice, the lowest is taken.
     """
     p, c = parent.layers, child.layers
-    if len(c) == len(p):
-        diffs = [i for i in range(len(p)) if p[i] != c[i]]
-        if len(diffs) > 1:
-            raise LineageError(f"{len(diffs)} genes differ between parent and child")
-        return list(range(len(p)))
-    if len(c) == len(p) + 1:
-        for pos in range(len(c)):
-            if list(c[:pos]) == list(p[:pos]) and list(c[pos + 1:]) == list(p[pos:]):
-                return list(range(pos)) + [None] + list(range(pos, len(p)))
-        raise LineageError("child is not parent plus one inserted gene")
-    if len(c) == len(p) - 1:
-        for pos in range(len(p)):
-            if list(c[:pos]) == list(p[:pos]) and list(c[pos:]) == list(p[pos + 1:]):
-                return list(range(pos)) + list(range(pos + 1, len(p)))
-        raise LineageError("child is not parent minus one removed gene")
-    raise LineageError(f"layer counts {len(p)} -> {len(c)} differ by more than one")
+    if abs(len(p) - len(c)) > 1:
+        raise LineageError(f"layer counts {len(p)} -> {len(c)} differ by more than one")
+    n = min(len(p), len(c))
+    prefix = next((i for i in range(n) if p[i] != c[i]), n)
+    suffix = next((i for i in range(n) if p[-1 - i] != c[-1 - i]), n)
+    pos = max(len(p), len(c)) - 1 - suffix
+    if pos > prefix:
+        raise LineageError(f"parent and child differ by more than one edit, at genes {prefix} and {pos}")
+    shift = len(p) - len(c)  # -1 insertion, 0 alteration, 1 removal
+    return [None if j == pos and shift < 0 else j if j < pos else j + shift
+            for j in range(len(c))]
 
 
-def inherit_weights(layers, parent_params, parent: Genome, child: Genome, rng):
-    """Write the parent's weights into the child's built gene layers.
+def inherit_weights(net, parent_net, parent: Genome, child: Genome, input_shape, n_classes, rng):
+    """Write the parent's weights into the freshly built child network.
 
-    `layers[i]` is the freshly built and initialised layer of child gene
-    i, `parent_params[j]` the `params()` tuple of the layer built for
-    parent gene j (empty for a pool). Pools and inserted convs keep the
-    build's init. A mapped conv takes the parent arrays; when its shapes
-    changed it first draws a fresh init from rng, after the build's own
-    draws, and takes the parent arrays on the overlap only.
+    Each child layer with parameters takes the arrays of the parent layer
+    built from the same source (see `network_specs`, gene indices mapped
+    by `layer_mapping`) on the overlap of their shapes, unless a policy
+    line below keeps the build's init. Other layers keep the build's init.
     """
     if child.parent_id != parent.id:
         raise LineageError(f"child parent_id {child.parent_id!r} != parent id {parent.id!r}")
-    for layer, src in zip(layers, layer_mapping(parent, child)):
-        kept = () if src is None else parent_params[src]
-        if not (kept and layer.param_shapes()):
+    mapping = layer_mapping(parent, child)
+    parent_layers = {
+        spec["source"]: layer
+        for spec, layer in zip(network_specs(parent, input_shape, n_classes), parent_net.layers)
+        if layer.params()
+    }
+    for spec, layer in zip(network_specs(child, input_shape, n_classes), net.layers):
+        role, i = spec["source"]
+        old = parent_layers.get((role, i if role == "tail" else mapping[i]))
+        if old is None or not layer.params():
             continue
-        if tuple(a.shape for a in kept) != layer.param_shapes():
-            layer.init_weights(rng)
-        for fresh, old in zip(layer.params(), kept):
-            overlap = tuple(slice(0, min(a, b)) for a, b in zip(fresh.shape, old.shape))
-            fresh[overlap] = old[overlap]
+        reshaped = tuple(a.shape for a in old.params()) != layer.param_shapes()
+        if role == "mirror" and parent.layers != child.layers:
+            continue  # policy: a changed encoder keeps the build's decoder
+        if reshaped and role == "tail":
+            continue  # policy: a reshaped classifier head keeps the build's init
+        if reshaped and role == "gene":
+            layer.init_weights(rng)  # policy: a fresh init, drawn after the build's own draws
+        for fresh, kept in zip(layer.params(), old.params()):
+            overlap = tuple(slice(0, min(a, b)) for a, b in zip(fresh.shape, kept.shape))
+            fresh[overlap] = kept[overlap]
 
 
 # ---------------------------------------------------------------------------

@@ -70,11 +70,16 @@ def parse_fitness_line(line: str) -> FitnessMeta:
     if len(parts) != 8:
         raise StoreError(f"bad fitness line {line!r}")
     iid, kind, metric, wall, worker, gen, parent, mutation = parts
+    numbers = [*metric.split(":"), wall]
     try:
-        values = [float(v) for v in metric.split(":")] + [float(wall)]
+        values = [float(v) for v in numbers]
         generation = int(gen)
     except ValueError:
         raise StoreError(f"bad number in fitness line {line!r}") from None
+    # only the spellings format_fitness_line writes: float() and int() also
+    # read ' 0.5', '+1.0', '0_0.9', '1_0' and non-ASCII digits
+    if list(map(repr, values)) != numbers or repr(generation) != gen or generation < 0:
+        raise StoreError(f"number not spelled as written in fitness line {line!r}")
     if len(values) > 3 or not all(math.isfinite(v) for v in values):
         raise StoreError(f"bad metric or wall time in fitness line {line!r}")
     *metrics, wall_seconds = values

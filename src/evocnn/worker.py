@@ -65,25 +65,6 @@ def build_network(g: gn.Genome, input_shape, rng, n_classes=10) -> eng.Network:
     return eng.Network(layers)
 
 
-def _overlay_parent_weights(net, child, parent, parent_net, rng):
-    """Carry parent weights into the child network, in place.
-
-    Structurally identical genomes copy the whole network (decoder /
-    head included). Otherwise genome-layer convs inherit per the
-    overlap rule, and a dense head survives when its shape matches.
-    """
-    if parent.layers == child.layers:
-        for dst, src in zip(net.layers, parent_net.layers):
-            for d, s in zip(dst.params(), src.params()):
-                d[...] = s
-        return
-    parent_params = [layer.params() for layer in parent_net.layers[: len(parent.layers)]]
-    gn.inherit_weights(net.layers[: len(child.layers)], parent_params, parent, child, rng)
-    head, parent_head = net.layers[-1], parent_net.layers[-1]
-    if parent_head.kind == "dense" and parent_head.w.shape == head.w.shape:
-        head.set_params(parent_head.w.copy(), parent_head.b.copy())
-
-
 def train_individual(g: gn.Genome, view: eng.DatasetView, cfg: RunConfig, rng,
                      input_shape, parent=None):
     """Train one genome; returns (network, TrainReport).
@@ -93,7 +74,7 @@ def train_individual(g: gn.Genome, view: eng.DatasetView, cfg: RunConfig, rng,
     """
     net = build_network(g, input_shape, rng, n_classes=cfg.n_classes)
     if parent is not None:
-        _overlay_parent_weights(net, g, parent[0], parent[1], rng)
+        gn.inherit_weights(net, parent[1], parent[0], g, input_shape, cfg.n_classes, rng)
     report = eng.train_network(net, gn.GENOME_KINDS[g.kind], view, cfg.epochs, cfg.batch_size,
                                g.learning_rate, cfg.momentum, rng)
     return net, report

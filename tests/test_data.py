@@ -171,12 +171,13 @@ class TestSynthDataset:
 
 class TestEncodeDataset:
     def test_encoding_shrinks_samples_keeps_labels(self, rng):
-        ds = dt.synth_dataset(2, 20, 8, seed=0)
+        n = eng.EVAL_CHUNK + 8  # one full chunk and a partial one
+        ds = dt.synth_dataset(2, n, 8, seed=0)
         conv = eng.ConvLayer(3, 4, 3, 3, 1)
         conv.init_weights(rng)
         net = eng.Network([conv, eng.MaxPoolLayer(2, 2)])
-        enc = dt.encode_dataset(net, ds, chunk=7)
-        assert enc.x.shape == (20, 4, 4, 4)
+        enc = dt.encode_dataset(net, ds)
+        assert enc.x.shape == (n, 4, 4, 4)
         np.testing.assert_array_equal(enc.y, ds.y)
         assert enc.split == ds.split
         # chunked encoding equals one-shot encoding

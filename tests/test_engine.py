@@ -118,7 +118,7 @@ class TestConvForward:
     def test_strided_view_matches_padded_windows_bytewise(self, rng):
         # the matrix product's operands, and so its sums, are unchanged
         for layer, x in conv_sweep(rng):
-            for activation in ("relu", "sigmoid", "linear"):
+            for activation in ("relu", "sigmoid"):
                 layer.activation = activation
                 y = layer.forward(x)
                 ref_y, ref_cols = padded_window_forward(layer, x)
@@ -233,7 +233,7 @@ class TestTrainingBackward:
 
     def test_conv_sweep_keeps_parameter_grads_bytewise(self, rng):
         for layer, x in conv_sweep(rng):
-            for activation in ("relu", "sigmoid", "linear"):
+            for activation in ("relu", "sigmoid"):
                 layer.activation = activation
                 gy = rng.standard_normal(layer.forward(x).shape)
                 layer.backward(gy)
@@ -442,10 +442,11 @@ class TestSoftmaxHead:
         assert_grads_close(gw, finite_difference(loss, layer.w))
 
 
-class _Recon:
+class _Recon(eng.Network):
     """Stands in for an autoencoder whose forward pass is `fn`."""
 
     def __init__(self, fn):
+        super().__init__([])
         self.forward = fn
 
 
@@ -459,10 +460,16 @@ class TestReconstructionAccuracy:
         assert eng.reconstruction_accuracy(_Recon(np.zeros_like), x) == 0.0
 
     def test_constant_tensor_arithmetic(self):
-        # five samples in chunks of two: the chunked sum must equal the plain mean
-        x = np.full((5, 1, 3, 3), 0.5)
-        recon = _Recon(lambda xb: np.full_like(xb, 0.3))
-        assert eng.reconstruction_accuracy(recon, x, chunk=2) == pytest.approx(0.96)
+        # two full chunks and a partial one: the chunked sum must equal the plain mean
+        x = np.full((2 * eng.EVAL_CHUNK + 5, 1, 3, 3), 0.5)
+        sizes = []
+
+        def constant(xb):
+            sizes.append(len(xb))
+            return np.full_like(xb, 0.3)
+
+        assert eng.reconstruction_accuracy(_Recon(constant), x) == pytest.approx(0.96)
+        assert sizes == [eng.EVAL_CHUNK, eng.EVAL_CHUNK, 5]
 
     def test_dim_mismatch_raises(self):
         with pytest.raises(eng.ShapeError):
@@ -645,7 +652,8 @@ _MALFORMED = {
     "trailing bytes": lambda blob: [blob + b"\0", blob + bytes(8)],
     "unknown tag": lambda blob: [_with(blob, 12, bytes([t])) for t in (0, 7, 255)],
     "hyperparameter count": lambda blob: [_with(blob, 13, bytes([n])) for n in (0, 5, 7)],
-    "activation code": lambda blob: [_with(blob, 34, struct.pack("<I", c)) for c in (3, 2**32 - 1)],
+    # 2 is unassigned: no gene or decoder builds a linear activation
+    "activation code": lambda blob: [_with(blob, 34, struct.pack("<I", c)) for c in (2, 3, 2**32 - 1)],
 }
 
 

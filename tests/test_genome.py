@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evocnn import engine as eng
 from evocnn import genome as gn
 from evocnn.worker import build_network
 
@@ -202,32 +205,81 @@ class TestDeriveDecoder:
             assert self._decoder_output_shape(g, shape) == shape
 
 
+def _three_branch_mapping(parent, child):
+    """Reference gene mapping: one branch each for an equal count, an
+    insertion and a removal, trying every edit position from the first."""
+    p, c = parent.layers, child.layers
+    if len(c) == len(p):
+        if sum(a != b for a, b in zip(p, c)) > 1:
+            raise gn.LineageError("more than one gene differs")
+        return list(range(len(p)))
+    if len(c) == len(p) + 1:
+        for pos in range(len(c)):
+            if list(c[:pos]) == list(p[:pos]) and list(c[pos + 1:]) == list(p[pos:]):
+                return list(range(pos)) + [None] + list(range(pos, len(p)))
+        raise gn.LineageError("not one insertion")
+    if len(c) == len(p) - 1:
+        for pos in range(len(p)):
+            if list(c[:pos]) == list(p[:pos]) and list(c[pos:]) == list(p[pos + 1:]):
+                return list(range(pos)) + list(range(pos + 1, len(p)))
+        raise gn.LineageError("not one removal")
+    raise gn.LineageError("counts differ by more than one")
+
+
+class TestLayerMapping:
+    def test_matches_the_three_branch_mapping(self):
+        # every parent of 1-4 genes and every child within two genes of it,
+        # over three distinct genes, so equal neighbours occur throughout
+        alphabet = (gn.ConvGene(8, 3, 3, 1), gn.ConvGene(16, 3, 3, 1), gn.PoolGene(2, 2))
+
+        def mapping(fn, parent, child):
+            try:
+                return fn(parent, child)
+            except gn.LineageError:
+                return "LineageError"
+
+        pairs = accepted = 0
+        for n_parent in range(1, 5):
+            for p in itertools.product(alphabet, repeat=n_parent):
+                parent = enc(*p, gid="p")
+                for n_child in range(max(1, n_parent - 2), n_parent + 3):
+                    for c in itertools.product(alphabet, repeat=n_child):
+                        child = enc(*c, gid="c", parent="p")
+                        expected = mapping(_three_branch_mapping, parent, child)
+                        assert mapping(gn.layer_mapping, parent, child) == expected, (p, c)
+                        pairs += 1
+                        accepted += expected != "LineageError"
+        assert pairs == 99_207 and 0 < accepted < pairs
+
+
+
+SHAPE = (3, 16, 16)
+
+
+def _inherit(parent, child, rng, n_classes=10):
+    """(parent network, child network after inheritance, the child's
+    arrays as built, before inheritance)."""
+    parent_net = build_network(parent, SHAPE, rng, n_classes)
+    net = build_network(child, SHAPE, rng, n_classes)
+    built = [[a.copy() for a in layer.params()] for layer in net.layers]
+    gn.inherit_weights(net, parent_net, parent, child, SHAPE, n_classes, rng)
+    return parent_net, net, built
+
+
+def _assert_arrays_equal(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+
+
 class TestInheritWeights:
-    def _weights_for(self, g, input_shape, rng):
-        """params() of each gene's layer: (w, b) for a conv, () for a pool."""
-        trace = gn.infer_shapes(g, input_shape)
-        out = []
-        for i, gene in enumerate(g.layers):
-            if gene.kind == "conv":
-                w = rng.standard_normal((gene.filters, trace[i][0], gene.kh, gene.kw))
-                out.append((w, rng.standard_normal(gene.filters)))
-            else:
-                out.append(())
-        return out
-
-    def _built(self, g, input_shape, rng):
-        """The freshly built and initialised layers of g's genes."""
-        return build_network(g, input_shape, rng).layers[: len(g.layers)]
-
     def test_identity_is_bit_identical(self, rng):
         parent = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2), gid="p")
         child = parent.with_child_fields("c", "Identity")
-        pw = self._weights_for(parent, (3, 16, 16), rng)
-        layers = self._built(child, (3, 16, 16), rng)
-        gn.inherit_weights(layers, pw, parent, child, rng)
-        np.testing.assert_array_equal(layers[0].w, pw[0][0])
-        np.testing.assert_array_equal(layers[0].b, pw[0][1])
-        assert layers[1].params() == ()
+        parent_net, net, _ = _inherit(parent, child, rng)
+        for layer, parent_layer in zip(net.layers, parent_net.layers, strict=True):
+            _assert_arrays_equal(layer.params(), parent_layer.params())
+        assert net.layers[1].params() == ()
 
     def test_filter_resize_copies_overlap(self, rng):
         parent = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2), gid="p")
@@ -235,14 +287,13 @@ class TestInheritWeights:
             "c", "AlterFilterNumber",
             layers=(gn.ConvGene(16, 3, 3, 1), gn.PoolGene(2, 2)),
         )
-        pw = self._weights_for(parent, (3, 16, 16), rng)
-        layers = self._built(child, (3, 16, 16), rng)
-        gn.inherit_weights(layers, pw, parent, child, rng)
-        np.testing.assert_array_equal(layers[0].w[:8], pw[0][0])
-        np.testing.assert_array_equal(layers[0].b[:8], pw[0][1])
-        assert layers[0].w.shape == (16, 3, 3, 3)
+        parent_net, net, _ = _inherit(parent, child, rng)
+        conv, parent_conv = net.layers[0], parent_net.layers[0]
+        np.testing.assert_array_equal(conv.w[:8], parent_conv.w)
+        np.testing.assert_array_equal(conv.b[:8], parent_conv.b)
+        assert conv.w.shape == (16, 3, 3, 3)
         # the new filters are a fresh init, not zeros
-        assert layers[0].w[8:].any()
+        assert conv.w[8:].any()
 
     def test_removal_keeps_other_layers_verbatim(self, rng):
         parent = enc(
@@ -251,10 +302,8 @@ class TestInheritWeights:
         child = parent.with_child_fields(
             "c", "RemoveConv", layers=(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2))
         )
-        pw = self._weights_for(parent, (3, 16, 16), rng)
-        layers = self._built(child, (3, 16, 16), rng)
-        gn.inherit_weights(layers, pw, parent, child, rng)
-        np.testing.assert_array_equal(layers[0].w, pw[0][0])
+        parent_net, net, _ = _inherit(parent, child, rng)
+        _assert_arrays_equal(net.layers[0].params(), parent_net.layers[0].params())
 
     def test_inserted_layer_is_fresh(self, rng):
         parent = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2), gid="p")
@@ -262,23 +311,71 @@ class TestInheritWeights:
             "c", "InsertConv",
             layers=(gn.ConvGene(8, 3, 3, 1), gn.ConvGene(4, 3, 3, 1), gn.PoolGene(2, 2)),
         )
-        pw = self._weights_for(parent, (3, 16, 16), rng)
-        layers = self._built(child, (3, 16, 16), rng)
-        built = [a.copy() for a in layers[1].params()]
-        gn.inherit_weights(layers, pw, parent, child, rng)
-        np.testing.assert_array_equal(layers[0].w, pw[0][0])
+        parent_net, net, built = _inherit(parent, child, rng)
+        _assert_arrays_equal(net.layers[0].params(), parent_net.layers[0].params())
         # the build's init of the inserted conv is kept
-        for kept, fresh in zip(layers[1].params(), built, strict=True):
-            np.testing.assert_array_equal(kept, fresh)
+        _assert_arrays_equal(net.layers[1].params(), built[1])
 
     def test_lineage_mismatch_raises(self, rng):
         parent = enc(gn.ConvGene(8, 3, 3, 1), gid="p")
         stranger = enc(gn.ConvGene(4, 5, 5, 2), gn.PoolGene(3, 3), gid="s",
                        parent="someone-else", gen=3)
-        pw = self._weights_for(parent, (3, 16, 16), rng)
-        layers = self._built(stranger, (3, 16, 16), rng)
+        parent_net = build_network(parent, SHAPE, rng)
+        net = build_network(stranger, SHAPE, rng)
         with pytest.raises(gn.LineageError):
-            gn.inherit_weights(layers, pw, parent, stranger, rng)
+            gn.inherit_weights(net, parent_net, parent, stranger, SHAPE, 10, rng)
+
+
+class TestInheritedLayerRoles:
+    """What each kind of built layer takes from the parent network."""
+
+    @pytest.mark.parametrize("kind", [gn.ENCODER, gn.CLASSIFIER])
+    @pytest.mark.parametrize("mutation", ["Identity", "AlterLearningRate"])
+    def test_unchanged_genes_reproduce_the_parent_output(self, rng, kind, mutation):
+        parent = gn.Genome("p", kind, (gn.ConvGene(4, 3, 3, 2), gn.PoolGene(2, 2),
+                                       gn.ConvGene(3, 3, 3, 1)))
+        lr = 0.02 if mutation == "AlterLearningRate" else None
+        child = parent.with_child_fields("c", mutation, learning_rate=lr)
+        # the parent as a worker reads it back from the store
+        parent_net = eng.deserialize_network(
+            eng.serialize_network(build_network(parent, SHAPE, rng, 3)))
+        net = build_network(child, SHAPE, rng, 3)
+        gn.inherit_weights(net, parent_net, parent, child, SHAPE, 3, rng)
+        x = rng.random((5, *SHAPE))
+        assert net.forward(x).tobytes() == parent_net.forward(x).tobytes()
+
+    @pytest.mark.parametrize("layers", [
+        (gn.ConvGene(8, 3, 3, 2), gn.ConvGene(4, 3, 3, 1), gn.PoolGene(2, 2)),  # inserted
+        (gn.ConvGene(8, 3, 3, 2),),                                              # removed
+        (gn.ConvGene(8, 5, 5, 2), gn.PoolGene(2, 2)),                            # altered
+    ])
+    def test_changed_encoder_keeps_the_built_decoder(self, rng, layers):
+        parent = enc(gn.ConvGene(8, 3, 3, 2), gn.PoolGene(2, 2), gid="p")
+        child = parent.with_child_fields("c", "Edit", layers=layers)
+        parent_net, net, built = _inherit(parent, child, rng)
+        decoder = [s["source"][0] == "mirror" for s in gn.network_specs(child, SHAPE)]
+        assert any(decoder)
+        for layer, fresh, is_decoder in zip(net.layers, built, decoder, strict=True):
+            if is_decoder:
+                _assert_arrays_equal(layer.params(), fresh)
+        # the first gene's conv still inherits
+        np.testing.assert_array_equal(net.layers[0].w[:, :, :3, :3], parent_net.layers[0].w)
+
+    def test_same_shape_head_holds_the_parent_arrays(self, rng):
+        parent = gn.Genome("p", gn.CLASSIFIER, (gn.ConvGene(8, 3, 3, 1),))
+        # a larger kernel keeps the conv's output shape, so the head's too
+        child = parent.with_child_fields("c", "AlterFilterSize", layers=(gn.ConvGene(8, 5, 5, 1),))
+        parent_net, net, built = _inherit(parent, child, rng, n_classes=4)
+        assert net.layers[-1].kind == "dense"
+        _assert_arrays_equal(net.layers[-1].params(), parent_net.layers[-1].params())
+        assert not np.array_equal(net.layers[-1].w, built[-1][0])
+
+    def test_reshaped_head_keeps_the_built_init(self, rng):
+        parent = gn.Genome("p", gn.CLASSIFIER, (gn.ConvGene(8, 3, 3, 1),))
+        child = parent.with_child_fields("c", "AlterFilterNumber", layers=(gn.ConvGene(16, 3, 3, 1),))
+        parent_net, net, built = _inherit(parent, child, rng, n_classes=4)
+        assert net.layers[-1].w.shape != parent_net.layers[-1].w.shape
+        _assert_arrays_equal(net.layers[-1].params(), built[-1])
 
 
 class TestSerialization:

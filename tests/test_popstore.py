@@ -3,6 +3,8 @@ import multiprocessing as mp
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evocnn.popstore import (
     FITNESS_FILE,
@@ -32,7 +34,54 @@ def publish(store, iid, **kw):
     store.publish(iid, f"genome for {iid}\n", b"\x00\x01" + iid.encode(), meta_for(iid, **kw))
 
 
+# Spellings that float() or int() reads but format_fitness_line never
+# writes, and tokens that are no number at all.
+BAD_NUMBERS = ["1_0", "\u0663", "-2", " 0.5", "0.5 ", "0_0.9", "+1.0", "1e3", "1E-05", ".5",
+               "0.50", "01", "-0", "nan", "inf", "-inf", "0x1", "", "x"]
+
+
+@st.composite
+def fitness_lines(draw):
+    """A written fitness line with up to three of its numbers (a metric
+    half, the wall time, the generation) replaced, or any text at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=60))
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    record = draw(st.builds(FitnessRecord, scalar=value) | st.builds(
+        FitnessRecord, pair=st.tuples(value, value)))
+    meta = FitnessMeta(
+        id=draw(st.text("abc-0123", min_size=1, max_size=8)), kind="Encoder", record=record,
+        wall_seconds=draw(value), worker_id="w0", generation=draw(st.integers(0, 10_000)),
+        parent_id=draw(st.none() | st.just("p-1")), mutation="InsertConv",
+    )
+    fields = format_fitness_line(meta).rstrip("\n").split(",")
+    numbers = [(2, i) for i in range(len(fields[2].split(":")))] + [(3, 0), (5, 0)]
+    for _ in range(draw(st.integers(0, 3))):
+        field, half = draw(st.sampled_from(numbers))
+        halves = fields[field].split(":")
+        halves[half] = draw(st.sampled_from(BAD_NUMBERS))
+        fields[field] = ":".join(halves)
+    return ",".join(fields) + "\n"
+
+
 class TestFitnessLine:
+    @given(fitness_lines())
+    @example("a,Encoder,0.5:0.5,1.25,w0,1_0,-,Seed\n")
+    @example("a,Encoder,0.5:0.5,1.25,w0,\u0663,-,Seed\n")
+    @example("a,Encoder,0.5:0.5,1.25,w0,-2,-,Seed\n")
+    @example("a,Classifier, 0.5,1.25,w0,0,-,Seed\n")
+    @example("a,Classifier,0_0.9,1.25,w0,0,-,Seed\n")
+    @example("a,Classifier,0.5,+1.0,w0,0,-,Seed\n")
+    @settings(max_examples=500, deadline=None)
+    def test_arbitrary_lines_round_trip_or_raise(self, line):
+        try:
+            meta = parse_fitness_line(line)
+        except StoreError:
+            return
+        # only the spelling format_fitness_line writes parses: the line comes back as it was
+        assert format_fitness_line(meta) == line.strip() + "\n"
+        assert parse_fitness_line(format_fitness_line(meta)) == meta
+
     def test_scalar_round_trip(self):
         m = meta_for("a-1", scalar=0.875, gen=3, parent="a-0", mut="InsertConv")
         assert parse_fitness_line(format_fitness_line(m)) == m
@@ -61,6 +110,13 @@ class TestFitnessLine:
             pytest.param("a,Classifier,nan,1.25,w0,0,-,Seed\n", id="nan scalar"),
             pytest.param("a,Encoder,0.5:0.2,inf,w0,0,-,Seed\n", id="inf wall time"),
             pytest.param("a,Encoder,0.5:0.2,nan,w0,0,-,Seed\n", id="nan wall time"),
+            # spellings float() or int() reads but format_fitness_line never writes
+            pytest.param("a,Encoder,0.5:0.2,1.25,w0,-2,-,Seed\n", id="negative generation"),
+            pytest.param("a,Encoder,0.5:0.2,1.25,w0,1_0,-,Seed\n", id="underscored generation"),
+            pytest.param("a,Encoder,0.5:0.2,1.25,w0,\u0663,-,Seed\n", id="non-ASCII generation"),
+            pytest.param("a,Classifier, 0.5,1.25,w0,0,-,Seed\n", id="padded metric"),
+            pytest.param("a,Classifier,0_0.9,1.25,w0,0,-,Seed\n", id="underscored metric"),
+            pytest.param("a,Encoder,0.5:0.2,+1.0,w0,0,-,Seed\n", id="signed wall time"),
         ],
     )
     def test_malformed_line_rejected(self, line):
