@@ -13,6 +13,12 @@ input gradient is scattered back per kernel tap as contiguous
 written once into a zero-padded buffer, and the matrix is one copy of a
 single strided (in_channels, kh, kw, batch, oh, ow) view of that buffer.
 
+An up-sample by f -> crop -> stride-1 conv whose crop keeps the whole
+up-sampled input runs as one resize-convolution in sub-pixel form (Odena
+et al. 2016; Shi et al. 2016) on the input: one im2col over the union of
+the f*f output phases' windows, a kernel whose taps on one input pixel
+are summed by a fixed 0/1 fold, and a depth-to-space write.
+
 Training needs no input gradient, so its backward pass stops at the
 lowest layer with parameters: that layer computes only its own weight
 and bias gradients, and the layers below it are not called.
@@ -39,6 +45,7 @@ units).
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import time
@@ -156,6 +163,21 @@ class ParamLayer(Layer):
         return (self.vw, self.vb)
 
 
+@functools.lru_cache(maxsize=None)
+def _fold(kh, kw, f):
+    """(fold, nh, nw) of a kh x kw conv on an f-times up-sampled input: tap i of
+    phase r reads input offset (r + i - (k-1)//2) // f, one of n that same padding
+    centres, and fold row (r, a, s, e) sums the taps (i, j) phase (r, s) reads at (a, e)."""
+    def axis(k):
+        offset = (np.arange(f)[:, None] + np.arange(k) - (k - 1) // 2) // f
+        n = offset.max() - offset.min() + 1
+        return (offset - offset.min())[:, None, :] == np.arange(n)[:, None], int(n)
+    (fold_h, nh), (fold_w, nw) = axis(kh), axis(kw)
+    fold = np.kron(fold_h.reshape(f * nh, kh), fold_w.reshape(f * nw, kw)).astype(np.float64)
+    fold.flags.writeable = False
+    return fold, nh, nw
+
+
 class ConvLayer(ParamLayer):
     """Same-padded convolution with fused activation (default ReLU)."""
 
@@ -179,47 +201,58 @@ class ConvLayer(ParamLayer):
     def out_shape(self, h, w):
         return ceil_div(h, self.stride), ceil_div(w, self.stride)
 
-    def forward(self, x):
+    def forward(self, x, up=1):
+        """The conv of x, or (stride 1) of x up-sampled `up` times, sub-pixel."""
         b, c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeError(
                 f"conv expects {self.in_channels} input channels, got {c}"
             )
-        s = self.stride
+        s, kh, kw, fold, kernel = self.stride, self.kh, self.kw, None, self.w.reshape(self.filters, -1)
+        if up > 1:  # a row block per output phase, over the union of their windows
+            fold, kh, kw = _fold(self.kh, self.kw, up)
+            kernel = (self.w.reshape(-1, self.kh * self.kw) @ fold.T).reshape(self.filters, c, up, kh, up, kw)
+            kernel = kernel.transpose(2, 4, 0, 1, 3, 5).reshape(up * up * self.filters, -1)
         oh, ow = self.out_shape(h, w)
-        ph = max((oh - 1) * s + self.kh - h, 0)
-        pw = max((ow - 1) * s + self.kw - w, 0)
+        ph = max((oh - 1) * s + kh - h, 0)
+        pw = max((ow - 1) * s + kw - w, 0)
         pt, pl = ph // 2, pw // 2
         xp = np.zeros((b, c, h + ph, w + pw))
         xp[:, :, pt:pt + h, pl:pl + w] = x
         sb, sc, sh, sw = xp.strides
-        win = as_strided(xp, (c, self.kh, self.kw, b, oh, ow),
+        win = as_strided(xp, (c, kh, kw, b, oh, ow),
                          (sc, sh, sw, sb, s * sh, s * sw), writeable=False)
-        cols = win.reshape(c * self.kh * self.kw, b * oh * ow)
-        z = self.w.reshape(self.filters, -1) @ cols + self.b[:, None]
-        y = _activate(z.reshape(self.filters, b, oh, ow).transpose(1, 0, 2, 3), self.activation)
-        self._cache = (x.shape, cols, y, (ph, pw, pt, pl, oh, ow))
+        cols = win.reshape(c * kh * kw, b * oh * ow)
+        # depth to space: phase (r, s) of pixel (p, q) is output (up*p + r, up*q + s)
+        z = (kernel @ cols).reshape(up, up, self.filters, b, oh, ow)
+        z = z.transpose(2, 3, 4, 0, 5, 1).reshape(self.filters, -1) + self.b[:, None]
+        y = _activate(z.reshape(self.filters, b, up * oh, up * ow).transpose(1, 0, 2, 3), self.activation)
+        self._cache = (x.shape, cols, y, up, fold, kernel, (s, kh, kw, oh, ow, ph, pw, pt, pl))
         return y
 
     def backward(self, gy, input_grad=True):
-        xshape, cols, y, (ph, pw, pt, pl, oh, ow) = self._cache
+        xshape, cols, y, up, fold, kernel, (s, kh, kw, oh, ow, ph, pw, pt, pl) = self._cache
         b, c, h, w = xshape
         if gy.shape != y.shape:
             raise ShapeError(f"conv backward got grad shape {gy.shape}, expected {y.shape}")
         gz = gy * _activate_grad(y, self.activation)
         # summed row by row over a (b*oh*ow, filters) copy: a sum along
         # gzc's rows would be pairwise and change gb in the last bit
-        self.gb = gz.transpose(0, 2, 3, 1).reshape(b * oh * ow, self.filters).sum(axis=0)
-        gzc = gz.transpose(1, 0, 2, 3).reshape(self.filters, b * oh * ow)
-        self.gw = (gzc @ cols.T).reshape(self.w.shape)
+        self.gb = gz.transpose(0, 2, 3, 1).reshape(-1, self.filters).sum(axis=0)
+        gzc = gz.reshape(b, self.filters, oh, up, ow, up).transpose(3, 5, 1, 0, 2, 4)
+        gzc = gzc.reshape(up * up * self.filters, b * oh * ow)  # space to depth
+        gw = gzc @ cols.T
+        if up > 1:  # the fold's transpose sums what each weight gave every phase
+            gw = gw.reshape(up, up, self.filters, c, kh, kw).transpose(2, 3, 0, 4, 1, 5)
+            gw = gw.reshape(self.filters * c, -1) @ fold
+        self.gw = gw.reshape(self.w.shape)
         if not input_grad:
             return None
-        gcols = self.w.reshape(self.filters, -1).T @ gzc
-        g = gcols.reshape(c, self.kh, self.kw, b, oh, ow)
+        kernel = kernel if up > 1 else self.w.reshape(self.filters, -1)
+        g = (kernel.T @ gzc).reshape(c, kh, kw, b, oh, ow)
         gxp = np.zeros((c, b, h + ph, w + pw))
-        s = self.stride
-        for i in range(self.kh):
-            for j in range(self.kw):
+        for i in range(kh):
+            for j in range(kw):
                 gxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += g[:, i, j]
         return gxp[:, :, pt:pt + h, pl:pl + w].transpose(1, 0, 2, 3)
 
@@ -243,20 +276,16 @@ class MaxPoolLayer(Layer):
         return ceil_div(h, self.ph), ceil_div(w, self.pw)
 
     def forward(self, x):
-        b, c, h, w = x.shape
-        oh, ow = self.out_shape(h, w)
-        xp = np.pad(
-            x,
-            ((0, 0), (0, 0), (0, oh * self.ph - h), (0, ow * self.pw - w)),
-            constant_values=-np.inf,
-        )
-        blocks = (
-            xp.reshape(b, c, oh, self.ph, ow, self.pw)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, oh, ow, self.ph * self.pw)
-        )
-        idx = blocks.argmax(axis=-1)
-        y = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+        # a running max over per-tap views that only a larger tap replaces:
+        # ties keep the first, and the first NaN stays, as argmax routes them
+        y = x[:, :, ::self.ph, ::self.pw].copy()
+        idx = np.zeros(y.shape, dtype=np.intp)
+        for t in range(1, self.ph * self.pw):
+            tap = x[:, :, t // self.pw::self.ph, t % self.pw::self.pw]
+            best = y[:, :, :tap.shape[2], :tap.shape[3]]
+            take = ~(tap <= best) & (best == best)
+            np.copyto(best, tap, where=take)
+            np.copyto(idx[:, :, :tap.shape[2], :tap.shape[3]], t, where=take)
         self._cache = (x.shape, idx)
         return y
 
@@ -397,6 +426,7 @@ class Network:
 
     def __init__(self, layers):
         self.layers = list(layers)
+        self._called = []  # indices of the layers the last forward pass called
 
     def forward_chunks(self, x):
         """(sample slice, output) of each EVAL_CHUNK-sample pass over x, in order."""
@@ -404,15 +434,26 @@ class Network:
             yield slice(i, i + EVAL_CHUNK), self.forward(x[i:i + EVAL_CHUNK])
 
     def forward(self, x):
-        for i, layer in enumerate(self.layers):
+        """The output; a triple as in the module docstring is one conv call."""
+        self._called, i = [], 0
+        while i < len(self.layers):
+            triple, up = self.layers[i:i + 3], 1
+            if [l.kind for l in triple] == ["upsample", "crop", "conv"] and triple[2].stride == 1:
+                f, crop = triple[0].factor, triple[1]
+                if (crop.target_h, crop.target_w) == (x.shape[2] * f, x.shape[3] * f):
+                    i, up = i + 2, f
+            layer = self.layers[i]
             try:
-                x = layer.forward(x)
+                x = layer.forward(x, up=up) if up > 1 else layer.forward(x)
             except ShapeError as exc:
                 raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from exc
+            self._called.append(i)
+            i += 1
         return x
 
     def backward(self, gy, input_grad=True):
-        """Backpropagate `gy` and return the input gradient.
+        """Backpropagate `gy` through the layers the last forward pass called
+        and return the input gradient.
 
         With `input_grad=False` the pass stops at the lowest layer with
         parameters, which computes only its own gradients; the layers
@@ -421,7 +462,7 @@ class Network:
         lowest = 0
         if not input_grad:
             lowest = next((i for i, l in enumerate(self.layers) if l.params()), len(self.layers))
-        for i in reversed(range(lowest, len(self.layers))):
+        for i in reversed([i for i in self._called if i >= lowest]):
             if input_grad or i > lowest:
                 gy = self.layers[i].backward(gy)
             else:

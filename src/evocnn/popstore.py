@@ -218,6 +218,18 @@ class PopulationStore:
         with open(self.claim_log_path(worker_id), "a") as fh:
             fh.write(f"{individual_id}\n")
 
+    def mark_idle(self, worker_id, idle=True):
+        """Mark a worker that publishes nothing until a peer does (it is idle
+        or has finished), or clear its mark."""
+        mark = self.logs / f"idle_{worker_id}"
+        if idle:
+            mark.touch()
+        else:
+            mark.unlink(missing_ok=True)
+
+    def idle_count(self):
+        return sum(1 for _ in self.logs.glob("idle_*"))
+
     def read_round_logs(self):
         rows = []
         for path in sorted(self.logs.glob("rounds_*.csv")):

@@ -20,6 +20,8 @@ from .selection import tournament_compare
 
 log = logging.getLogger(__name__)
 
+IDLE_SNAPSHOTS_MAX = 20  # snapshots in a row, 50 ms apart, after which no worker could publish
+
 
 def worker_seed_for(master_seed, worker_index):
     digest = hashlib.sha256(f"{master_seed}:{worker_index}".encode()).digest()
@@ -101,6 +103,7 @@ class Worker:
         self.view = eng.DatasetView(train.x, train.y, val.x, val.y)
         self.input_shape = train.sample_shape
         self.counter = 0
+        self.idle_snapshots = 0
 
     def _next_id(self):
         self.counter += 1
@@ -132,8 +135,16 @@ class Worker:
         snapshot = self.store.load_all_fitness()
         pair = self.store.sample_pair(snapshot, self.rng)
         if pair is None:
+            # counted only while every worker is idle or finished, so that no
+            # publish can come; a wall budget ends the wait by itself
+            self.store.mark_idle(self.worker_id)
+            stalled = self.cfg.round_budget and self.store.idle_count() >= self.cfg.workers
+            self.idle_snapshots = self.idle_snapshots + 1 if stalled else 0
+            if self.idle_snapshots >= IDLE_SNAPSHOTS_MAX:
+                raise StoreError(f"{len(snapshot)} live individual(s) and no worker left to publish")
             time.sleep(0.05)
             return False
+        self.store.mark_idle(self.worker_id, False)
         id_a, id_b = pair
         records = {iid: meta.record for iid, meta in snapshot.items()}
         winner, loser, reason = tournament_compare(id_a, id_b, records, self.rng)
@@ -167,15 +178,18 @@ class Worker:
         return True
 
     def run(self):
-        """Seed, then loop rounds until the round or wall budget expires."""
-        self.seed_population()
-        completed = 0
-        t0 = time.monotonic()
-        while True:
-            if self.cfg.round_budget and completed >= self.cfg.round_budget:
-                break
-            if self.cfg.wall_budget and time.monotonic() - t0 >= self.cfg.wall_budget:
-                break
-            if self.run_round(completed):
-                completed += 1
-        return completed
+        """Seed, then loop rounds until the round or wall budget expires. A
+        worker that returns or raises stays marked idle."""
+        try:
+            self.seed_population()
+            completed = 0
+            t0 = time.monotonic()
+            while True:
+                if self.cfg.round_budget and completed >= self.cfg.round_budget:
+                    return completed
+                if self.cfg.wall_budget and time.monotonic() - t0 >= self.cfg.wall_budget:
+                    return completed
+                if self.run_round(completed):
+                    completed += 1
+        finally:
+            self.store.mark_idle(self.worker_id)

@@ -72,8 +72,22 @@ def test_criterion_1_topsis_fixture():
 # 2. Gradient suite
 # ---------------------------------------------------------------------------
 
+def _random_conv(rng, in_channels, stride):
+    """A conv of 1-3 filters with a square kernel of side 1-3."""
+    f, k = (int(v) for v in rng.integers(1, 4, size=2))
+    conv = eng.ConvLayer(in_channels, f, k, k, stride)
+    conv.init_weights(rng)
+    # zero biases put rectifier pre-activations exactly on the kink
+    # wherever the input window is all zeros; jitter them so finite
+    # differences stay valid
+    conv.b = rng.normal(0.0, 0.1, conv.b.shape)
+    return conv
+
+
 def random_stack(rng):
-    """A random small layer stack plus matching input, ready for training."""
+    """A random small layer stack plus matching input, ready for training.
+    Half of its up-samples start an exact upsample -> crop -> conv triple,
+    which the network runs as one sub-pixel conv."""
     c = int(rng.integers(1, 3))
     h = int(rng.integers(3, 7))
     w = int(rng.integers(3, 7))
@@ -83,23 +97,18 @@ def random_stack(rng):
     for _ in range(int(rng.integers(1, 4))):
         pick = rng.random()
         if pick < 0.5:
-            f = int(rng.integers(1, 4))
-            k = int(rng.integers(1, 4))
             s = int(rng.integers(1, 3))
-            conv = eng.ConvLayer(cc, f, k, k, s)
-            conv.init_weights(rng)
-            # zero biases put rectifier pre-activations exactly on the
-            # kink wherever the input window is all zeros; jitter them
-            # so finite differences stay valid
-            conv.b = rng.normal(0.0, 0.1, conv.b.shape)
-            layers.append(conv)
-            cc, ch, cw = f, -(-ch // s), -(-cw // s)
+            layers.append(_random_conv(rng, cc, s))
+            cc, ch, cw = layers[-1].filters, -(-ch // s), -(-cw // s)
         elif pick < 0.7 and min(ch, cw) >= 2:
             layers.append(eng.MaxPoolLayer(2, 2))
             ch, cw = -(-ch // 2), -(-cw // 2)
         elif pick < 0.85 and max(ch, cw) <= 4:
             layers.append(eng.UpsampleLayer(2))
             ch, cw = ch * 2, cw * 2
+            if rng.random() < 0.5:
+                layers += [eng.CropLayer(ch, cw), _random_conv(rng, cc, 1)]
+                cc = layers[-1].filters
         elif min(ch, cw) >= 2:
             layers.append(eng.CropLayer(ch - 1, cw - 1))
             ch, cw = ch - 1, cw - 1

@@ -180,6 +180,117 @@ class TestConvBackward:
             layer.backward(np.zeros((1, 3, 9, 9)))
 
 
+def upsampled(x, f):
+    return x.repeat(f, axis=2).repeat(f, axis=3)
+
+
+def resize_conv(in_c, filters, kh, kw, f, h, w, rng):
+    """An exact upsample(f) -> crop -> stride-1 conv network on h x w inputs."""
+    conv = make_conv(in_c, filters, kh, kw, rng=rng)
+    conv.b[...] = 0.1 * rng.standard_normal(filters)
+    return eng.Network([eng.UpsampleLayer(f), eng.CropLayer(h * f, w * f), conv])
+
+
+def resize_conv_sweep(rng, count=120):
+    """Random exact triples: factors 2-4, kernels 1-9 (even and non-square
+    among them), batch 1 and 1-px inputs."""
+    cases = []
+    for _ in range(count):
+        c, filters = (int(v) for v in rng.integers(1, 5, size=2))
+        kh, kw = (int(v) for v in rng.integers(1, gn.FILTER_DIM_MAX + 1, size=2))
+        f = int(rng.integers(2, 5))
+        h, w = (int(v) for v in rng.integers(1, 5, size=2))
+        x = rng.standard_normal((int(rng.integers(1, 4)), c, h, w))
+        cases.append((resize_conv(c, filters, kh, kw, f, h, w, rng), x))
+    convs = [(net.layers[2], net.layers[0].factor, x) for net, x in cases]
+    covered = {
+        **{f"factor {f}": any(u == f for _, u, _ in convs) for f in (2, 3, 4)},
+        **{f"kernel {k}": any(k in (l.kh, l.kw) for l, _, _ in convs) for k in range(1, 10)},
+        "even": any(l.kh % 2 == 0 and l.kw % 2 == 0 for l, _, _ in convs),
+        "non-square": any(l.kh != l.kw for l, _, _ in convs),
+        "batch 1": any(x.shape[0] == 1 for _, _, x in convs),
+        "1-px input": any(x.shape[2:] == (1, 1) for _, _, x in convs),
+    }
+    assert all(covered.values()), covered
+    return cases
+
+
+class TestResizeConv:
+    """An exact upsample -> crop -> stride-1 conv triple runs as one sub-pixel
+    conv on the low-resolution input, checked against the nested-loop conv
+    of the up-sampled input."""
+
+    def test_forward_and_backward_match_the_oracles(self, rng):
+        for net, x in resize_conv_sweep(rng):
+            conv, f = net.layers[2], net.layers[0].factor
+            calls = record_backward_calls(net)
+            y = net.forward(x)
+            assert net._called == [2]
+            np.testing.assert_allclose(y, conv_oracle(upsampled(x, f), conv.w, conv.b, 1),
+                                       rtol=1e-10, atol=1e-10)
+            gy = rng.standard_normal(y.shape)
+            gx = net.backward(gy)
+            assert calls == [(2, {})]
+            ref_gu, ref_gw, ref_gb = conv_backward_oracle(upsampled(x, f), conv.w, conv.b, 1, gy)
+            b, c, h, w = x.shape
+            ref_gx = ref_gu.reshape(b, c, h, f, w, f).sum(axis=(3, 5))
+            np.testing.assert_allclose(gx, ref_gx, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(conv.gw, ref_gw, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(conv.gb, ref_gb, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("f, kh, kw", [(2, 3, 3), (3, 4, 2), (4, 5, 1)])
+    def test_finite_difference(self, rng, f, kh, kw):
+        net = resize_conv(2, 3, kh, kw, f, 2, 3, rng)
+        conv = net.layers[2]
+        conv.activation = "sigmoid"  # smooth, so every coordinate is checkable
+        x = rng.standard_normal((2, 2, 2, 3))
+
+        def loss():
+            out = net.forward(x)
+            return float((out * out).sum() / 2)
+
+        y = net.forward(x)
+        assert net._called == [2]
+        gx = net.backward(y.copy())
+        assert_grads_close(conv.gw, finite_difference(loss, conv.w))
+        assert_grads_close(conv.gb, finite_difference(loss, conv.b))
+        assert_grads_close(gx, finite_difference(loss, x))
+
+    def test_inexact_crops_and_strided_convs_run_as_three_layers(self, rng):
+        # a crop that cuts low-resolution rows or columns: an odd size, and
+        # unequal pools, which up-sample by max(ph, pw); and an exact crop
+        # followed by a strided conv
+        odd = resize_conv(2, 3, 3, 3, 2, 3, 3, rng)
+        odd.layers[1] = eng.CropLayer(5, 6)
+        strided = resize_conv(2, 3, 3, 3, 2, 3, 3, rng)
+        strided.layers[2].stride = 2
+        cases = [(odd, rng.standard_normal((2, 2, 3, 3))), (strided, rng.standard_normal((2, 2, 3, 3)))]
+        for pool in (gn.PoolGene(2, 3), gn.PoolGene(3, 2)):
+            g = gn.Genome("e", gn.ENCODER, (gn.ConvGene(3, 3, 3, 1), pool))
+            net = build_network(g, (2, 6, 6), rng)
+            assert [l.kind for l in net.layers[2:]] == ["upsample", "crop", "conv"]
+            cases.append((net, rng.standard_normal((2, 2, 6, 6))))
+        for net, x in cases:
+            calls = record_backward_calls(net)
+            y = net.forward(x)
+            assert net._called == list(range(len(net.layers)))
+            assert net.backward(rng.standard_normal(y.shape)).shape == x.shape
+            assert [i for i, _ in calls] == list(reversed(range(len(net.layers))))
+        for net, crop in ((odd, np.s_[:, :, :5]), (strided, np.s_[:])):
+            x, conv = rng.standard_normal((2, 2, 3, 3)), net.layers[2]
+            np.testing.assert_allclose(net.forward(x),
+                                       conv_oracle(upsampled(x, 2)[crop], conv.w, conv.b, conv.stride),
+                                       rtol=1e-10, atol=1e-10)
+
+    def test_forward_leaves_serialized_weights_unchanged(self, rng):
+        g = gn.seed_genome(gn.ENCODER, "e", 0.01)
+        net = build_network(g, (3, 8, 8), rng)
+        blob = eng.serialize_network(net)
+        net.forward(rng.random((4, 3, 8, 8)))
+        assert net._called == [0, 1, 4]
+        assert eng.serialize_network(net) == blob
+
+
 class ReadCounter(np.ndarray):
     """Weights that count the arithmetic that reads them. In backward only
     the input gradient reads a layer's weights."""
@@ -212,6 +323,19 @@ def record_backward_calls(net):
             return _original(gy, **kwargs)
         layer.backward = spy
     return calls
+
+
+def fused_convs(net, x):
+    """Indices of the convs that end an upsample -> crop -> stride-1 conv
+    triple whose crop keeps its whole input, found from each layer's
+    output shape alone."""
+    shapes = [x.shape]
+    for layer in net.layers:
+        shapes.append(layer.forward(np.zeros(shapes[-1])).shape)
+    kinds = [layer.kind for layer in net.layers]
+    return [i + 2 for i in range(len(kinds) - 2)
+            if kinds[i:i + 3] == ["upsample", "crop", "conv"]
+            and net.layers[i + 2].stride == 1 and shapes[i + 2] == shapes[i + 1]]
 
 
 class TestTrainingBackward:
@@ -258,6 +382,8 @@ class TestTrainingBackward:
         assert ReadCounter.reads > 0
 
     def test_no_layer_below_the_lowest_weighted_one_is_called(self):
+        # nor the upsample and crop of a fused triple: its conv returns the
+        # gradient of the triple's input
         rng = np.random.default_rng(7)
         seen = set()
         for _ in range(100):
@@ -266,7 +392,9 @@ class TestTrainingBackward:
             calls = record_backward_calls(net)
             net.backward(gy, input_grad=False)
             lowest = min((i for i, l in enumerate(net.layers) if l.params()), default=len(net.layers))
-            expected = [(i, {}) for i in range(len(net.layers) - 1, lowest, -1)]
+            fused = fused_convs(net, x)
+            skipped = {j for i in fused for j in (i - 2, i - 1)}
+            expected = [(i, {}) for i in range(len(net.layers) - 1, lowest, -1) if i not in skipped]
             if lowest < len(net.layers):
                 expected.append((lowest, {"input_grad": False}))
             assert calls == expected
@@ -274,7 +402,9 @@ class TestTrainingBackward:
                 seen.add("no weights")
             else:
                 seen.add("layers below" if lowest else "weights first")
-        assert seen == {"no weights", "layers below", "weights first"}
+            if any(i > lowest for i in fused):
+                seen.add("fused triple")
+        assert seen == {"no weights", "layers below", "weights first", "fused triple"}
 
     def test_pool_only_autoencoder_trains_without_backward(self, rng):
         g = gn.Genome(id="p", kind=gn.ENCODER, layers=(gn.PoolGene(2, 2),))
@@ -329,6 +459,42 @@ class TestMaxPool:
                 assert gwin[np.unravel_index(win.argmax(), win.shape)] == pytest.approx(
                     gy[0, 0, oy, ox]
                 )
+
+    @staticmethod
+    def padded_argmax_forward(layer, x):
+        """The pool forward this engine used before its running max:
+        -inf padding, a window-last transpose and argmax; (output, indices)."""
+        b, c, h, w = x.shape
+        oh, ow = layer.out_shape(h, w)
+        xp = np.pad(x, ((0, 0), (0, 0), (0, oh * layer.ph - h), (0, ow * layer.pw - w)),
+                    constant_values=-np.inf)
+        blocks = (xp.reshape(b, c, oh, layer.ph, ow, layer.pw).transpose(0, 1, 2, 4, 3, 5)
+                  .reshape(b, c, oh, ow, layer.ph * layer.pw))
+        idx = blocks.argmax(axis=-1)
+        return np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0], idx
+
+    def test_running_max_equals_padded_argmax_bytes(self, rng):
+        # few distinct values make ties; -inf and NaN cells, and truncated
+        # edge windows, route as argmax routes them
+        seen = set()
+        for _ in range(300):
+            ph, pw = (int(v) for v in rng.integers(2, gn.POOL_MAX + 1, size=2))
+            shape = (int(rng.integers(1, 3)), int(rng.integers(1, 3)),
+                     int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+            x = rng.integers(-2, 3, size=shape).astype(float)
+            x[rng.random(shape) < 0.15] = -np.inf
+            x[rng.random(shape) < 0.05] = np.nan
+            layer = eng.MaxPoolLayer(ph, pw)
+            y = layer.forward(x)
+            ref_y, ref_idx = self.padded_argmax_forward(layer, x)
+            assert y.tobytes() == ref_y.tobytes()
+            assert layer._cache[1].dtype == ref_idx.dtype
+            assert layer._cache[1].tobytes() == ref_idx.tobytes()
+            if shape[2] % ph or shape[3] % pw:
+                seen.add("edge window")
+            seen.update(k for k, v in (("nan", np.isnan(y).any()), ("-inf", np.isneginf(y).any()))
+                        if v)
+        assert seen == {"edge window", "nan", "-inf"}
 
 
 class TestUpsample:

@@ -19,7 +19,7 @@ from evocnn import pipeline as pl
 from evocnn import worker as wk
 from evocnn import cli
 from evocnn.config import ConfigError, RunConfig, load_config, save_config
-from evocnn.popstore import IdCollision, PopulationStore
+from evocnn.popstore import IdCollision, PopulationStore, StoreError
 from evocnn.worker import Worker, load_run_data, worker_seed_for
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -308,6 +308,70 @@ class TestRoundProtocol:
         assert set(racer.list_live()) == live - {loser}
         assert self.snapshot(racer)[1:] == (claims, rounds)
         assert list(racer.tmp.iterdir()) == []
+
+
+class TestIdleWait:
+    @staticmethod
+    def count_sleeps(monkeypatch, at_call=None, action=None, limit=50_000):
+        """Replace the worker's sleep by a counter that runs `action` at call
+        `at_call` and fails after `limit` calls; returns the list of calls."""
+        sleeps = []
+
+        def counted_sleep(seconds):
+            sleeps.append(seconds)
+            if len(sleeps) == at_call:
+                action()
+            if len(sleeps) > limit:
+                raise AssertionError("the idle wait never ended")
+
+        monkeypatch.setattr(wk.time, "sleep", counted_sleep)
+        return sleeps
+
+    def test_too_few_live_individuals_raise_once_no_worker_can_publish(self, tmp_path, monkeypatch):
+        # the other worker raised before it published: no round can ever sample a pair
+        cfg = tiny_cfg(tmp_path, workers=2, seeds_per_worker=1, round_budget=1)
+        peer = Worker(cfg, 1, gn.ENCODER)
+        monkeypatch.setattr(peer, "seed_population", lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            peer.run()
+        sleeps = self.count_sleeps(monkeypatch)
+        worker = Worker(cfg, 0, gn.ENCODER)
+        with pytest.raises(StoreError, match="^1 live individual"):
+            worker.run()
+        assert len(sleeps) == wk.IDLE_SNAPSHOTS_MAX - 1
+        assert len(worker.store.list_live()) == 1
+        assert worker.store.idle_count() == 2
+
+    def test_a_peer_training_longer_than_the_bound_is_waited_for(self, tmp_path, monkeypatch):
+        # the peer has killed this worker's seed and trains its child for
+        # longer than the bound's snapshots take; its publish ends the wait
+        cfg = tiny_cfg(tmp_path, workers=2, seeds_per_worker=1, round_budget=1)
+        worker, peer = Worker(cfg, 0, gn.ENCODER), Worker(cfg, 1, gn.ENCODER)
+        worker.seed_population()
+        peer.seed_population()
+        (own_seed,) = [i for i in worker.store.list_live() if i.startswith("w0-")]
+        assert peer.store.kill(own_seed)
+        waits = 3 * wk.IDLE_SNAPSHOTS_MAX
+        sleeps = self.count_sleeps(monkeypatch, waits, peer.seed_population)
+        while not worker.run_round(0):
+            pass
+        assert len(sleeps) == waits
+        assert len(worker.store.list_live()) == 2
+        assert worker.store.idle_count() == 0
+
+    def test_a_wall_budget_run_waits_for_its_budget(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(tmp_path, workers=2, seeds_per_worker=1, round_budget=0, wall_budget=3600)
+        PopulationStore(cfg.population_root).mark_idle("w1")  # a finished peer
+
+        class Waited(Exception):
+            pass
+
+        def past_the_bound():
+            raise Waited
+
+        self.count_sleeps(monkeypatch, 3 * wk.IDLE_SNAPSHOTS_MAX, past_the_bound)
+        with pytest.raises(Waited):
+            Worker(cfg, 0, gn.ENCODER).run()
 
 
 class TestRunStep:
