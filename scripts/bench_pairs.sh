@@ -15,8 +15,10 @@
 #
 # Prints each pair's end-to-end metrics as it completes, then per metric
 # the number of pairs the working tree won (ties count for neither side)
-# and each side's median and quartiles. A run that reports a failed check
-# stops the script.
+# and each side's median and quartiles. After BENCHMARK.json's metrics
+# comes largest_peak_rss_mb: the largest "peak rss" of a run's "trajectory
+# k:" lines, where peak_rss_mb is their median. A run that reports a
+# failed check stops the script.
 set -euo pipefail
 if [ $# -lt 3 ]; then
     echo "usage: $0 <rev> <workload> <pairs> [first seed]" >&2
@@ -65,14 +67,28 @@ run() {
         mv src "$tmp/src"
         mv "$aside" src
     fi
-    printf '%s\n' "$out" | tail -n 1 |
-        python3 -c 'import json, sys; r = json.load(sys.stdin); r.update(side=sys.argv[1], pair=int(sys.argv[2]), seed=int(sys.argv[3])); print(json.dumps(r))' "$1" "$2" "$3" >> "$results"
+    printf '%s\n' "$out" | python3 -c "$record" "$1" "$2" "$3" >> "$results"
 }
+
+# record <side> <pair> <seed>: run.py's output on stdin -> its JSON line, with
+# the largest peak rss of its "trajectory k:" lines added as a metric
+record=$(cat <<'EOF'
+import json, re, sys
+
+lines = sys.stdin.read().splitlines()
+r = json.loads(lines[-1])
+peaks = [float(m[1]) for line in lines if (m := re.match(r"trajectory \d+: .* peak rss ([0-9.]+)MB ", line))]
+r["metrics"]["largest_peak_rss_mb"] = {"value": max(peaks), "unit": "MB"}
+r.update(side=sys.argv[1], pair=int(sys.argv[2]), seed=int(sys.argv[3]))
+print(json.dumps(r))
+EOF
+)
 
 report=$(cat <<'EOF'
 import json, statistics, sys
 
 spec = json.load(open("BENCHMARK.json"))["end_to_end"]
+spec.append({"name": "largest_peak_rss_mb", "unit": "MB", "better": "lower"})
 runs = [json.loads(line) for line in open(sys.argv[1])]
 by_pair = {}
 for r in runs:

@@ -1,10 +1,12 @@
 """Minimal dense CNN engine: layer forward/backward, losses, SGD momentum.
 
-All tensors are numpy float64 arrays in (batch, channels, height, width)
-order. Convolutions use same-padding, so spatial reduction comes only
-from stride and pooling and output dims are closed-form ceil divisions.
+All tensors are numpy arrays in (batch, channels, height, width) order,
+float64 in the program; every buffer a layer allocates takes the dtype of
+the arrays it combines. Convolutions use same-padding, so spatial
+reduction comes only from stride and pooling and output dims are
+closed-form ceil divisions.
 
-A convolution is one matrix product over an im2col matrix (Chellapilla
+A convolution is a matrix product over an im2col matrix (Chellapilla
 et al. 2006) laid out channel-major, (in_channels*kh*kw, batch*oh*ow):
 building it copies whole output rows of ow values, where a
 (batch*oh*ow, in_channels*kh*kw) layout copies runs of only kw. The
@@ -12,6 +14,19 @@ input gradient is scattered back per kernel tap as contiguous
 (in_channels, batch, oh, ow) slabs for the same reason. The input is
 written once into a zero-padded buffer, and the matrix is one copy of a
 single strided (in_channels, kh, kw, batch, oh, ow) view of that buffer.
+
+The matrix is built over batch chunks, so a conv's memory scales with
+its input, not kh*kw times it. A chunk holds the most samples whose
+matrix fits in CONV_CHUNK_BYTES, which sets the peak memory (the
+benchmark's 32-px CAE step: a 59 MB median peak at 1 MiB, 75.5 at 8 MiB),
+but never fewer than CONV_CHUNK_COLS columns: narrower products ran slower
+(192-column chunks of a 64-channel 8-px conv by 40 %). Each chunk's
+product is written into its slice of the output. A chunked conv keeps
+only its zero-padded input for backward, which rebuilds each chunk's
+matrix, sums the chunks' weight and bias gradients, and scatters each
+chunk's input gradient into its slice. A one-chunk conv keeps its matrix,
+as rebuilding it slowed 8-px training, and is byte-identical to an
+unchunked conv.
 
 An up-sample by f -> crop -> stride-1 conv whose crop keeps the whole
 up-sampled input runs as one resize-convolution in sub-pixel form (Odena
@@ -164,7 +179,7 @@ class ParamLayer(Layer):
 
 
 @functools.lru_cache(maxsize=None)
-def _fold(kh, kw, f):
+def _fold(kh, kw, f, dtype):
     """(fold, nh, nw) of a kh x kw conv on an f-times up-sampled input: tap i of
     phase r reads input offset (r + i - (k-1)//2) // f, one of n that same padding
     centres, and fold row (r, a, s, e) sums the taps (i, j) phase (r, s) reads at (a, e)."""
@@ -173,9 +188,23 @@ def _fold(kh, kw, f):
         n = offset.max() - offset.min() + 1
         return (offset - offset.min())[:, None, :] == np.arange(n)[:, None], int(n)
     (fold_h, nh), (fold_w, nw) = axis(kh), axis(kw)
-    fold = np.kron(fold_h.reshape(f * nh, kh), fold_w.reshape(f * nw, kw)).astype(np.float64)
+    fold = np.kron(fold_h.reshape(f * nh, kh), fold_w.reshape(f * nw, kw)).astype(dtype)
     fold.flags.writeable = False
     return fold, nh, nw
+
+
+# Bytes of im2col matrix per conv chunk, and the fewest columns per chunk
+CONV_CHUNK_BYTES = 1 << 20
+CONV_CHUNK_COLS = 1024
+
+
+def _im2col(xp, s, kh, kw, oh, ow):
+    """The (c*kh*kw, b*oh*ow) im2col matrix of the zero-padded input xp: one
+    copy of a strided (c, kh, kw, b, oh, ow) view."""
+    b, c = xp.shape[:2]
+    sb, sc, sh, sw = xp.strides
+    win = as_strided(xp, (c, kh, kw, b, oh, ow), (sc, sh, sw, sb, s * sh, s * sw), writeable=False)
+    return win.reshape(c * kh * kw, b * oh * ow)
 
 
 class ConvLayer(ParamLayer):
@@ -210,50 +239,61 @@ class ConvLayer(ParamLayer):
             )
         s, kh, kw, fold, kernel = self.stride, self.kh, self.kw, None, self.w.reshape(self.filters, -1)
         if up > 1:  # a row block per output phase, over the union of their windows
-            fold, kh, kw = _fold(self.kh, self.kw, up)
+            fold, kh, kw = _fold(self.kh, self.kw, up, self.w.dtype)
             kernel = (self.w.reshape(-1, self.kh * self.kw) @ fold.T).reshape(self.filters, c, up, kh, up, kw)
             kernel = kernel.transpose(2, 4, 0, 1, 3, 5).reshape(up * up * self.filters, -1)
         oh, ow = self.out_shape(h, w)
         ph = max((oh - 1) * s + kh - h, 0)
         pw = max((ow - 1) * s + kw - w, 0)
-        pt, pl = ph // 2, pw // 2
-        xp = np.zeros((b, c, h + ph, w + pw))
+        pt, pl, m = ph // 2, pw // 2, oh * ow
+        xp = np.zeros((b, c, h + ph, w + pw), np.result_type(x, kernel))
         xp[:, :, pt:pt + h, pl:pl + w] = x
-        sb, sc, sh, sw = xp.strides
-        win = as_strided(xp, (c, kh, kw, b, oh, ow),
-                         (sc, sh, sw, sb, s * sh, s * sw), writeable=False)
-        cols = win.reshape(c * kh * kw, b * oh * ow)
+        n = max(CONV_CHUNK_BYTES // (c * kh * kw * m * xp.itemsize), ceil_div(CONV_CHUNK_COLS, m))
+        z = np.empty((len(kernel), b * m), xp.dtype)
+        for i in range(0, b, n):
+            cols = _im2col(xp[i:i + n], s, kh, kw, oh, ow)
+            np.matmul(kernel, cols, out=z[:, i * m:(i + n) * m])
         # depth to space: phase (r, s) of pixel (p, q) is output (up*p + r, up*q + s)
-        z = (kernel @ cols).reshape(up, up, self.filters, b, oh, ow)
-        z = z.transpose(2, 3, 4, 0, 5, 1).reshape(self.filters, -1) + self.b[:, None]
+        z = z.reshape(up, up, self.filters, b, oh, ow).transpose(2, 3, 4, 0, 5, 1).reshape(self.filters, -1)
+        z += self.b[:, None]
         y = _activate(z.reshape(self.filters, b, up * oh, up * ow).transpose(1, 0, 2, 3), self.activation)
-        self._cache = (x.shape, cols, y, up, fold, kernel, (s, kh, kw, oh, ow, ph, pw, pt, pl))
+        # one chunk keeps its matrix; more keep the padded input to rebuild theirs
+        kept = cols if n >= b else xp
+        self._cache = (x.shape, kept, y, up, fold, kernel, n, (s, kh, kw, oh, ow, ph, pw, pt, pl))
         return y
 
     def backward(self, gy, input_grad=True):
-        xshape, cols, y, up, fold, kernel, (s, kh, kw, oh, ow, ph, pw, pt, pl) = self._cache
+        xshape, kept, y, up, fold, kernel, n, (s, kh, kw, oh, ow, ph, pw, pt, pl) = self._cache
         b, c, h, w = xshape
         if gy.shape != y.shape:
             raise ShapeError(f"conv backward got grad shape {gy.shape}, expected {y.shape}")
-        gz = gy * _activate_grad(y, self.activation)
-        # summed row by row over a (b*oh*ow, filters) copy: a sum along
-        # gzc's rows would be pairwise and change gb in the last bit
-        self.gb = gz.transpose(0, 2, 3, 1).reshape(-1, self.filters).sum(axis=0)
-        gzc = gz.reshape(b, self.filters, oh, up, ow, up).transpose(3, 5, 1, 0, 2, 4)
-        gzc = gzc.reshape(up * up * self.filters, b * oh * ow)  # space to depth
-        gw = gzc @ cols.T
+        if input_grad:
+            kernel = kernel if up > 1 else self.w.reshape(self.filters, -1)
+            gxp = np.zeros((c, b, h + ph, w + pw), np.result_type(kernel, gy))
+        for i in range(0, b, n):
+            gz = gy[i:i + n] * _activate_grad(y[i:i + n], self.activation)
+            # summed row by row over a (samples*oh*ow, filters) copy: a sum along
+            # gzc's rows would be pairwise and change gb in the last bit
+            gb_i = gz.transpose(0, 2, 3, 1).reshape(-1, self.filters).sum(axis=0)
+            gzc = gz.reshape(-1, self.filters, oh, up, ow, up).transpose(3, 5, 1, 0, 2, 4)
+            gzc = gzc.reshape(up * up * self.filters, -1)  # space to depth
+            cols = kept if n >= b else _im2col(kept[i:i + n], s, kh, kw, oh, ow)
+            gw_i = gzc @ cols.T
+            gb, gw = (gb_i, gw_i) if i == 0 else (np.add(gb, gb_i, out=gb), np.add(gw, gw_i, out=gw))
+            if input_grad:
+                g = (kernel.T @ gzc).reshape(c, kh, kw, -1, oh, ow)
+                gxc = gxp[:, i:i + n]
+                for ti in range(kh):
+                    for tj in range(kw):
+                        gxc[:, :, ti:ti + s * oh:s, tj:tj + s * ow:s] += g[:, ti, tj]
+            cols = g = None  # this chunk's matrices go before the next chunk's are built
+        self.gb = gb
         if up > 1:  # the fold's transpose sums what each weight gave every phase
             gw = gw.reshape(up, up, self.filters, c, kh, kw).transpose(2, 3, 0, 4, 1, 5)
             gw = gw.reshape(self.filters * c, -1) @ fold
         self.gw = gw.reshape(self.w.shape)
         if not input_grad:
             return None
-        kernel = kernel if up > 1 else self.w.reshape(self.filters, -1)
-        g = (kernel.T @ gzc).reshape(c, kh, kw, b, oh, ow)
-        gxp = np.zeros((c, b, h + ph, w + pw))
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += g[:, i, j]
         return gxp[:, :, pt:pt + h, pl:pl + w].transpose(1, 0, 2, 3)
 
 
@@ -292,7 +332,7 @@ class MaxPoolLayer(Layer):
     def backward(self, gy):
         (b, c, h, w), idx = self._cache
         oh, ow = self.out_shape(h, w)
-        gblocks = np.zeros((b, c, oh, ow, self.ph * self.pw))
+        gblocks = np.zeros((b, c, oh, ow, self.ph * self.pw), gy.dtype)
         np.put_along_axis(gblocks, idx[..., None], gy[..., None], axis=-1)
         gx = (
             gblocks.reshape(b, c, oh, ow, self.ph, self.pw)
@@ -341,7 +381,7 @@ class CropLayer(Layer):
         return x[:, :, : self.target_h, : self.target_w]
 
     def backward(self, gy):
-        gx = np.zeros(self._in_shape)
+        gx = np.zeros(self._in_shape, gy.dtype)
         gx[:, :, : self.target_h, : self.target_w] = gy
         return gx
 

@@ -450,10 +450,12 @@ def test_criterion_9_cifar_loader(tmp_path):
 # 10. Determinism of history exports
 # ---------------------------------------------------------------------------
 
-def _history_bytes(tmp_path, tag, kind=gn.ENCODER, round_budget=6):
+def _seeded_run(root, kind=gn.ENCODER, round_budget=6):
+    """(history csv bytes, sha256 of every live individual's EVOW bytes in
+    path order) of a seeded single-worker step run under `root`."""
     cfg = RunConfig(
-        population_root=str(tmp_path / tag / "pop"),
-        report_dir=str(tmp_path / tag / "reports"),
+        population_root=str(root / "pop"),
+        report_dir=str(root / "reports"),
         data_source="synth",
         n_classes=2,
         synth_count=60,
@@ -467,27 +469,49 @@ def _history_bytes(tmp_path, tag, kind=gn.ENCODER, round_budget=6):
         master_seed=10,
     ).check()
     summary = pl.run_step(cfg, kind)
-    return Path(summary.history_csv).read_bytes()
+    store = PopulationStore(pl.step_population_root(cfg, kind))
+    weights = hashlib.sha256()
+    for iid in store.list_live():
+        weights.update(store.load_weights(iid))
+    return Path(summary.history_csv).read_bytes(), weights.hexdigest()
 
 
-# sha256 of each step's 30-round history; a change that alters the seeded
-# numerics changes these constants in its own diff
+# sha256 of each step's 30-round history, and of its live individuals'
+# EVOW weights; a change that alters the seeded numerics changes these
+# constants in its own diff. EVOW rounds each weight to float32, so a
+# change in the last bits of float64 weights can pass both pins.
 PINNED_HISTORY_SHA256 = {
     gn.ENCODER: "4690a1bd499f7ff805c3bcac12c94febacc8aa20be376ce25782aaf1dfc03321",
     gn.CLASSIFIER: "f6e452bde0b31ea1c04328bcc4e41aa14e5b242054eaebf7c9f0d0cd65c4320a",
 }
+PINNED_WEIGHTS_SHA256 = {
+    gn.ENCODER: "b653139bd3f4c07ea6c7eb6d3a8bf3c797d75635272ad053b6a21e7cd3f4d524",
+    gn.CLASSIFIER: "98c7cf24105af1433681a41044757b63daed2e77c0487a87d7ca518786745da1",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_runs(tmp_path_factory):
+    """Each step's 30-round run, run once for both pins."""
+    root = tmp_path_factory.mktemp("criterion_10")
+    return {kind: _seeded_run(root / kind, kind, round_budget=30) for kind in PINNED_HISTORY_SHA256}
 
 
 def test_criterion_10_bit_identical_history(tmp_path):
     with criterion(10, "seeded single-worker runs export bit-identical histories"):
-        first = _history_bytes(tmp_path, "a")
-        second = _history_bytes(tmp_path, "b")
+        first, _ = _seeded_run(tmp_path / "a")
+        second, _ = _seeded_run(tmp_path / "b")
         assert first == second
         assert len(first.splitlines()) == 1 + 2 + 6  # header + seeds + rounds
 
 
-def test_criterion_10_pinned_history_digests(tmp_path):
+def test_criterion_10_pinned_history_digests(pinned_runs):
     with criterion(10, "seeded 30-round histories of both steps match their pinned sha256"):
         for kind, digest in PINNED_HISTORY_SHA256.items():
-            history = _history_bytes(tmp_path, kind, kind=kind, round_budget=30)
-            assert hashlib.sha256(history).hexdigest() == digest, kind
+            assert hashlib.sha256(pinned_runs[kind][0]).hexdigest() == digest, kind
+
+
+def test_criterion_10_pinned_weights_digests(pinned_runs):
+    with criterion(10, "live weights after both steps' seeded 30-round runs match their pinned sha256"):
+        for kind, digest in PINNED_WEIGHTS_SHA256.items():
+            assert pinned_runs[kind][1] == digest, kind

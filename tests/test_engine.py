@@ -116,12 +116,15 @@ class TestConvForward:
             )
 
     def test_strided_view_matches_padded_windows_bytewise(self, rng):
-        # the matrix product's operands, and so its sums, are unchanged
+        # every sweep conv runs as one chunk and keeps its one matrix: the
+        # matrix product's operands, and so its sums, are unchanged
         for layer, x in conv_sweep(rng):
             for activation in ("relu", "sigmoid"):
                 layer.activation = activation
                 y = layer.forward(x)
                 ref_y, ref_cols = padded_window_forward(layer, x)
+                assert layer._cache[6] >= x.shape[0]
+                assert layer._cache[1].shape == ref_cols.shape
                 assert layer._cache[1].tobytes() == ref_cols.tobytes()
                 assert y.tobytes() == ref_y.tobytes()
 
@@ -289,6 +292,153 @@ class TestResizeConv:
         net.forward(rng.random((4, 3, 8, 8)))
         assert net._called == [0, 1, 4]
         assert eng.serialize_network(net) == blob
+
+
+def run_in_chunks(monkeypatch, layer, x, n, up=1):
+    """Set the chunk constants so that `layer` runs x (up-sampled `up` times)
+    in chunks of n samples: no byte budget, a column floor of n samples."""
+    oh, ow = (x.shape[2], x.shape[3]) if up > 1 else layer.out_shape(*x.shape[2:])
+    monkeypatch.setattr(eng, "CONV_CHUNK_BYTES", 0)
+    monkeypatch.setattr(eng, "CONV_CHUNK_COLS", n * oh * ow)
+
+
+def assert_ran_in_chunks(layer, x, n):
+    """The last forward ran n-sample chunks and kept the padded input, not a matrix."""
+    assert layer._cache[6] == n < x.shape[0]
+    assert layer._cache[1].shape[:2] == x.shape[:2] and layer._cache[1].ndim == 4
+
+
+def chunked(cases, rng):
+    """Each (case, x) with x redrawn on a batch of 2-4 and a chunk size n
+    below it: 1-sample chunks and chunks that do not divide the batch
+    among them."""
+    out = []
+    for case, x in cases:
+        b = int(rng.integers(2, 5))
+        out.append((case, rng.standard_normal((b, *x.shape[1:])), int(rng.integers(1, b))))
+    covered = {
+        "1-sample chunks": any(n == 1 for _, _, n in out),
+        "uneven chunks": any(x.shape[0] % n for _, x, n in out),
+        "even chunks": any(n > 1 and x.shape[0] % n == 0 for _, x, n in out),
+    }
+    assert all(covered.values()), covered
+    return out
+
+
+class TestChunkedConv:
+    """A conv whose batch runs in several chunks: each chunk's matrix is
+    rebuilt from the kept padded input in backward, its products are
+    written into their slices, and the weight and bias gradients are sums
+    over chunks. Checked against the same oracles and tolerances as one chunk."""
+
+    def test_chunk_size_rule(self):
+        # (batch, in_channels, side, kernel) -> samples per chunk: the most
+        # whose matrix fits in CONV_CHUNK_BYTES, never below CONV_CHUNK_COLS columns
+        for (b, c, side, k), n in {
+            (100, 3, 32, 3): 4,     # 27 x 4096 doubles fit 1 MiB, 27 x 5120 do not
+            (64, 2, 16, 3): 28,     # 18 x 7168 doubles fit, 18 x 7424 do not
+            (30, 32, 32, 3): 1,     # the column floor: one 1024-pixel sample
+            (50, 8, 16, 5): 4,      # the floor: 1024 columns, where 512 fit 1 MiB
+            (15, 64, 8, 3): 16,     # the floor covers the whole batch: one chunk
+        }.items():
+            layer = make_conv(c, 4, k, k)
+            layer.forward(np.zeros((b, c, side, side)))
+            assert layer._cache[6] == n
+            assert (layer._cache[1].ndim == 2) == (n >= b)
+
+    def test_forward_and_backward_match_the_oracles(self, rng, monkeypatch):
+        cases = chunked(conv_sweep(rng), rng)
+        assert {l.stride for l, _, _ in cases} == set(range(1, gn.STRIDE_MAX + 1))
+        for layer, x, n in cases:
+            run_in_chunks(monkeypatch, layer, x, n)
+            y = layer.forward(x)
+            assert_ran_in_chunks(layer, x, n)
+            np.testing.assert_allclose(y, conv_oracle(x, layer.w, layer.b, layer.stride),
+                                       rtol=1e-10, atol=1e-10)
+            gy = rng.standard_normal(y.shape)
+            gx = layer.backward(gy)
+            ref_gx, ref_gw, ref_gb = conv_backward_oracle(x, layer.w, layer.b, layer.stride, gy)
+            np.testing.assert_allclose(gx, ref_gx, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(layer.gw, ref_gw, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(layer.gb, ref_gb, rtol=1e-10, atol=1e-10)
+
+    def test_rebuilt_matrices_are_the_padded_windows_bytewise(self, rng, monkeypatch):
+        for layer, x, n in chunked(conv_sweep(rng), rng):
+            run_in_chunks(monkeypatch, layer, x, n)
+            layer.forward(x)
+            _, ref_cols = padded_window_forward(layer, x)
+            s, kh, kw, oh, ow = layer._cache[7][:5]
+            for i in range(0, x.shape[0], n):
+                cols = eng._im2col(layer._cache[1][i:i + n], s, kh, kw, oh, ow)
+                assert cols.tobytes() == ref_cols[:, i * oh * ow:(i + n) * oh * ow].tobytes()
+
+    @pytest.mark.parametrize("stride, n", [(1, 1), (2, 2), (3, 1), (4, 2)])
+    def test_finite_difference(self, rng, monkeypatch, stride, n):
+        layer = make_conv(2, 3, 3, 3, stride=stride, rng=rng)
+        x = rng.standard_normal((3, 2, 5, 5))
+        run_in_chunks(monkeypatch, layer, x, n)
+
+        def loss():
+            out = layer.forward(x)
+            return float((out * out).sum() / 2)
+
+        y = layer.forward(x)
+        assert_ran_in_chunks(layer, x, n)
+        gx = layer.backward(y.copy())
+        assert_grads_close(layer.gw, finite_difference(loss, layer.w))
+        assert_grads_close(layer.gb, finite_difference(loss, layer.b))
+        assert_grads_close(gx, finite_difference(loss, x))
+
+    def test_resize_conv_matches_the_oracles(self, rng, monkeypatch):
+        for net, x, n in chunked(resize_conv_sweep(rng), rng):
+            conv, f = net.layers[2], net.layers[0].factor
+            run_in_chunks(monkeypatch, conv, x, n, up=f)
+            y = net.forward(x)
+            assert net._called == [2]
+            assert_ran_in_chunks(conv, x, n)
+            np.testing.assert_allclose(y, conv_oracle(upsampled(x, f), conv.w, conv.b, 1),
+                                       rtol=1e-10, atol=1e-10)
+            gy = rng.standard_normal(y.shape)
+            gx = net.backward(gy)
+            ref_gu, ref_gw, ref_gb = conv_backward_oracle(upsampled(x, f), conv.w, conv.b, 1, gy)
+            b, c, h, w = x.shape
+            np.testing.assert_allclose(gx, ref_gu.reshape(b, c, h, f, w, f).sum(axis=(3, 5)),
+                                       rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(conv.gw, ref_gw, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(conv.gb, ref_gb, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("f, kh, kw, n", [(2, 3, 3, 1), (3, 4, 2, 2), (4, 5, 1, 2)])
+    def test_resize_conv_finite_difference(self, rng, monkeypatch, f, kh, kw, n):
+        net = resize_conv(2, 3, kh, kw, f, 2, 3, rng)
+        conv = net.layers[2]
+        conv.activation = "sigmoid"  # smooth, so every coordinate is checkable
+        x = rng.standard_normal((3, 2, 2, 3))
+        run_in_chunks(monkeypatch, conv, x, n, up=f)
+
+        def loss():
+            out = net.forward(x)
+            return float((out * out).sum() / 2)
+
+        y = net.forward(x)
+        assert net._called == [2]
+        assert_ran_in_chunks(conv, x, n)
+        gx = net.backward(y.copy())
+        assert_grads_close(conv.gw, finite_difference(loss, conv.w))
+        assert_grads_close(conv.gb, finite_difference(loss, conv.b))
+        assert_grads_close(gx, finite_difference(loss, x))
+
+    def test_training_backward_keeps_parameter_grads_bytewise(self, rng, monkeypatch):
+        for layer, x, n in chunked(conv_sweep(rng), rng):
+            run_in_chunks(monkeypatch, layer, x, n)
+            for activation in ("relu", "sigmoid"):
+                layer.activation = activation
+                gy = rng.standard_normal(layer.forward(x).shape)
+                assert_ran_in_chunks(layer, x, n)
+                layer.backward(gy)
+                full = (layer.gw.tobytes(), layer.gb.tobytes())
+                layer.gw = layer.gb = None
+                assert layer.backward(gy, input_grad=False) is None
+                assert (layer.gw.tobytes(), layer.gb.tobytes()) == full
 
 
 class ReadCounter(np.ndarray):
@@ -821,6 +971,37 @@ _MALFORMED = {
     # 2 is unassigned: no gene or decoder builds a linear activation
     "activation code": lambda blob: [_with(blob, 34, struct.pack("<I", c)) for c in (2, 3, 2**32 - 1)],
 }
+
+
+class TestDtype:
+    def test_float32_parameters_and_input_stay_float32(self, rng, monkeypatch):
+        # each layer kind's output, input gradient and parameter gradients
+        # take the dtype of the arrays they combine; no buffer widens them
+        f32 = np.float32
+        x = rng.standard_normal((3, 2, 5, 5)).astype(f32)
+        cases = [
+            (eng.ConvLayer(2, 3, 3, 3, 2), x, {}),
+            (eng.ConvLayer(2, 3, 3, 2, 1, "sigmoid"), x, {"up": 2}),
+            (eng.MaxPoolLayer(2, 2), x, {}),
+            (eng.UpsampleLayer(2), x, {}),
+            (eng.CropLayer(4, 3), x, {}),
+            (eng.FlattenLayer(), x, {}),
+            (eng.DenseLayer(6, 4), x.reshape(3, -1)[:, :6].copy(), {}),
+        ]
+        assert {l.kind for l, _, _ in cases} == set(eng.LAYER_KINDS)
+        for chunk in (None, 1):
+            for layer, xin, kwargs in cases:
+                if layer.params():
+                    w_shape, b_shape = layer.param_shapes()
+                    layer.set_params(rng.standard_normal(w_shape).astype(f32),
+                                     rng.standard_normal(b_shape).astype(f32))
+                if chunk and layer.kind == "conv":
+                    run_in_chunks(monkeypatch, layer, xin, chunk, **kwargs)
+                y = layer.forward(xin, **kwargs)
+                if chunk and layer.kind == "conv":
+                    assert_ran_in_chunks(layer, xin, chunk)
+                gx = layer.backward(np.ones_like(y))
+                assert [a.dtype for a in (y, gx, *layer.grads())] == [f32] * (2 + len(layer.grads())), layer.kind
 
 
 class TestWeightsBlob:
