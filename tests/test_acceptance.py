@@ -28,6 +28,7 @@ from evocnn import genome as gn
 from evocnn import mutation as mu
 from evocnn import pipeline as pl
 from evocnn import selection as sel
+from evocnn import worker as wk
 from evocnn.config import RunConfig, save_config
 from evocnn.mcdm import Alternative, TopsisWeights, select_best
 from evocnn.popstore import PopulationStore
@@ -476,10 +477,11 @@ def _seeded_run(root, kind=gn.ENCODER, round_budget=6):
     return Path(summary.history_csv).read_bytes(), weights.hexdigest()
 
 
-# sha256 of each step's 30-round history, and of its live individuals'
-# EVOW weights; a change that alters the seeded numerics changes these
-# constants in its own diff. EVOW rounds each weight to float32, so a
-# change in the last bits of float64 weights can pass both pins.
+# sha256 of each step's 30-round history, of its live individuals' EVOW
+# weights, and of the float64 parameters of every network it trained; a
+# change that alters the seeded numerics changes these constants in its
+# own diff. EVOW rounds each weight to float32, so a change in the last
+# bits of float64 weights can pass the first two pins, but not the third.
 PINNED_HISTORY_SHA256 = {
     gn.ENCODER: "4690a1bd499f7ff805c3bcac12c94febacc8aa20be376ce25782aaf1dfc03321",
     gn.CLASSIFIER: "f6e452bde0b31ea1c04328bcc4e41aa14e5b242054eaebf7c9f0d0cd65c4320a",
@@ -488,13 +490,34 @@ PINNED_WEIGHTS_SHA256 = {
     gn.ENCODER: "b653139bd3f4c07ea6c7eb6d3a8bf3c797d75635272ad053b6a21e7cd3f4d524",
     gn.CLASSIFIER: "98c7cf24105af1433681a41044757b63daed2e77c0487a87d7ca518786745da1",
 }
+PINNED_PARAMS_SHA256 = {
+    gn.ENCODER: "4ce9f32f1fab870eccafce6d8fef53bc6efc25f272e6ada301cd9992793faf52",
+    gn.CLASSIFIER: "529345ffa2a78b7374d2e047878d6e3b377547a0a151b0df4d754d7327ddaadf",
+}
 
 
 @pytest.fixture(scope="module")
 def pinned_runs(tmp_path_factory):
-    """Each step's 30-round run, run once for both pins."""
+    """Each step's 30-round run, run once for all three pins: its history
+    csv bytes, its live weights' digest, and the sha256 over the float64
+    bytes of each trained network's parameter arrays, in training order."""
     root = tmp_path_factory.mktemp("criterion_10")
-    return {kind: _seeded_run(root / kind, kind, round_budget=30) for kind in PINNED_HISTORY_SHA256}
+    runs = {}
+    for kind in PINNED_HISTORY_SHA256:
+        params = hashlib.sha256()
+
+        def hashed(*args, train=wk.train_individual, **kwargs):
+            net, report = train(*args, **kwargs)
+            for layer in net.layers:
+                for array in layer.params():
+                    params.update(array.tobytes())
+            return net, report
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wk, "train_individual", hashed)
+            history, weights = _seeded_run(root / kind, kind, round_budget=30)
+        runs[kind] = (history, weights, params.hexdigest())
+    return runs
 
 
 def test_criterion_10_bit_identical_history(tmp_path):
@@ -515,3 +538,10 @@ def test_criterion_10_pinned_weights_digests(pinned_runs):
     with criterion(10, "live weights after both steps' seeded 30-round runs match their pinned sha256"):
         for kind, digest in PINNED_WEIGHTS_SHA256.items():
             assert pinned_runs[kind][1] == digest, kind
+
+
+def test_criterion_10_pinned_params_digests(pinned_runs):
+    with criterion(10, "float64 parameters of every network trained in both steps' "
+                       "seeded 30-round runs match their pinned sha256"):
+        for kind, digest in PINNED_PARAMS_SHA256.items():
+            assert pinned_runs[kind][2] == digest, kind
