@@ -183,11 +183,20 @@ _EVOD_VERSION = 1
 
 
 def write_evod(path, ds: Dataset):
+    """Write ds as an EVOD cache. A label outside [0, 255], which one byte
+    would wrap, or a pixel that is not a finite float32, which `read_evod`
+    rejects, raises DataError, and nothing is written."""
     n, c, h, w = ds.x.shape
+    if np.any((ds.y < 0) | (ds.y > 255)):
+        raise DataError(f"{path}: EVOD labels are bytes, got {ds.y.min()}..{ds.y.max()}")
+    with np.errstate(over="ignore", invalid="ignore"):  # what the cast makes non-finite is rejected
+        x = ds.x.astype("<f4")
+    if not np.isfinite(x).all():
+        raise DataError(f"{path}: non-finite pixel")
     with open(path, "wb") as fh:
         fh.write(_EVOD_MAGIC)
         fh.write(struct.pack("<IIIII", _EVOD_VERSION, n, c, h, w))
-        fh.write(ds.x.astype("<f4").tobytes())
+        fh.write(x.tobytes())
         fh.write(ds.y.astype(np.uint8).tobytes())
 
 
@@ -207,6 +216,9 @@ def read_evod(path, split="raw") -> Dataset:
     size = n * c * h * w
     if len(raw) != off + 4 * size + n:
         raise DataError(f"{path}: truncated EVOD file")
-    x = np.frombuffer(raw, "<f4", size, off).astype(np.float64).reshape(n, c, h, w)
+    x = np.frombuffer(raw, "<f4", size, off)
+    if not np.isfinite(x).all():
+        raise DataError(f"{path}: non-finite pixel")
+    x = x.astype(np.float64).reshape(n, c, h, w)
     y = np.frombuffer(raw, np.uint8, n, off + 4 * size).astype(np.int64)
     return Dataset(x=x, y=y, split=split)

@@ -28,11 +28,13 @@ chunk's input gradient into its slice. A one-chunk conv keeps its matrix,
 as rebuilding it slowed 8-px training, and is byte-identical to an
 unchunked conv.
 
-An up-sample by f -> crop -> stride-1 conv whose crop keeps the whole
-up-sampled input runs as one resize-convolution in sub-pixel form (Odena
-et al. 2016; Shi et al. 2016) on the input: one im2col over the union of
-the f*f output phases' windows, a kernel whose taps on one input pixel
-are summed by a fixed 0/1 fold, and a depth-to-space write.
+An up-sample by f directly below a stride-1 conv runs inside that conv
+as one resize-convolution in sub-pixel form (Odena et al. 2016; Shi et
+al. 2016) on the low-resolution input: one im2col over the union of the
+f*f output phases' windows, a kernel whose taps on one input pixel are
+summed by a fixed 0/1 fold, and a depth-to-space write. A `Network`
+pairs them once, from its layers' kinds, when it is built; every other
+layer runs alone.
 
 Training needs no input gradient, so its backward pass stops at the
 lowest layer with parameters: that layer computes only its own weight
@@ -462,11 +464,18 @@ EVAL_CHUNK = 256
 
 
 class Network:
-    """An ordered stack of layers trained with SGD + momentum."""
+    """An ordered stack of layers, fixed when it is built, trained with SGD + momentum."""
 
     def __init__(self, layers):
-        self.layers = list(layers)
-        self._called = []  # indices of the layers the last forward pass called
+        self.layers = tuple(layers)
+        self._calls = []  # (layer index, layer, up-sample factor it runs), input side first
+        for i, layer in enumerate(self.layers):
+            if i and layer.kind == "conv" and layer.stride == 1 and self.layers[i - 1].kind == "upsample":
+                self._calls[-1] = (i, layer, self.layers[i - 1].factor)
+            else:
+                self._calls.append((i, layer, 1))
+        # training's backward pass stops at the lowest call with parameters
+        self._lowest = next((n for n, (_, l, _) in enumerate(self._calls) if l.params()), len(self._calls))
 
     def forward_chunks(self, x):
         """(sample slice, output) of each EVAL_CHUNK-sample pass over x, in order."""
@@ -474,39 +483,27 @@ class Network:
             yield slice(i, i + EVAL_CHUNK), self.forward(x[i:i + EVAL_CHUNK])
 
     def forward(self, x):
-        """The output; a triple as in the module docstring is one conv call."""
-        self._called, i = [], 0
-        while i < len(self.layers):
-            triple, up = self.layers[i:i + 3], 1
-            if [l.kind for l in triple] == ["upsample", "crop", "conv"] and triple[2].stride == 1:
-                f, crop = triple[0].factor, triple[1]
-                if (crop.target_h, crop.target_w) == (x.shape[2] * f, x.shape[3] * f):
-                    i, up = i + 2, f
-            layer = self.layers[i]
+        for i, layer, up in self._calls:
             try:
                 x = layer.forward(x, up=up) if up > 1 else layer.forward(x)
             except ShapeError as exc:
                 raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from exc
-            self._called.append(i)
-            i += 1
         return x
 
     def backward(self, gy, input_grad=True):
-        """Backpropagate `gy` through the layers the last forward pass called
-        and return the input gradient.
+        """Backpropagate `gy` through the layers and return the input gradient.
 
         With `input_grad=False` the pass stops at the lowest layer with
         parameters, which computes only its own gradients; the layers
         below it are not called and None is returned.
         """
-        lowest = 0
-        if not input_grad:
-            lowest = next((i for i, l in enumerate(self.layers) if l.params()), len(self.layers))
-        for i in reversed([i for i in self._called if i >= lowest]):
-            if input_grad or i > lowest:
-                gy = self.layers[i].backward(gy)
+        first = 0 if input_grad else self._lowest
+        for n in reversed(range(first, len(self._calls))):
+            layer = self._calls[n][1]
+            if input_grad or n > first:
+                gy = layer.backward(gy)
             else:
-                self.layers[i].backward(gy, input_grad=False)
+                layer.backward(gy, input_grad=False)
         return gy if input_grad else None
 
     def step(self, lr, momentum):

@@ -72,12 +72,12 @@ class LineageError(GenomeError):
     """Parent/child pair not related by a single mutation."""
 
 
-def _upsample_to(factor, shape):
-    """Up-sample by `factor`, then crop back to shape's (h, w)."""
-    return [
-        {"kind": "upsample", "factor": factor},
-        {"kind": "crop", "target_h": shape[1], "target_w": shape[2]},
-    ]
+def _upsample_to(factor, in_shape, out_shape):
+    """Up-sample out_shape by `factor`, cropped back to in_shape where it overshoots."""
+    specs = [{"kind": "upsample", "factor": factor}]
+    if (factor * out_shape[1], factor * out_shape[2]) != in_shape[1:]:
+        specs.append({"kind": "crop", "target_h": in_shape[1], "target_w": in_shape[2]})
+    return specs
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,11 @@ class ConvGene:
         return {"kind": self.kind, "in_channels": in_c, "filters": self.filters,
                 "kh": self.kh, "kw": self.kw, "stride": self.stride, "activation": "relu"}
 
-    def mirror(self, in_shape, out_c):
-        """A stride becomes up-sample + crop, then a stride-1 conv maps the
-        out_c channels back onto in_shape's."""
-        specs = _upsample_to(self.stride, in_shape) if self.stride > 1 else []
-        return specs + [{**self.spec(out_c), "filters": in_shape[0], "stride": 1}]
+    def mirror(self, in_shape, out_shape):
+        """A stride becomes an up-sample (+ crop), then a stride-1 conv maps
+        out_shape's channels back onto in_shape's."""
+        specs = _upsample_to(self.stride, in_shape, out_shape) if self.stride > 1 else []
+        return specs + [{**self.spec(out_shape[0]), "filters": in_shape[0], "stride": 1}]
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,8 @@ class PoolGene:
     def spec(self, in_c):
         return {"kind": self.kind, "ph": self.ph, "pw": self.pw}
 
-    def mirror(self, in_shape, out_c):
-        return _upsample_to(max(self.ph, self.pw), in_shape)
+    def mirror(self, in_shape, out_shape):
+        return _upsample_to(max(self.ph, self.pw), in_shape, out_shape)
 
 
 class GeneKind(NamedTuple):
@@ -291,16 +291,16 @@ def derive_decoder(g: Genome, input_shape):
     """Mirror the encoder into a decoder layer plan.
 
     Each gene, last first, contributes its `mirror`: pools become
-    up-sampling (+ crop back to the recorded pre-pool shape); strided
-    convs become up-sample + crop + stride-1 conv onto the previous
-    channel count. The last conv gets a sigmoid so reconstructions stay
-    in [0,1].
+    up-sampling, strided convs up-sampling + a stride-1 conv onto the
+    previous channel count, and an up-sample that overshoots the recorded
+    pre-gene shape is cropped back to it. The last conv gets a sigmoid
+    so reconstructions stay in [0,1].
     """
     trace = infer_shapes(g, input_shape)
     specs = []
     for i in reversed(range(len(g.layers))):
         specs.extend({**spec, "source": ("mirror", i)}
-                     for spec in g.layers[i].mirror(trace[i], trace[i + 1][0]))
+                     for spec in g.layers[i].mirror(trace[i], trace[i + 1]))
     for spec in reversed(specs):
         if "activation" in spec:
             spec["activation"] = "sigmoid"

@@ -48,11 +48,12 @@ class StepSummary:
 # ---------------------------------------------------------------------------
 
 def export_history(population_root, out_csv):
-    """One row per individual ever published, in publish order.
+    """One row per individual ever published, live or dead.
 
-    The offset column is the publish rank (0-based), which doubles as a
-    deterministic time axis for round-budgeted runs; wall-clock ordering
-    comes from sidecar mtimes.
+    Rows are sorted by generation, then by the mtime of the individual's
+    fitness sidecar, then by id; a child published after a deeper
+    descendant of another lineage sorts before it, so this is not publish
+    order. The offset column is the row's rank in this order (0-based).
     """
     store = PopulationStore(population_root)
     entries = []
@@ -60,7 +61,7 @@ def export_history(population_root, out_csv):
         for iid in lister():
             try:
                 meta = store.load_fitness(iid, dirname)
-                mtime = (store.root / dirname / iid / "fitness.csv").stat().st_mtime_ns
+                mtime = store.fitness_path(iid, dirname).stat().st_mtime_ns
             except OSError:
                 continue
             entries.append((mtime, meta.generation, meta.id, meta))

@@ -172,9 +172,11 @@ class PopulationStore:
         picked = rng.choice(len(ids), size=2, replace=False)
         return ids[int(picked[0])], ids[int(picked[1])]
 
+    def fitness_path(self, individual_id, dirname="live"):
+        return self.root / dirname / individual_id / FITNESS_FILE
+
     def load_fitness(self, individual_id, dirname="live") -> FitnessMeta:
-        path = self.root / dirname / individual_id / FITNESS_FILE
-        return parse_fitness_line(path.read_text())
+        return parse_fitness_line(self.fitness_path(individual_id, dirname).read_text())
 
     def load_all_fitness(self):
         """Snapshot of live fitness records, as a new dict.

@@ -87,8 +87,8 @@ def _random_conv(rng, in_channels, stride):
 
 def random_stack(rng):
     """A random small layer stack plus matching input, ready for training.
-    Half of its up-samples start an exact upsample -> crop -> conv triple,
-    which the network runs as one sub-pixel conv."""
+    Half of its up-samples sit directly below a stride-1 conv, and the
+    network runs each such pair as one sub-pixel conv."""
     c = int(rng.integers(1, 3))
     h = int(rng.integers(3, 7))
     w = int(rng.integers(3, 7))
@@ -108,7 +108,7 @@ def random_stack(rng):
             layers.append(eng.UpsampleLayer(2))
             ch, cw = ch * 2, cw * 2
             if rng.random() < 0.5:
-                layers += [eng.CropLayer(ch, cw), _random_conv(rng, cc, 1)]
+                layers.append(_random_conv(rng, cc, 1))
                 cc = layers[-1].filters
         elif min(ch, cw) >= 2:
             layers.append(eng.CropLayer(ch - 1, cw - 1))
@@ -487,7 +487,7 @@ PINNED_HISTORY_SHA256 = {
     gn.CLASSIFIER: "f6e452bde0b31ea1c04328bcc4e41aa14e5b242054eaebf7c9f0d0cd65c4320a",
 }
 PINNED_WEIGHTS_SHA256 = {
-    gn.ENCODER: "b653139bd3f4c07ea6c7eb6d3a8bf3c797d75635272ad053b6a21e7cd3f4d524",
+    gn.ENCODER: "068efd7396e1946e624bd7ce1f1cc6b7bee1703dea2f4dcb1203df995d32db86",
     gn.CLASSIFIER: "98c7cf24105af1433681a41044757b63daed2e77c0487a87d7ca518786745da1",
 }
 PINNED_PARAMS_SHA256 = {

@@ -1,5 +1,6 @@
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,41 @@ class TestEvodFormat:
         dt.write_evod(path, dt.Dataset(x=np.zeros(shape), y=np.zeros(shape[0], np.int64)))
         with pytest.raises(dt.DataError, match="empty"):
             dt.read_evod(path)
+
+    @pytest.mark.parametrize("label", [-1, 256, 300])
+    def test_label_outside_a_byte_rejected(self, tmp_path, label):
+        ds = dt.synth_dataset(2, 10, 6, seed=3)
+        ds.y[3] = label
+        path = tmp_path / "labels.evod"
+        with pytest.raises(dt.DataError, match="labels are bytes"):
+            dt.write_evod(path, ds)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0xFFC00001, 0x7F800000, 0xFF800000],
+                             ids=["nan", "snan", "negative nan", "inf", "-inf"])
+    def test_non_finite_pixel_rejected_on_read(self, tmp_path, bits):
+        path = tmp_path / "pixels.evod"
+        dt.write_evod(path, dt.synth_dataset(2, 10, 6, seed=3))
+        raw = bytearray(path.read_bytes())
+        raw[24 + 4 * 7:24 + 4 * 8] = struct.pack("<I", bits)
+        path.write_bytes(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # casting a signalling NaN warns
+            with pytest.raises(dt.DataError, match="non-finite"):
+                dt.read_evod(path)
+
+    @pytest.mark.parametrize("bits", [0x7FF8000000000000, 0x7FF0000000000001, 0x7FF0000000000000,
+                                      0xFFF0000000000000, 0x481D5C4A5E7F5E3C],
+                             ids=["nan", "snan", "inf", "-inf", "beyond float32"])
+    def test_non_finite_pixel_not_written(self, tmp_path, bits):
+        ds = dt.synth_dataset(2, 10, 6, seed=3)
+        ds.x.flat[7] = np.frombuffer(struct.pack("<Q", bits), "<f8")[0]
+        path = tmp_path / "pixels.evod"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dt.DataError, match="non-finite"):
+                dt.write_evod(path, ds)
+        assert not path.exists()
 
     @given(evod_bytes())
     @example(b"EVOD\x01\x00")

@@ -187,16 +187,16 @@ def upsampled(x, f):
     return x.repeat(f, axis=2).repeat(f, axis=3)
 
 
-def resize_conv(in_c, filters, kh, kw, f, h, w, rng):
-    """An exact upsample(f) -> crop -> stride-1 conv network on h x w inputs."""
+def resize_conv(in_c, filters, kh, kw, f, rng):
+    """An upsample(f) -> stride-1 conv network."""
     conv = make_conv(in_c, filters, kh, kw, rng=rng)
     conv.b[...] = 0.1 * rng.standard_normal(filters)
-    return eng.Network([eng.UpsampleLayer(f), eng.CropLayer(h * f, w * f), conv])
+    return eng.Network([eng.UpsampleLayer(f), conv])
 
 
 def resize_conv_sweep(rng, count=120):
-    """Random exact triples: factors 2-4, kernels 1-9 (even and non-square
-    among them), batch 1 and 1-px inputs."""
+    """Random upsample -> conv pairs: factors 2-4, kernels 1-9 (even and
+    non-square among them), batch 1 and 1-px inputs."""
     cases = []
     for _ in range(count):
         c, filters = (int(v) for v in rng.integers(1, 5, size=2))
@@ -204,8 +204,8 @@ def resize_conv_sweep(rng, count=120):
         f = int(rng.integers(2, 5))
         h, w = (int(v) for v in rng.integers(1, 5, size=2))
         x = rng.standard_normal((int(rng.integers(1, 4)), c, h, w))
-        cases.append((resize_conv(c, filters, kh, kw, f, h, w, rng), x))
-    convs = [(net.layers[2], net.layers[0].factor, x) for net, x in cases]
+        cases.append((resize_conv(c, filters, kh, kw, f, rng), x))
+    convs = [(net.layers[1], net.layers[0].factor, x) for net, x in cases]
     covered = {
         **{f"factor {f}": any(u == f for _, u, _ in convs) for f in (2, 3, 4)},
         **{f"kernel {k}": any(k in (l.kh, l.kw) for l, _, _ in convs) for k in range(1, 10)},
@@ -219,21 +219,21 @@ def resize_conv_sweep(rng, count=120):
 
 
 class TestResizeConv:
-    """An exact upsample -> crop -> stride-1 conv triple runs as one sub-pixel
-    conv on the low-resolution input, checked against the nested-loop conv
-    of the up-sampled input."""
+    """An upsample directly below a stride-1 conv runs inside that conv, as
+    one sub-pixel conv on the low-resolution input, checked against the
+    nested-loop conv of the up-sampled input."""
 
     def test_forward_and_backward_match_the_oracles(self, rng):
         for net, x in resize_conv_sweep(rng):
-            conv, f = net.layers[2], net.layers[0].factor
-            calls = record_backward_calls(net)
+            conv, f = net.layers[1], net.layers[0].factor
+            forward_calls, calls = record_calls(net, "forward"), record_calls(net)
             y = net.forward(x)
-            assert net._called == [2]
+            assert forward_calls == [(1, {"up": f})]
             np.testing.assert_allclose(y, conv_oracle(upsampled(x, f), conv.w, conv.b, 1),
                                        rtol=1e-10, atol=1e-10)
             gy = rng.standard_normal(y.shape)
             gx = net.backward(gy)
-            assert calls == [(2, {})]
+            assert calls == [(1, {})]
             ref_gu, ref_gw, ref_gb = conv_backward_oracle(upsampled(x, f), conv.w, conv.b, 1, gy)
             b, c, h, w = x.shape
             ref_gx = ref_gu.reshape(b, c, h, f, w, f).sum(axis=(3, 5))
@@ -243,8 +243,8 @@ class TestResizeConv:
 
     @pytest.mark.parametrize("f, kh, kw", [(2, 3, 3), (3, 4, 2), (4, 5, 1)])
     def test_finite_difference(self, rng, f, kh, kw):
-        net = resize_conv(2, 3, kh, kw, f, 2, 3, rng)
-        conv = net.layers[2]
+        net = resize_conv(2, 3, kh, kw, f, rng)
+        conv = net.layers[1]
         conv.activation = "sigmoid"  # smooth, so every coordinate is checkable
         x = rng.standard_normal((2, 2, 2, 3))
 
@@ -252,8 +252,9 @@ class TestResizeConv:
             out = net.forward(x)
             return float((out * out).sum() / 2)
 
+        forward_calls = record_calls(net, "forward")
         y = net.forward(x)
-        assert net._called == [2]
+        assert forward_calls == [(1, {"up": f})]
         gx = net.backward(y.copy())
         assert_grads_close(conv.gw, finite_difference(loss, conv.w))
         assert_grads_close(conv.gb, finite_difference(loss, conv.b))
@@ -261,25 +262,28 @@ class TestResizeConv:
 
     def test_inexact_crops_and_strided_convs_run_as_three_layers(self, rng):
         # a crop that cuts low-resolution rows or columns: an odd size, and
-        # unequal pools, which up-sample by max(ph, pw); and an exact crop
-        # followed by a strided conv
-        odd = resize_conv(2, 3, 3, 3, 2, 3, 3, rng)
-        odd.layers[1] = eng.CropLayer(5, 6)
-        strided = resize_conv(2, 3, 3, 3, 2, 3, 3, rng)
-        strided.layers[2].stride = 2
-        cases = [(odd, rng.standard_normal((2, 2, 3, 3))), (strided, rng.standard_normal((2, 2, 3, 3)))]
+        # unequal pools, which up-sample by max(ph, pw); an exact crop
+        # followed by a strided conv; and an exact crop between an upsample
+        # and a stride-1 conv, which a decoder no longer builds
+        def triple(crop, stride):
+            return eng.Network([eng.UpsampleLayer(2), crop, make_conv(2, 3, 3, 3, stride=stride, rng=rng)])
+
+        odd = triple(eng.CropLayer(5, 6), 1)
+        strided = triple(eng.CropLayer(6, 6), 2)
+        exact = triple(eng.CropLayer(6, 6), 1)
+        cases = [(net, rng.standard_normal((2, 2, 3, 3))) for net in (odd, strided, exact)]
         for pool in (gn.PoolGene(2, 3), gn.PoolGene(3, 2)):
             g = gn.Genome("e", gn.ENCODER, (gn.ConvGene(3, 3, 3, 1), pool))
             net = build_network(g, (2, 6, 6), rng)
             assert [l.kind for l in net.layers[2:]] == ["upsample", "crop", "conv"]
             cases.append((net, rng.standard_normal((2, 2, 6, 6))))
         for net, x in cases:
-            calls = record_backward_calls(net)
+            forward_calls, calls = record_calls(net, "forward"), record_calls(net)
             y = net.forward(x)
-            assert net._called == list(range(len(net.layers)))
+            assert forward_calls == [(i, {}) for i in range(len(net.layers))]
             assert net.backward(rng.standard_normal(y.shape)).shape == x.shape
             assert [i for i, _ in calls] == list(reversed(range(len(net.layers))))
-        for net, crop in ((odd, np.s_[:, :, :5]), (strided, np.s_[:])):
+        for net, crop in ((odd, np.s_[:, :, :5]), (strided, np.s_[:]), (exact, np.s_[:])):
             x, conv = rng.standard_normal((2, 2, 3, 3)), net.layers[2]
             np.testing.assert_allclose(net.forward(x),
                                        conv_oracle(upsampled(x, 2)[crop], conv.w, conv.b, conv.stride),
@@ -288,9 +292,11 @@ class TestResizeConv:
     def test_forward_leaves_serialized_weights_unchanged(self, rng):
         g = gn.seed_genome(gn.ENCODER, "e", 0.01)
         net = build_network(g, (3, 8, 8), rng)
+        assert [l.kind for l in net.layers] == ["conv", "pool", "upsample", "conv"]
         blob = eng.serialize_network(net)
+        forward_calls = record_calls(net, "forward")
         net.forward(rng.random((4, 3, 8, 8)))
-        assert net._called == [0, 1, 4]
+        assert forward_calls == [(0, {}), (1, {}), (3, {"up": 2})]
         assert eng.serialize_network(net) == blob
 
 
@@ -391,10 +397,11 @@ class TestChunkedConv:
 
     def test_resize_conv_matches_the_oracles(self, rng, monkeypatch):
         for net, x, n in chunked(resize_conv_sweep(rng), rng):
-            conv, f = net.layers[2], net.layers[0].factor
+            conv, f = net.layers[1], net.layers[0].factor
             run_in_chunks(monkeypatch, conv, x, n, up=f)
+            forward_calls = record_calls(net, "forward")
             y = net.forward(x)
-            assert net._called == [2]
+            assert forward_calls == [(1, {"up": f})]
             assert_ran_in_chunks(conv, x, n)
             np.testing.assert_allclose(y, conv_oracle(upsampled(x, f), conv.w, conv.b, 1),
                                        rtol=1e-10, atol=1e-10)
@@ -409,8 +416,8 @@ class TestChunkedConv:
 
     @pytest.mark.parametrize("f, kh, kw, n", [(2, 3, 3, 1), (3, 4, 2, 2), (4, 5, 1, 2)])
     def test_resize_conv_finite_difference(self, rng, monkeypatch, f, kh, kw, n):
-        net = resize_conv(2, 3, kh, kw, f, 2, 3, rng)
-        conv = net.layers[2]
+        net = resize_conv(2, 3, kh, kw, f, rng)
+        conv = net.layers[1]
         conv.activation = "sigmoid"  # smooth, so every coordinate is checkable
         x = rng.standard_normal((3, 2, 2, 3))
         run_in_chunks(monkeypatch, conv, x, n, up=f)
@@ -419,8 +426,9 @@ class TestChunkedConv:
             out = net.forward(x)
             return float((out * out).sum() / 2)
 
+        forward_calls = record_calls(net, "forward")
         y = net.forward(x)
-        assert net._called == [2]
+        assert forward_calls == [(1, {"up": f})]
         assert_ran_in_chunks(conv, x, n)
         gx = net.backward(y.copy())
         assert_grads_close(conv.gw, finite_difference(loss, conv.w))
@@ -464,28 +472,22 @@ def output_grad(net, x, labels, target):
     return eng.mse_loss(out, target)[1]
 
 
-def record_backward_calls(net):
-    """Wrap each layer's backward; returns the list of (index, kwargs) calls."""
+def record_calls(net, method="backward"):
+    """Wrap each layer's `method`; returns the list of (index, kwargs) calls."""
     calls = []
     for i, layer in enumerate(net.layers):
-        def spy(gy, _original=layer.backward, _i=i, **kwargs):
+        def spy(arg, _original=getattr(layer, method), _i=i, **kwargs):
             calls.append((_i, kwargs))
-            return _original(gy, **kwargs)
-        layer.backward = spy
+            return _original(arg, **kwargs)
+        setattr(layer, method, spy)
     return calls
 
 
-def fused_convs(net, x):
-    """Indices of the convs that end an upsample -> crop -> stride-1 conv
-    triple whose crop keeps its whole input, found from each layer's
-    output shape alone."""
-    shapes = [x.shape]
-    for layer in net.layers:
-        shapes.append(layer.forward(np.zeros(shapes[-1])).shape)
+def fused_convs(net):
+    """Indices of the stride-1 convs directly above an upsample."""
     kinds = [layer.kind for layer in net.layers]
-    return [i + 2 for i in range(len(kinds) - 2)
-            if kinds[i:i + 3] == ["upsample", "crop", "conv"]
-            and net.layers[i + 2].stride == 1 and shapes[i + 2] == shapes[i + 1]]
+    return [i for i in range(1, len(kinds))
+            if kinds[i - 1:i + 1] == ["upsample", "conv"] and net.layers[i].stride == 1]
 
 
 class TestTrainingBackward:
@@ -532,18 +534,18 @@ class TestTrainingBackward:
         assert ReadCounter.reads > 0
 
     def test_no_layer_below_the_lowest_weighted_one_is_called(self):
-        # nor the upsample and crop of a fused triple: its conv returns the
-        # gradient of the triple's input
+        # nor the upsample below a fused conv: the conv returns the
+        # gradient of the upsample's input
         rng = np.random.default_rng(7)
         seen = set()
         for _ in range(100):
             net, x, labels, target = random_stack(rng)
             gy = output_grad(net, x, labels, target)
-            calls = record_backward_calls(net)
+            calls = record_calls(net)
             net.backward(gy, input_grad=False)
             lowest = min((i for i, l in enumerate(net.layers) if l.params()), default=len(net.layers))
-            fused = fused_convs(net, x)
-            skipped = {j for i in fused for j in (i - 2, i - 1)}
+            fused = fused_convs(net)
+            skipped = {i - 1 for i in fused}
             expected = [(i, {}) for i in range(len(net.layers) - 1, lowest, -1) if i not in skipped]
             if lowest < len(net.layers):
                 expected.append((lowest, {"input_grad": False}))
@@ -553,13 +555,13 @@ class TestTrainingBackward:
             else:
                 seen.add("layers below" if lowest else "weights first")
             if any(i > lowest for i in fused):
-                seen.add("fused triple")
-        assert seen == {"no weights", "layers below", "weights first", "fused triple"}
+                seen.add("fused pair")
+        assert seen == {"no weights", "layers below", "weights first", "fused pair"}
 
     def test_pool_only_autoencoder_trains_without_backward(self, rng):
         g = gn.Genome(id="p", kind=gn.ENCODER, layers=(gn.PoolGene(2, 2),))
         net = build_network(g, (1, 8, 8), rng)
-        calls = record_backward_calls(net)
+        calls = record_calls(net)
         report = eng.train_network(
             net, gn.GENOME_KINDS[gn.ENCODER], _separable_view(rng, n=40), 2, 8, 0.1, 0.9, rng
         )

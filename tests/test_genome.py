@@ -173,19 +173,25 @@ class TestDeriveDecoder:
         g = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2))
         specs = gn.derive_decoder(g, (3, 32, 32))
         kinds = [s["kind"] for s in specs]
-        assert kinds == ["upsample", "crop", "conv"]
+        assert kinds == ["upsample", "conv"]  # 2 x 16 is 32: nothing to crop
         assert specs[0]["factor"] == 2
-        assert (specs[1]["target_h"], specs[1]["target_w"]) == (32, 32)
-        conv = specs[2]
+        conv = specs[1]
         assert conv["filters"] == 3 and conv["stride"] == 1
         assert conv["activation"] == "sigmoid"
+        specs = gn.derive_decoder(g, (3, 31, 32))  # 2 x 16 overshoots 31
+        assert [s["kind"] for s in specs] == ["upsample", "crop", "conv"]
+        assert (specs[1]["target_h"], specs[1]["target_w"]) == (31, 32)
 
     def test_stride_mirrors_to_upsample(self):
         g = enc(gn.ConvGene(8, 3, 3, 2), gn.PoolGene(2, 2))
         specs = gn.derive_decoder(g, (3, 32, 32))
         kinds = [s["kind"] for s in specs]
-        assert kinds == ["upsample", "crop", "upsample", "crop", "conv"]
-        assert specs[2]["factor"] == 2  # the mirrored stride
+        assert kinds == ["upsample", "upsample", "conv"]
+        assert specs[1]["factor"] == 2  # the mirrored stride
+        # 30 -> 15 -> 8: the pool's mirror overshoots 15, the stride's does not
+        specs = gn.derive_decoder(g, (3, 30, 30))
+        assert [s["kind"] for s in specs] == ["upsample", "crop", "upsample", "conv"]
+        assert (specs[1]["target_h"], specs[1]["target_w"]) == (15, 15)
 
     def _decoder_output_shape(self, g, input_shape):
         c, h, w = gn.infer_shapes(g, input_shape)[-1]
@@ -193,6 +199,7 @@ class TestDeriveDecoder:
             if spec["kind"] == "upsample":
                 h, w = h * spec["factor"], w * spec["factor"]
             elif spec["kind"] == "crop":
+                assert (spec["target_h"], spec["target_w"]) != (h, w)  # every crop cuts
                 h, w = spec["target_h"], spec["target_w"]
             else:
                 c = spec["filters"]

@@ -19,7 +19,8 @@ from evocnn import pipeline as pl
 from evocnn import worker as wk
 from evocnn import cli
 from evocnn.config import ConfigError, RunConfig, load_config, save_config
-from evocnn.popstore import IdCollision, PopulationStore, StoreError
+from evocnn.popstore import FitnessMeta, IdCollision, PopulationStore, StoreError
+from evocnn.selection import FitnessRecord
 from evocnn.worker import Worker, load_run_data, worker_seed_for
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -420,6 +421,21 @@ class TestRunStep:
         pl.export_history(root, out1)
         pl.export_history(root, out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_history_rows_sort_by_generation_then_sidecar_mtime_then_id(self, tmp_path):
+        # published in this order: b (generation 1) after c (generation 2)
+        # sorts before it, and after d, whose sidecar is older; d dies
+        store = PopulationStore(tmp_path / "pop")
+        for t, (iid, gen, parent) in enumerate([("a", 0, None), ("d", 1, "a"), ("c", 2, "d"), ("b", 1, "a")]):
+            meta = FitnessMeta(iid, gn.ENCODER, FitnessRecord(pair=(0.5, 0.5)), 1.0, "w0", gen, parent,
+                               "Seed" if parent is None else "Identity")
+            store.publish(iid, "", b"", meta)
+            os.utime(store.fitness_path(iid), ns=(t, t))
+        store.kill("d")
+        rows = pl.export_history(store.root, tmp_path / "h.csv")
+        assert [(r[0], r[1]) for r in rows] == [("0", "a"), ("1", "d"), ("2", "b"), ("3", "c")]
+        os.utime(store.fitness_path("b"), ns=(1, 1))  # as old as d's: the id breaks the tie
+        assert [r[1] for r in pl.export_history(store.root, tmp_path / "h.csv")] == ["a", "b", "d", "c"]
 
     def test_classifier_step_reports_scalar_metric(self, tmp_path):
         cfg = tiny_cfg(tmp_path, round_budget=2)
