@@ -295,9 +295,14 @@ class TestResizeConv:
         assert [l.kind for l in net.layers] == ["conv", "pool", "upsample", "conv"]
         blob = eng.serialize_network(net)
         forward_calls = record_calls(net, "forward")
-        net.forward(rng.random((4, 3, 8, 8)))
+        x = rng.random((4, 3, 8, 8))
+        y = net.forward(x)
         assert forward_calls == [(0, {}), (1, {}), (3, {"up": 2})]
         assert eng.serialize_network(net) == blob
+        # a deserialized network pairs the same layers
+        back = eng.deserialize_network(blob)
+        back_calls = record_calls(back, "forward")
+        assert back.forward(x).shape == y.shape and back_calls == forward_calls
 
 
 def run_in_chunks(monkeypatch, layer, x, n, up=1):
