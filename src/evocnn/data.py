@@ -183,10 +183,13 @@ _EVOD_VERSION = 1
 
 
 def write_evod(path, ds: Dataset):
-    """Write ds as an EVOD cache. A label outside [0, 255], which one byte
-    would wrap, or a pixel that is not a finite float32, which `read_evod`
-    rejects, raises DataError, and nothing is written."""
+    """Write ds as an EVOD cache. An empty shape or a pixel that is not a
+    finite float32, both of which `read_evod` rejects, or a label outside
+    [0, 255], which one byte would wrap, raises DataError, and nothing is
+    written."""
     n, c, h, w = ds.x.shape
+    if 0 in (n, c, h, w):
+        raise DataError(f"{path}: empty EVOD shape {(n, c, h, w)}")
     if np.any((ds.y < 0) | (ds.y > 255)):
         raise DataError(f"{path}: EVOD labels are bytes, got {ds.y.min()}..{ds.y.max()}")
     with np.errstate(over="ignore", invalid="ignore"):  # what the cast makes non-finite is rejected

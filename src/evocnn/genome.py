@@ -68,10 +68,6 @@ class GenomeParseError(GenomeError):
         self.line = line
 
 
-class LineageError(GenomeError):
-    """Parent/child pair not related by a single mutation."""
-
-
 def _upsample_to(factor, in_shape, out_shape):
     """Up-sample out_shape by `factor`, cropped back to in_shape where it overshoots."""
     specs = [{"kind": "upsample", "factor": factor}]
@@ -325,47 +321,27 @@ def network_specs(g: Genome, input_shape, n_classes=10):
 # Weight inheritance
 # ---------------------------------------------------------------------------
 
-def layer_mapping(parent: Genome, child: Genome):
-    """child gene index -> parent gene index (None for an inserted gene).
-
-    Only single-edit lineages (one insertion, one removal, or one
-    altered gene) are accepted. The edit sits at `pos`, the first index
-    past the common suffix; the genes before it must be the common
-    prefix. Where equal neighbours leave a choice, the lowest is taken.
-    """
-    p, c = parent.layers, child.layers
-    if abs(len(p) - len(c)) > 1:
-        raise LineageError(f"layer counts {len(p)} -> {len(c)} differ by more than one")
-    n = min(len(p), len(c))
-    prefix = next((i for i in range(n) if p[i] != c[i]), n)
-    suffix = next((i for i in range(n) if p[-1 - i] != c[-1 - i]), n)
-    pos = max(len(p), len(c)) - 1 - suffix
-    if pos > prefix:
-        raise LineageError(f"parent and child differ by more than one edit, at genes {prefix} and {pos}")
-    shift = len(p) - len(c)  # -1 insertion, 0 alteration, 1 removal
-    return [None if j == pos and shift < 0 else j if j < pos else j + shift
-            for j in range(len(c))]
-
-
-def inherit_weights(net, parent_net, parent: Genome, child: Genome, input_shape, n_classes, rng):
-    """Write the parent's weights into the freshly built child network.
+def inherit_weights(net, child: Genome, parent: Genome, parent_net, genes_from,
+                    input_shape, n_classes, rng):
+    """Write the parent's weights into the child's freshly built network.
 
     Each child layer with parameters takes the arrays of the parent layer
-    built from the same source (see `network_specs`, gene indices mapped
-    by `layer_mapping`) on the overlap of their shapes, unless a policy
-    line below keeps the build's init. Other layers keep the build's init.
+    built from the same source (see `network_specs`; child gene j came from
+    parent gene genes_from[j], None for an inserted gene, as
+    `mutation.apply_mutation` reports) on the overlap of their shapes,
+    unless a policy line below keeps the build's init. Other layers keep
+    the build's init. A parent network whose layer count differs from its
+    genome's plan raises ValueError.
     """
-    if child.parent_id != parent.id:
-        raise LineageError(f"child parent_id {child.parent_id!r} != parent id {parent.id!r}")
-    mapping = layer_mapping(parent, child)
     parent_layers = {
         spec["source"]: layer
-        for spec, layer in zip(network_specs(parent, input_shape, n_classes), parent_net.layers)
+        for spec, layer in zip(network_specs(parent, input_shape, n_classes), parent_net.layers,
+                               strict=True)
         if layer.params()
     }
     for spec, layer in zip(network_specs(child, input_shape, n_classes), net.layers):
         role, i = spec["source"]
-        old = parent_layers.get((role, i if role == "tail" else mapping[i]))
+        old = parent_layers.get((role, i if role == "tail" else genes_from[i]))
         if old is None or not layer.params():
             continue
         reshaped = tuple(a.shape for a in old.params()) != layer.param_shapes()

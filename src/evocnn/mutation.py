@@ -56,29 +56,34 @@ def _pick(layers, cls, rng):
 
 
 def apply_mutation(g, kind: MutationKind, rng, child_id):
-    """One mutated child genome, or None when the draw is inapplicable.
+    """(child, genes_from) for one mutated child genome, or INAPPLICABLE
+    when the draw is inapplicable.
 
     The parent is never modified; the child carries generation+1,
-    parent_id, and the mutation name.
+    parent_id, and the mutation name. `genes_from[j]` is the index of the
+    parent gene that child gene j came from, or None for an inserted gene.
+    An insertion or removal next to equal genes makes the same child at
+    several positions; the lowest of them is reported, with no extra draw.
     """
     layers = list(g.layers)
-
-    if kind is MutationKind.Identity:
-        return g.with_child_fields(child_id, kind.value)
+    genes_from = list(range(len(layers)))
+    learning_rate = None
 
     if kind in _INSERTS:
         gene = _INSERTS[kind](rng)
-        layers.insert(int(rng.integers(len(layers) + 1)), gene)
-        return g.with_child_fields(child_id, kind.value, layers=layers)
-
-    if kind in _REMOVES:
+        i = int(rng.integers(len(layers) + 1))
+        while i and layers[i - 1] == gene:
+            i -= 1
+        layers.insert(i, gene)
+        genes_from.insert(i, None)
+    elif kind in _REMOVES:
         i = None if len(layers) == 1 else _pick(layers, _REMOVES[kind], rng)
         if i is None:
             return INAPPLICABLE
-        layers.pop(i)
-        return g.with_child_fields(child_id, kind.value, layers=layers)
-
-    if kind in _ALTERS:
+        while i and layers[i - 1] == layers[i]:
+            i -= 1
+        del layers[i], genes_from[i]
+    elif kind in _ALTERS:
         # seeded histories depend on the draw order: the gene, the field
         # (two-field kinds only), then the direction
         cls, names, new_value = _ALTERS[kind]
@@ -95,14 +100,12 @@ def apply_mutation(g, kind: MutationKind, rng, child_id):
             layers[i].check()
         except gn.GenomeError:  # the new value leaves the gene's bounds
             return INAPPLICABLE
-        return g.with_child_fields(child_id, kind.value, layers=layers)
+    elif kind is MutationKind.AlterLearningRate:
+        learning_rate = g.learning_rate * (2.0 if rng.integers(2) else 0.5)
+    elif kind is not MutationKind.Identity:
+        raise ValueError(f"unknown mutation kind {kind!r}")
 
-    if kind is MutationKind.AlterLearningRate:
-        factor = 2.0 if rng.integers(2) else 0.5
-        return g.with_child_fields(child_id, kind.value,
-                                   learning_rate=g.learning_rate * factor)
-
-    raise ValueError(f"unknown mutation kind {kind!r}")
+    return g.with_child_fields(child_id, kind.value, layers, learning_rate), genes_from
 
 
 EXHAUSTED = "exhausted"
@@ -111,8 +114,9 @@ EXHAUSTED = "exhausted"
 def mutate_valid(g, input_shape, rng, child_id, max_tries=25, kind_set=None):
     """(sample, apply, validate) until a valid child appears.
 
-    Returns the child genome, or EXHAUSTED after max_tries; the caller
-    is expected to fall back to Identity so the worker stays live.
+    Returns apply_mutation's (child, genes_from), or EXHAUSTED after
+    max_tries; the caller is expected to fall back to Identity so the
+    worker stays live.
     """
     if max_tries < 1:
         raise ValueError("max_tries must be >= 1")
@@ -120,9 +124,7 @@ def mutate_valid(g, input_shape, rng, child_id, max_tries=25, kind_set=None):
         kind_set = gn.GENOME_KINDS[g.kind].mutations
     for _ in range(max_tries):
         kind = sample_mutation(kind_set, rng)
-        child = apply_mutation(g, kind, rng, child_id)
-        if child is INAPPLICABLE:
-            continue
-        if gn.validate(child, input_shape) is None:
-            return child
+        mutated = apply_mutation(g, kind, rng, child_id)
+        if mutated is not INAPPLICABLE and gn.validate(mutated[0], input_shape) is None:
+            return mutated
     return EXHAUSTED

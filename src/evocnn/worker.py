@@ -71,12 +71,13 @@ def train_individual(g: gn.Genome, view: eng.DatasetView, cfg: RunConfig, rng,
                      input_shape, parent=None):
     """Train one genome; returns (network, TrainReport).
 
-    `parent` is an optional (parent_genome, parent_network) pair for
-    weight inheritance.
+    `parent` is an optional (parent_genome, parent_network, genes_from)
+    triple for weight inheritance, genes_from as `mutation.apply_mutation`
+    reports it.
     """
     net = build_network(g, input_shape, rng, n_classes=cfg.n_classes)
     if parent is not None:
-        gn.inherit_weights(net, parent[1], parent[0], g, input_shape, cfg.n_classes, rng)
+        gn.inherit_weights(net, g, *parent, input_shape, cfg.n_classes, rng)
     report = eng.train_network(net, gn.GENOME_KINDS[g.kind], view, cfg.epochs, cfg.batch_size,
                                g.learning_rate, cfg.momentum, rng)
     return net, report
@@ -153,8 +154,11 @@ class Worker:
         try:
             parent = gn.deserialize(self.store.load_genome_text(winner))
             parent_net = eng.deserialize_network(self.store.load_weights(winner))
+            specs = gn.network_specs(parent, self.input_shape, self.cfg.n_classes)
+            if [s["kind"] for s in specs] != [layer.kind for layer in parent_net.layers]:
+                raise gn.GenomeError(f"{winner}'s weights do not follow its genome")
         except (OSError, StoreError, gn.GenomeError, eng.EngineError):
-            log.info("round abandoned: winner %s vanished or unreadable", winner)
+            log.info("round abandoned: winner %s vanished, unreadable or mismatched", winner)
             return False
         # the kill is the loser's claim: when another worker took the loser
         # first, publishing here would grow the population
@@ -162,13 +166,14 @@ class Worker:
             log.info("round abandoned: loser %s already taken", loser)
             return False
         child_id = self._next_id()
-        child = mu.mutate_valid(parent, self.input_shape, self.rng, child_id)
-        if child is mu.EXHAUSTED:
+        mutated = mu.mutate_valid(parent, self.input_shape, self.rng, child_id)
+        if mutated is mu.EXHAUSTED:
             log.info("mutation retries exhausted for %s; falling back to Identity", winner)
-            child = mu.apply_mutation(parent, mu.MutationKind.Identity, self.rng, child_id)
+            mutated = mu.apply_mutation(parent, mu.MutationKind.Identity, self.rng, child_id)
+        child, genes_from = mutated
         net, report = train_individual(
             child, self.view, self.cfg, self.rng, self.input_shape,
-            parent=(parent, parent_net),
+            parent=(parent, parent_net, genes_from),
         )
         self.store.append_claim(self.worker_id, child.id)
         self._publish(child, net, report)

@@ -217,8 +217,9 @@ def test_criterion_4_accepted_mutations_always_compress():
     t0 = time.monotonic()
     with criterion(4, "10,000 accepted encoder mutations all shrink the encoding"):
         for i in range(10_000):
-            child = mu.mutate_valid(current, shape, rng, f"c{i}", max_tries=50)
-            assert child is not mu.EXHAUSTED
+            mutated = mu.mutate_valid(current, shape, rng, f"c{i}", max_tries=50)
+            assert mutated is not mu.EXHAUSTED
+            child, _ = mutated
             c, h, w = gn.infer_shapes(child, shape)[-1]
             assert c * h * w < input_size
             # restart occasionally so the chain explores shallow genomes too

@@ -242,9 +242,17 @@ class TestEvodFormat:
     @pytest.mark.parametrize("shape", [(0, 3, 4, 4), (2, 0, 4, 4), (2, 3, 0, 4), (2, 3, 4, 0)])
     def test_empty_shape_rejected(self, tmp_path, shape):
         path = tmp_path / "empty.evod"
-        dt.write_evod(path, dt.Dataset(x=np.zeros(shape), y=np.zeros(shape[0], np.int64)))
+        n, c, h, w = shape
+        path.write_bytes(b"EVOD" + struct.pack("<IIIII", 1, *shape) + bytes(4 * n * c * h * w + n))
         with pytest.raises(dt.DataError, match="empty"):
             dt.read_evod(path)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4, 4), (2, 0, 4, 4), (2, 3, 0, 4), (2, 3, 4, 0)])
+    def test_empty_shape_refused_on_write(self, tmp_path, shape):
+        path = tmp_path / "empty.evod"
+        with pytest.raises(dt.DataError, match="empty"):
+            dt.write_evod(path, dt.Dataset(x=np.zeros(shape), y=np.zeros(shape[0], np.int64)))
+        assert not path.exists()
 
     @pytest.mark.parametrize("label", [-1, 256, 300])
     def test_label_outside_a_byte_rejected(self, tmp_path, label):

@@ -871,7 +871,7 @@ class TestTrainIndividual:
         net, report = train_individual(g, view, cfg, rng, (1, 8, 8))
         child = g.with_child_fields("ch", "Identity")
         _, report2 = train_individual(
-            child, view, cfg, rng, (1, 8, 8), parent=(g, net)
+            child, view, cfg, rng, (1, 8, 8), parent=(g, net, [0])
         )
         assert report2.metric >= report.metric - 0.05
 
@@ -888,7 +888,7 @@ class TestTrainIndividual:
         monkeypatch.setattr(eng, "train_network", lambda *args: None)
         rng = np.random.default_rng(2)
         net, _ = train_individual(child, None, RunConfig(wall_budget=1), rng, shape,
-                                  parent=(parent, parent_net))
+                                  parent=(parent, parent_net, [0, 1]))
 
         expected_rng = np.random.default_rng(2)
         build_network(child, shape, expected_rng)

@@ -49,7 +49,8 @@ class TestSampleMutation:
 class TestApplyMutation:
     def test_identity_changes_only_lineage_fields(self, rng):
         g = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2))
-        child = mu.apply_mutation(g, mu.MutationKind.Identity, rng, "c1")
+        child, genes_from = mu.apply_mutation(g, mu.MutationKind.Identity, rng, "c1")
+        assert genes_from == [0, 1]
         assert child.layers == g.layers
         assert child.learning_rate == g.learning_rate
         assert child.id == "c1"
@@ -76,13 +77,15 @@ class TestApplyMutation:
         g = enc(gn.ConvGene(8, 3, 3, 1))
         seen = set()
         for seed in range(40):
-            child = mu.apply_mutation(
+            mutated = mu.apply_mutation(
                 g, mu.MutationKind.AlterStride, np.random.default_rng(seed), "c"
             )
-            if child is None:
+            if mutated is None:
                 seen.add("inapplicable")  # decrement drawn at stride 1
             else:
+                child, genes_from = mutated
                 assert child.layers[0].stride == 2
+                assert genes_from == [0]
                 seen.add("increment")
         assert seen == {"inapplicable", "increment"}
 
@@ -90,9 +93,10 @@ class TestApplyMutation:
         g = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2))
         results = set()
         for seed in range(40):
-            child = mu.apply_mutation(
+            child, genes_from = mu.apply_mutation(
                 g, mu.MutationKind.AlterFilterNumber, np.random.default_rng(seed), "c"
             )
+            assert genes_from == [0, 1]
             results.add(child.layers[0].filters)
         assert results == {4, 16}
 
@@ -112,10 +116,12 @@ class TestApplyMutation:
         g = enc(gene)
         seen = set()
         for seed in range(40):
-            child = mu.apply_mutation(g, kind, np.random.default_rng(seed), "c")
-            if child is None:
+            mutated = mu.apply_mutation(g, kind, np.random.default_rng(seed), "c")
+            if mutated is None:
                 seen.add("inapplicable")
                 continue
+            child, genes_from = mutated
+            assert genes_from == [0]
             (new,) = child.layers
             changed = [f for f in fields if getattr(new, f) != getattr(gene, f)]
             assert len(changed) == 1
@@ -126,7 +132,9 @@ class TestApplyMutation:
 
     def test_insert_conv_uses_filter_choices(self, rng):
         g = enc(gn.PoolGene(2, 2))
-        child = mu.apply_mutation(g, mu.MutationKind.InsertConv, rng, "c")
+        child, genes_from = mu.apply_mutation(g, mu.MutationKind.InsertConv, rng, "c")
+        assert sorted(genes_from, key=str) == [0, None]
+        assert child.layers[genes_from.index(0)] == g.layers[0]
         convs = [l for l in child.layers if l.kind == "conv"]
         assert len(convs) == 1
         assert convs[0].filters in mu.INSERT_FILTERS
@@ -134,19 +142,19 @@ class TestApplyMutation:
 
     def test_insert_pool_is_2x2(self, rng):
         g = enc(gn.ConvGene(8, 3, 3, 1))
-        child = mu.apply_mutation(g, mu.MutationKind.InsertPool, rng, "c")
+        child, genes_from = mu.apply_mutation(g, mu.MutationKind.InsertPool, rng, "c")
+        assert child.layers[genes_from.index(None)] == gn.PoolGene(2, 2)
         pools = [l for l in child.layers if l.kind == "pool"]
         assert pools == [gn.PoolGene(2, 2)]
 
     def test_alter_learning_rate_doubles_or_halves(self):
         g = clf(gn.ConvGene(8, 3, 3, 1), lr=0.02)
-        rates = {
-            mu.apply_mutation(
-                g, mu.MutationKind.AlterLearningRate, np.random.default_rng(s), "c"
-            ).learning_rate
+        children = [
+            mu.apply_mutation(g, mu.MutationKind.AlterLearningRate, np.random.default_rng(s), "c")
             for s in range(20)
-        }
-        assert rates == {0.01, 0.04}
+        ]
+        assert {child.learning_rate for child, _ in children} == {0.01, 0.04}
+        assert all(child.layers == g.layers and genes_from == [0] for child, genes_from in children)
 
 
 class TestMutateValid:
@@ -154,18 +162,20 @@ class TestMutateValid:
         # encoder at minimum compression: removing the pool equalizes sizes
         g = enc(gn.ConvGene(3, 3, 3, 1), gn.PoolGene(2, 2))
         for seed in range(30):
-            child = mu.mutate_valid(
+            mutated = mu.mutate_valid(
                 g, (3, 32, 32), np.random.default_rng(seed), "c", max_tries=50
             )
-            assert child is not mu.EXHAUSTED
-            assert gn.validate(child, (3, 32, 32)) is None
+            assert mutated is not mu.EXHAUSTED
+            assert gn.validate(mutated[0], (3, 32, 32)) is None
 
     def test_accepted_children_always_compress(self, rng):
         g = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2))
         current = g
         for i in range(300):
-            child = mu.mutate_valid(current, (3, 32, 32), rng, f"c{i}", max_tries=50)
-            assert child is not mu.EXHAUSTED
+            mutated = mu.mutate_valid(current, (3, 32, 32), rng, f"c{i}", max_tries=50)
+            assert mutated is not mu.EXHAUSTED
+            child, genes_from = mutated
+            assert len(genes_from) == len(child.layers)
             trace = gn.infer_shapes(child, (3, 32, 32))
             assert trace[-1][0] * trace[-1][1] * trace[-1][2] < 3 * 32 * 32
             current = child
@@ -187,7 +197,7 @@ class TestMutateValid:
     def test_generation_and_parent_lineage(self, rng):
         g = clf(gn.ConvGene(8, 3, 3, 1), gid="root")
         for i in range(50):
-            child = mu.mutate_valid(g, (3, 16, 16), rng, f"c{i}")
+            child, _ = mu.mutate_valid(g, (3, 16, 16), rng, f"c{i}")
             assert child.generation == g.generation + 1
             assert child.parent_id == "root"
 
@@ -276,11 +286,13 @@ class TestAlterationTable:
         for n in range(10_000):
             g = random_genes_genome(genomes)
             for kind in ALTERATIONS:
-                child = mu.apply_mutation(g, kind, ours, f"c{n}")
+                mutated = mu.apply_mutation(g, kind, ours, f"c{n}")
                 expected = reference_alteration(g, kind, theirs, f"c{n}")
-                assert (child is None) == (expected is None), (gn.serialize(g), kind)
+                assert (mutated is None) == (expected is None), (gn.serialize(g), kind)
+                child = None if mutated is None else mutated[0]
                 if child is not None:
                     assert gn.serialize(child) == gn.serialize(expected), (gn.serialize(g), kind)
+                    assert mutated[1] == list(range(len(g.layers))), (gn.serialize(g), kind)
                 assert ours.bit_generator.state == theirs.bit_generator.state, (gn.serialize(g), kind)
                 outcomes.add((kind, child is None))
         # every kind was both applied and found inapplicable

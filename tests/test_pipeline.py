@@ -310,6 +310,26 @@ class TestRoundProtocol:
         assert self.snapshot(racer)[1:] == (claims, rounds)
         assert list(racer.tmp.iterdir()) == []
 
+    def test_winner_weights_off_its_genome_abandon_the_round(self, tmp_path):
+        # weights stored before the decoder plan was fixed at build time hold
+        # a no-op crop after an exact mirror's up-sample; inheriting from
+        # them would leave the decoder conv at its fresh init
+        worker = Worker(tiny_cfg(tmp_path), 0, gn.ENCODER)
+        shape = worker.input_shape
+        for iid, metric in (("winner", 0.9), ("loser", 0.1)):
+            g = gn.seed_genome(gn.ENCODER, iid)
+            layers = wk.build_network(g, shape, np.random.default_rng(0)).layers
+            if iid == "winner":
+                assert [layer.kind for layer in layers] == ["conv", "pool", "upsample", "conv"]
+                layers = layers[:3] + (eng.CropLayer(*shape[1:]),) + layers[3:]
+            meta = FitnessMeta(iid, gn.ENCODER, gn.fitness_record(g, shape, metric), 1.0,
+                               "w9", 0, None, "Seed")
+            worker.store.publish(iid, gn.serialize(g), eng.serialize_network(eng.Network(layers)), meta)
+        live, claims, rounds = self.snapshot(worker.store)
+        assert worker.run_round(0) is False
+        assert live == {"winner", "loser"}
+        assert self.snapshot(worker.store) == (live, claims, rounds)
+
 
 class TestIdleWait:
     @staticmethod

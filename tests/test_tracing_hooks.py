@@ -80,6 +80,8 @@ def test_traced_cae_step_reads_every_hook_and_uninstalls(tmp_path):
     ):
         assert metrics[name] > 0, name
     assert metrics["mutation.attempts"] >= metrics["mutation.valid"]
+    # the tracer tells an exhausted retry loop from a (child, genes_from) pair
+    assert metrics["mutation.valid"] + metrics["mutation.exhausted"] == cfg.round_budget
     assert metrics["worker.rounds_completed"] == cfg.round_budget
 
 
