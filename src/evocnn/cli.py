@@ -4,8 +4,9 @@ Verbs: evolve-cae, encode, evolve-clf, compose and report run the four
 steps in that order; each reads the run's one config file and derives
 what its step needs from it and from the products of the steps before
 (`evolve-clf` reads the encoded caches of the encoder that `encode`
-picked, `compose` stacks that encoder and the best classifier). The
-internal `worker` verb is what `run_step` launches per worker process.
+picked, `compose` stacks that encoder and the best classifier). `run`
+runs all four in one call and writes `summary.json` into `report_dir`.
+The internal `worker` verb is what `run_step` launches per worker process.
 """
 
 import os
@@ -16,6 +17,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import json
 from pathlib import Path
 
 from .config import load_config
@@ -28,14 +30,21 @@ def cmd_worker(cfg, args):
     print(f"worker {args.index} completed {completed} rounds")
 
 
-def _evolve(cfg, name):
-    from .pipeline import STEP_KINDS, run_step
-
-    summary = run_step(cfg, STEP_KINDS[name])
+def _print_step(name, summary):
     print(
         f"step={name} networks_generated={summary.networks_generated} "
         f"best_metric={summary.best_metric:.4f} history={summary.history_csv}"
     )
+
+
+def _print_composed(encoder_id, classifier_id, accuracy):
+    print(f"composed {encoder_id} + {classifier_id}: test accuracy {accuracy:.4f}")
+
+
+def _evolve(cfg, name):
+    from .pipeline import STEP_KINDS, run_step
+
+    _print_step(name, run_step(cfg, STEP_KINDS[name]))
 
 
 def cmd_evolve_cae(cfg, args):
@@ -60,7 +69,27 @@ def cmd_compose(cfg, args):
 
     encoder_id, classifier_id = chosen_encoder_id(cfg), best_classifier_id(cfg)
     _net, acc = compose_final(cfg, encoder_id, classifier_id)
-    print(f"composed {encoder_id} + {classifier_id}: test accuracy {acc:.4f}")
+    _print_composed(encoder_id, classifier_id, acc)
+
+
+def cmd_run(cfg, args):
+    from .pipeline import run_full_pipeline
+
+    result = run_full_pipeline(cfg)
+    cae, clf = result["cae_summary"], result["clf_summary"]
+    _print_step("cae", cae)
+    _print_step("clf", clf)
+    _print_composed(result["encoder_id"], result["classifier_id"], result["test_accuracy"])
+    summary = {
+        "encoder_id": result["encoder_id"],
+        "classifier_id": result["classifier_id"],
+        "cae_networks_generated": cae.networks_generated,
+        "cae_best_reconstruction_accuracy": cae.best_metric,
+        "clf_networks_generated": clf.networks_generated,
+        "clf_best_validation_accuracy": clf.best_metric,
+        "test_accuracy": result["test_accuracy"],
+    }
+    (Path(cfg.report_dir) / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 
 def cmd_report(cfg, args):
@@ -87,6 +116,7 @@ def build_parser():
     verb("encode", cmd_encode, "step 2: pick the TOPSIS-best CAE and cache encoded data")
     verb("evolve-clf", cmd_evolve_clf, "step 3: evolve classifiers on the encoded data")
     verb("compose", cmd_compose, "step 4: compose encoder + classifier")
+    verb("run", cmd_run, "steps 1-4 in one call, then summary.json")
 
     p = verb("report", cmd_report, "export the evolution history CSV")
     p.add_argument("--step", choices=list(STEP_KINDS), default="cae")

@@ -15,6 +15,9 @@ CIFAR_SHAPE = (3, 32, 32)
 
 SPLIT_PROPORTIONS = (45, 5, 10)  # train : val : test
 
+SYNTH_CHANNELS = 3
+SYNTH_NOISE = 0.05  # standard deviation of the synthetic images' Gaussian pixel noise
+
 
 class DataError(Exception):
     pass
@@ -136,8 +139,9 @@ def batches(n_samples, batch_size, rng):
 # Synthetic desk-scale dataset
 # ---------------------------------------------------------------------------
 
-def synth_dataset(classes, count, size, channels=3, seed=0, noise=0.05) -> Dataset:
-    """Class-conditional oriented sinusoid images plus noise.
+def synth_dataset(classes, count, size, seed=0) -> Dataset:
+    """Class-conditional oriented sinusoid images of SYNTH_CHANNELS channels
+    plus SYNTH_NOISE noise.
 
     Each class k gets a fixed grating orientation (angle pi*k/classes);
     per-image amplitude jitter and Gaussian noise keep it non-trivial
@@ -156,11 +160,11 @@ def synth_dataset(classes, count, size, channels=3, seed=0, noise=0.05) -> Datas
         pattern = np.sin(2.0 * np.pi * 1.5 * proj)
         amp = 0.3 + 0.1 * rng.random(per)
         imgs = 0.5 + amp[:, None, None] * pattern[None]
-        imgs = imgs[:, None, :, :].repeat(channels, axis=1)
+        imgs = imgs[:, None, :, :].repeat(SYNTH_CHANNELS, axis=1)
         # mild per-channel shading so channels are not identical
-        shade = 1.0 - 0.1 * np.arange(channels)
+        shade = 1.0 - 0.1 * np.arange(SYNTH_CHANNELS)
         imgs = 0.5 + (imgs - 0.5) * shade[None, :, None, None]
-        imgs = imgs + rng.normal(0.0, noise, size=imgs.shape)
+        imgs = imgs + rng.normal(0.0, SYNTH_NOISE, size=imgs.shape)
         xs.append(np.clip(imgs, 0.0, 1.0))
         ys.append(np.full(per, k, np.int64))
     order = rng.permutation(count)

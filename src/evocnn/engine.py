@@ -546,13 +546,18 @@ def layer_from_spec(spec) -> Layer:
     return kind.cls(**{name: spec[name] for name in kind.hparams})
 
 
+def layer_spec(layer: Layer) -> dict:
+    """The spec dict `layer_from_spec` builds `layer` from."""
+    names = LAYER_KINDS[layer.kind].hparams
+    return {"kind": layer.kind, **{name: getattr(layer, name) for name in names}}
+
+
 def serialize_network(net: Network) -> bytes:
     out = [_MAGIC, struct.pack("<II", _VERSION, len(net.layers))]
     for layer in net.layers:
-        kind = LAYER_KINDS[layer.kind]
-        hp = [getattr(layer, name) for name in kind.hparams]
-        hp = [_ACT_CODES[v] if name == "activation" else v for name, v in zip(kind.hparams, hp)]
-        out.append(struct.pack(f"<BB{len(hp)}I", kind.tag, len(hp), *hp))
+        _kind, *hp = [_ACT_CODES[v] if name == "activation" else v
+                      for name, v in layer_spec(layer).items()]
+        out.append(struct.pack(f"<BB{len(hp)}I", LAYER_KINDS[layer.kind].tag, len(hp), *hp))
         for arr in layer.params() or (np.empty(0), np.empty(0)):
             out.append(struct.pack("<Q", arr.size))
             out.append(arr.astype("<f4").tobytes())
@@ -597,7 +602,8 @@ def deserialize_network(blob: bytes) -> Network:
             (n,) = struct.unpack("<Q", take(8))
             if n != math.prod(shape):
                 raise EngineError(f"layer {i}: {n} stored values where {math.prod(shape)} belong")
-            arrays.append(np.frombuffer(take(4 * n), "<f4").astype(np.float64).reshape(shape))
+            with np.errstate(invalid="ignore"):  # a signalling NaN weight reads as a quiet NaN
+                arrays.append(np.frombuffer(take(4 * n), "<f4").astype(np.float64).reshape(shape))
         if layer.param_shapes():
             layer.set_params(*arrays)
         layers.append(layer)

@@ -271,11 +271,9 @@ def validate(g: Genome, input_shape):
         trace = infer_shapes(g, input_shape)
     except GenomeError as exc:
         return str(exc)
-    if GENOME_KINDS[g.kind].compresses and math.prod(trace[-1]) >= math.prod(trace[0]):
-        return (
-            f"encoded size {math.prod(trace[-1])} not smaller than "
-            f"input size {math.prod(trace[0])}"
-        )
+    encoded, size = math.prod(trace[-1]), math.prod(trace[0])
+    if GENOME_KINDS[g.kind].compresses and encoded >= size:
+        return f"encoded size {encoded} not smaller than input size {size}"
     return None
 
 
@@ -321,24 +319,20 @@ def network_specs(g: Genome, input_shape, n_classes=10):
 # Weight inheritance
 # ---------------------------------------------------------------------------
 
-def inherit_weights(net, child: Genome, parent: Genome, parent_net, genes_from,
+def inherit_weights(net, child: Genome, parent: Genome, parent_net, parent_specs, genes_from,
                     input_shape, n_classes, rng):
     """Write the parent's weights into the child's freshly built network.
 
     Each child layer with parameters takes the arrays of the parent layer
-    built from the same source (see `network_specs`; child gene j came from
-    parent gene genes_from[j], None for an inserted gene, as
-    `mutation.apply_mutation` reports) on the overlap of their shapes,
-    unless a policy line below keeps the build's init. Other layers keep
-    the build's init. A parent network whose layer count differs from its
-    genome's plan raises ValueError.
+    built from the same source (parent_specs is the parent's
+    `network_specs`; child gene j came from parent gene genes_from[j], None
+    for an inserted gene, as `mutation.apply_mutation` reports) on the
+    overlap of their shapes, unless a policy line below keeps the build's
+    init. Other layers keep the build's init. A parent network whose layer
+    count differs from parent_specs raises ValueError.
     """
-    parent_layers = {
-        spec["source"]: layer
-        for spec, layer in zip(network_specs(parent, input_shape, n_classes), parent_net.layers,
-                               strict=True)
-        if layer.params()
-    }
+    parent_layers = {spec["source"]: layer for spec, layer
+                     in zip(parent_specs, parent_net.layers, strict=True) if layer.params()}
     for spec, layer in zip(network_specs(child, input_shape, n_classes), net.layers):
         role, i = spec["source"]
         old = parent_layers.get((role, i if role == "tail" else genes_from[i]))

@@ -21,7 +21,7 @@ from .config import RunConfig, save_config
 from .mcdm import Alternative, TopsisWeights, select_best
 from .popstore import PopulationStore
 from .selection import pareto_fronts
-from .worker import Worker, load_run_data
+from .worker import Worker, load_run_data, read_individual
 
 # Short name of each evolution step, used on the command line and in run directories.
 STEP_KINDS = {k.step: kind for kind, k in gn.GENOME_KINDS.items()}
@@ -151,11 +151,12 @@ def live_cae_alternatives(store: PopulationStore):
     ]
 
 
-def load_encoder(store: PopulationStore, encoder_id) -> eng.Network:
-    """A stored autoencoder's encoder: the layers of its genes, decoder dropped."""
-    g = gn.deserialize(store.load_genome_text(encoder_id))
-    net = eng.deserialize_network(store.load_weights(encoder_id))
-    return eng.Network(net.layers[: len(g.layers)])
+def load_encoder(cfg: RunConfig, encoder_id, input_shape):
+    """A stored autoencoder's encoder, the layers of its genes with the
+    decoder dropped, and the shape it encodes input_shape to."""
+    store = PopulationStore(step_population_root(cfg, gn.ENCODER))
+    g, net, _specs = read_individual(store, encoder_id, input_shape, cfg.n_classes)
+    return eng.Network(net.layers[: len(g.layers)]), gn.infer_shapes(g, input_shape)[-1]
 
 
 def finalize_cae_step(cfg: RunConfig, datasets=None):
@@ -164,9 +165,9 @@ def finalize_cae_step(cfg: RunConfig, datasets=None):
     store = PopulationStore(step_population_root(cfg, gn.ENCODER))
     weights = TopsisWeights(cfg.w_compression, cfg.w_accuracy)
     encoder_id = select_best(live_cae_alternatives(store), weights).id
-    encoder_net = load_encoder(store, encoder_id)
     if datasets is None:
         datasets = load_run_data(cfg)
+    encoder_net, _shape = load_encoder(cfg, encoder_id, datasets[0].sample_shape)
     report_dir = Path(cfg.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
     prefix = _encoded_prefix(cfg, encoder_id)
@@ -212,15 +213,15 @@ def compose_final(cfg: RunConfig, encoder_id, classifier_id, datasets=None):
 
     Returns (composed Network, test accuracy).
     """
-    encoder = load_encoder(PopulationStore(step_population_root(cfg, gn.ENCODER)), encoder_id)
-    clf_store = PopulationStore(step_population_root(cfg, gn.CLASSIFIER))
-    clf_net = eng.deserialize_network(clf_store.load_weights(classifier_id))
-    composed = eng.Network(encoder.layers + clf_net.layers)
     if datasets is None:
         datasets = load_run_data(cfg)
     test = datasets[2]
-    # a mismatch between encoder output and classifier input surfaces as a
-    # ShapeError from the first classifier layer during the forward pass
+    encoder, encoded_shape = load_encoder(cfg, encoder_id, test.sample_shape)
+    # the classifier is read on the shape the encoder makes, so one built
+    # for another shape raises GenomeError here, before any forward pass
+    clf_store = PopulationStore(step_population_root(cfg, gn.CLASSIFIER))
+    _g, clf_net, _specs = read_individual(clf_store, classifier_id, encoded_shape, cfg.n_classes)
+    composed = eng.Network(encoder.layers + clf_net.layers)
     return composed, eng.classifier_accuracy(composed, test.x, test.y)
 
 

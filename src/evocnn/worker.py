@@ -21,6 +21,7 @@ from .selection import tournament_compare
 log = logging.getLogger(__name__)
 
 IDLE_SNAPSHOTS_MAX = 20  # snapshots in a row, 50 ms apart, after which no worker could publish
+ABANDONED_ROUNDS_MAX = 100  # abandoned rounds in a row, after which no round is taken to publish
 
 
 def worker_seed_for(master_seed, worker_index):
@@ -32,21 +33,14 @@ def load_run_data(cfg: RunConfig):
     """(train, val, test) datasets for this run's data source; a label
     outside [0, n_classes) raises DataError."""
     if cfg.data_source == "synth":
-        raw = dt.synth_dataset(
-            classes=cfg.n_classes,
-            count=cfg.synth_count,
-            size=cfg.synth_size,
-            seed=cfg.synth_seed,
-        )
+        raw = dt.synth_dataset(cfg.n_classes, cfg.synth_count, cfg.synth_size, seed=cfg.synth_seed)
         splits = dt.split(raw, seed=cfg.synth_seed)
     elif cfg.data_source == "cifar10":
         raw = dt.load_cifar10(cfg.dataset_dir)
         splits = dt.split(raw, seed=cfg.master_seed)
     elif cfg.data_source == "evod":
-        splits = tuple(
-            dt.read_evod(f"{cfg.evod_prefix}{tag}.evod", split=tag)
-            for tag in ("train", "val", "test")
-        )
+        splits = tuple(dt.read_evod(f"{cfg.evod_prefix}{tag}.evod", split=tag)
+                       for tag in ("train", "val", "test"))
     else:
         raise ValueError(f"unknown data source {cfg.data_source!r}")
     top = max(int(ds.y.max()) for ds in splits)
@@ -57,8 +51,20 @@ def load_run_data(cfg: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# Building and training one individual
+# Reading, building and training one individual
 # ---------------------------------------------------------------------------
+
+def read_individual(store: PopulationStore, iid, input_shape, n_classes):
+    """A stored individual's (genome, network, the genome's layer plan); a network
+    off the plan, in a layer's kind or hyperparameters, raises GenomeError naming iid."""
+    g = gn.deserialize(store.load_genome_text(iid))
+    net = eng.deserialize_network(store.load_weights(iid))
+    specs = gn.network_specs(g, input_shape, n_classes)
+    planned = [{k: v for k, v in spec.items() if k != "source"} for spec in specs]
+    if [eng.layer_spec(layer) for layer in net.layers] != planned:
+        raise gn.GenomeError(f"{iid}'s weights do not follow its genome")
+    return g, net, specs
+
 
 def build_network(g: gn.Genome, input_shape, rng, n_classes=10) -> eng.Network:
     layers = [eng.layer_from_spec(s) for s in gn.network_specs(g, input_shape, n_classes=n_classes)]
@@ -71,9 +77,9 @@ def train_individual(g: gn.Genome, view: eng.DatasetView, cfg: RunConfig, rng,
                      input_shape, parent=None):
     """Train one genome; returns (network, TrainReport).
 
-    `parent` is an optional (parent_genome, parent_network, genes_from)
-    triple for weight inheritance, genes_from as `mutation.apply_mutation`
-    reports it.
+    `parent` is an optional (genome, network, layer plan, genes_from) of
+    the parent for weight inheritance, the first three as `read_individual`
+    returns them, genes_from as `mutation.apply_mutation` reports it.
     """
     net = build_network(g, input_shape, rng, n_classes=cfg.n_classes)
     if parent is not None:
@@ -92,7 +98,6 @@ class Worker:
         if kind not in gn.GENOME_KINDS:
             raise ValueError(f"worker kind must be one of {sorted(gn.GENOME_KINDS)}, got {kind!r}")
         self.cfg = cfg
-        self.index = index
         self.kind = kind
         self.worker_id = f"w{index}"
         train, val, _test = datasets or load_run_data(cfg)
@@ -103,8 +108,7 @@ class Worker:
         self.store = PopulationStore(cfg.population_root)
         self.view = eng.DatasetView(train.x, train.y, val.x, val.y)
         self.input_shape = train.sample_shape
-        self.counter = 0
-        self.idle_snapshots = 0
+        self.counter = self.idle_snapshots = self.abandoned = 0
 
     def _next_id(self):
         self.counter += 1
@@ -112,6 +116,7 @@ class Worker:
         return f"{self.worker_id}-{self.counter}-{suffix}"
 
     def _publish(self, g, net, report):
+        self.store.append_claim(self.worker_id, g.id)
         meta = FitnessMeta(
             id=g.id,
             kind=g.kind,
@@ -128,7 +133,6 @@ class Worker:
         for _ in range(self.cfg.seeds_per_worker):
             g = gn.seed_genome(self.kind, self._next_id(), self.cfg.learning_rate)
             net, report = train_individual(g, self.view, self.cfg, self.rng, self.input_shape)
-            self.store.append_claim(self.worker_id, g.id)
             self._publish(g, net, report)
 
     def run_round(self, round_index):
@@ -152,19 +156,14 @@ class Worker:
         # read the winner before touching the loser: a round abandoned
         # here has killed nothing
         try:
-            parent = gn.deserialize(self.store.load_genome_text(winner))
-            parent_net = eng.deserialize_network(self.store.load_weights(winner))
-            specs = gn.network_specs(parent, self.input_shape, self.cfg.n_classes)
-            if [s["kind"] for s in specs] != [layer.kind for layer in parent_net.layers]:
-                raise gn.GenomeError(f"{winner}'s weights do not follow its genome")
-        except (OSError, StoreError, gn.GenomeError, eng.EngineError):
-            log.info("round abandoned: winner %s vanished, unreadable or mismatched", winner)
-            return False
+            parent, parent_net, specs = read_individual(
+                self.store, winner, self.input_shape, self.cfg.n_classes)
+        except (OSError, StoreError, gn.GenomeError, eng.EngineError) as exc:
+            return self._abandon(f"winner {winner} vanished or is unreadable: {exc}")
         # the kill is the loser's claim: when another worker took the loser
         # first, publishing here would grow the population
         if not self.store.kill(loser):
-            log.info("round abandoned: loser %s already taken", loser)
-            return False
+            return self._abandon(f"loser {loser} of winner {winner} already taken")
         child_id = self._next_id()
         mutated = mu.mutate_valid(parent, self.input_shape, self.rng, child_id)
         if mutated is mu.EXHAUSTED:
@@ -173,14 +172,22 @@ class Worker:
         child, genes_from = mutated
         net, report = train_individual(
             child, self.view, self.cfg, self.rng, self.input_shape,
-            parent=(parent, parent_net, genes_from),
+            parent=(parent, parent_net, specs, genes_from),
         )
-        self.store.append_claim(self.worker_id, child.id)
         self._publish(child, net, report)
         self.store.append_round_log(
             self.worker_id, f"{self.worker_id}r{round_index}", id_a, id_b, winner, reason
         )
+        self.abandoned = 0
         return True
+
+    def _abandon(self, why):
+        """Log an abandoned round; the ABANDONED_ROUNDS_MAX-th in a row raises."""
+        log.info("round abandoned: %s", why)
+        self.abandoned += 1
+        if self.abandoned >= ABANDONED_ROUNDS_MAX:
+            raise StoreError(f"{self.abandoned} rounds in a row abandoned, the last: {why}")
+        return False
 
     def run(self):
         """Seed, then loop rounds until the round or wall budget expires. A
@@ -190,9 +197,8 @@ class Worker:
             completed = 0
             t0 = time.monotonic()
             while True:
-                if self.cfg.round_budget and completed >= self.cfg.round_budget:
-                    return completed
-                if self.cfg.wall_budget and time.monotonic() - t0 >= self.cfg.wall_budget:
+                if (self.cfg.round_budget and completed >= self.cfg.round_budget
+                        or self.cfg.wall_budget and time.monotonic() - t0 >= self.cfg.wall_budget):
                     return completed
                 if self.run_round(completed):
                     completed += 1

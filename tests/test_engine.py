@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -871,7 +872,8 @@ class TestTrainIndividual:
         net, report = train_individual(g, view, cfg, rng, (1, 8, 8))
         child = g.with_child_fields("ch", "Identity")
         _, report2 = train_individual(
-            child, view, cfg, rng, (1, 8, 8), parent=(g, net, [0])
+            child, view, cfg, rng, (1, 8, 8),
+            parent=(g, net, gn.network_specs(g, (1, 8, 8), 2), [0]),
         )
         assert report2.metric >= report.metric - 0.05
 
@@ -888,7 +890,8 @@ class TestTrainIndividual:
         monkeypatch.setattr(eng, "train_network", lambda *args: None)
         rng = np.random.default_rng(2)
         net, _ = train_individual(child, None, RunConfig(wall_budget=1), rng, shape,
-                                  parent=(parent, parent_net, [0, 1]))
+                                  parent=(parent, parent_net, gn.network_specs(parent, shape),
+                                          [0, 1]))
 
         expected_rng = np.random.default_rng(2)
         build_network(child, shape, expected_rng)
@@ -1045,6 +1048,28 @@ class TestWeightsBlob:
         assert [l.kind for l in net2.layers] == [l.kind for l in net.layers]
         clf_blob = _classifier_blob()
         assert eng.serialize_network(eng.deserialize_network(clf_blob)) == clf_blob
+
+    def test_signalling_nan_weight_reads_back_without_a_warning(self):
+        # widening a signalling NaN raises the invalid flag, which numpy
+        # reports as a RuntimeWarning; the blob holds a NaN the format allows
+        blob = bytearray(_classifier_blob())
+        assert struct.unpack("<Q", blob[38:46]) == (2 * 1 * 3 * 3,)  # the conv's weights follow
+        blob[46:50] = struct.pack("<I", 0x7F800001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net = eng.deserialize_network(bytes(blob))
+        assert np.isnan(net.layers[0].w.flat[0])
+
+    def test_layer_spec_is_the_spec_the_layer_was_built_from(self):
+        # a strided encoder's decoder crops; the classifier tail flattens
+        shape = (3, 7, 7)
+        encoder = gn.Genome("e", gn.ENCODER, (gn.ConvGene(4, 3, 3, 2), gn.PoolGene(2, 2)))
+        classifier = gn.Genome("c", gn.CLASSIFIER, (gn.ConvGene(4, 3, 3, 1),))
+        specs = [{k: v for k, v in spec.items() if k != "source"}
+                 for g in (encoder, classifier) for spec in gn.network_specs(g, shape, 3)]
+        assert {spec["kind"] for spec in specs} == set(eng.LAYER_KINDS)
+        for spec in specs:
+            assert eng.layer_spec(eng.layer_from_spec(spec)) == spec
 
     def test_bad_magic(self):
         with pytest.raises(eng.EngineError):

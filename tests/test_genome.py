@@ -286,7 +286,9 @@ def _inherit(parent, child, genes_from, rng, n_classes=10):
     parent_net = build_network(parent, SHAPE, rng, n_classes)
     net = build_network(child, SHAPE, rng, n_classes)
     built = [[a.copy() for a in layer.params()] for layer in net.layers]
-    gn.inherit_weights(net, child, parent, parent_net, genes_from, SHAPE, n_classes, rng)
+    parent_specs = gn.network_specs(parent, SHAPE, n_classes)
+    gn.inherit_weights(net, child, parent, parent_net, parent_specs, genes_from, SHAPE, n_classes,
+                       rng)
     return parent_net, net, built
 
 
@@ -350,7 +352,8 @@ class TestInheritWeights:
         child = parent.with_child_fields("c", "Identity")
         net = build_network(child, SHAPE, rng)
         with pytest.raises(ValueError):
-            gn.inherit_weights(net, child, parent, parent_net, [0, 1], SHAPE, 10, rng)
+            gn.inherit_weights(net, child, parent, parent_net, gn.network_specs(parent, SHAPE),
+                               [0, 1], SHAPE, 10, rng)
 
 
 class TestInheritedLayerRoles:
@@ -367,7 +370,8 @@ class TestInheritedLayerRoles:
         parent_net = eng.deserialize_network(
             eng.serialize_network(build_network(parent, SHAPE, rng, 3)))
         net = build_network(child, SHAPE, rng, 3)
-        gn.inherit_weights(net, child, parent, parent_net, [0, 1, 2], SHAPE, 3, rng)
+        gn.inherit_weights(net, child, parent, parent_net, gn.network_specs(parent, SHAPE, 3),
+                           [0, 1, 2], SHAPE, 3, rng)
         x = rng.random((5, *SHAPE))
         assert net.forward(x).tobytes() == parent_net.forward(x).tobytes()
 

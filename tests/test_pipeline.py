@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -44,6 +45,28 @@ def tiny_cfg(tmp_path, **overrides):
     )
     base.update(overrides)
     return RunConfig(**base).check()
+
+
+def publish_off_genome(store, iid, g, built, shape, metric, n_classes=2):
+    """Publish genome g with the weights of a network built for genome
+    `built` on `shape`, or for g with an exact mirror's no-op crop added
+    when `built` is "crop" (as weights stored before the decoder plan was
+    fixed at build time hold it)."""
+    rng = np.random.default_rng(0)
+    if built == "crop":
+        layers = wk.build_network(g, shape, rng, n_classes).layers
+        assert [layer.kind for layer in layers] == ["conv", "pool", "upsample", "conv"]
+        layers = layers[:3] + (eng.CropLayer(*shape[1:]),) + layers[3:]
+    else:
+        layers = wk.build_network(built, shape, rng, n_classes).layers
+    meta = FitnessMeta(iid, g.kind, gn.fitness_record(g, shape, metric), 1.0, "w9", 0, None, "Seed")
+    store.publish(iid, gn.serialize(g), eng.serialize_network(eng.Network(layers)), meta)
+
+
+# a stored network built for CONV 16 3 3 1 behind a CONV 8 3 3 1 genome:
+# the layer kinds agree, the filter counts do not
+WIDE = {kind: gn.Genome("wide", kind, (gn.ConvGene(16, 3, 3, 1), *k.seed_layers[1:]))
+        for kind, k in gn.GENOME_KINDS.items()}
 
 
 PATH_FIELDS = ("population_root", "report_dir", "dataset_dir", "evod_prefix")
@@ -313,22 +336,72 @@ class TestRoundProtocol:
     def test_winner_weights_off_its_genome_abandon_the_round(self, tmp_path):
         # weights stored before the decoder plan was fixed at build time hold
         # a no-op crop after an exact mirror's up-sample; inheriting from
-        # them would leave the decoder conv at its fresh init
+        # them would leave the decoder conv at its fresh init. Weights of
+        # other filters than the genome's have the genome's layer kinds.
+        for n, built in enumerate(("crop", WIDE[gn.ENCODER])):
+            worker = Worker(tiny_cfg(tmp_path / str(n)), 0, gn.ENCODER)
+            shape = worker.input_shape
+            for iid, metric in (("winner", 0.9), ("loser", 0.1)):
+                g = gn.seed_genome(gn.ENCODER, iid)
+                publish_off_genome(worker.store, iid, g, built if iid == "winner" else g, shape,
+                                   metric)
+            live, claims, rounds = self.snapshot(worker.store)
+            assert worker.run_round(0) is False
+            assert live == {"winner", "loser"}
+            assert self.snapshot(worker.store) == (live, claims, rounds)
+
+    def test_round_builds_the_winners_layer_plan_once(self, tmp_path, monkeypatch):
+        worker, racer, _sampled = self.seeded_worker(tmp_path)
+        live = set(racer.list_live())
+        planned = []
+        network_specs = gn.network_specs
+
+        def counted_network_specs(g, *args, **kwargs):
+            planned.append(g.id)
+            return network_specs(g, *args, **kwargs)
+
+        monkeypatch.setattr(gn, "network_specs", counted_network_specs)
+        assert worker.run_round(0) is True
+        (child,) = set(racer.list_live()) - live
+        winner = gn.deserialize(racer.load_genome_text(child)).parent_id
+        # the check of the stored weights and the inheritance share one plan
+        assert planned.count(winner) == 1
+
+
+class TestAbandonBound:
+    def test_rounds_that_all_abandon_end_the_run(self, tmp_path, monkeypatch):
+        # every individual holds weights off its genome, so every round's
+        # winner is unreadable and no round can publish
+        cfg = tiny_cfg(tmp_path, round_budget=1)
+        worker = Worker(cfg, 0, gn.ENCODER)
+        for iid, metric in (("a", 0.9), ("b", 0.1)):
+            publish_off_genome(worker.store, iid, gn.seed_genome(gn.ENCODER, iid), "crop",
+                               worker.input_shape, metric)
+        monkeypatch.setattr(worker, "seed_population", lambda: None)
+        calls = []
+        run_round = worker.run_round
+
+        def capped_run_round(round_index):
+            calls.append(round_index)
+            if len(calls) > 1000:
+                raise AssertionError("rounds that all abandon never ended the run")
+            return run_round(round_index)
+
+        monkeypatch.setattr(worker, "run_round", capped_run_round)
+        with pytest.raises(StoreError, match=r"^100 rounds in a row abandoned, the last: winner "
+                                             r"(a|b) vanished or is unreadable: \1's weights do "
+                                             r"not follow its genome$"):
+            worker.run()
+        assert len(calls) == wk.ABANDONED_ROUNDS_MAX == 100
+        assert sorted(worker.store.list_live()) == ["a", "b"]
+        assert worker.store.list_dead() == []
+
+    def test_a_published_round_restarts_the_count(self, tmp_path):
         worker = Worker(tiny_cfg(tmp_path), 0, gn.ENCODER)
-        shape = worker.input_shape
-        for iid, metric in (("winner", 0.9), ("loser", 0.1)):
-            g = gn.seed_genome(gn.ENCODER, iid)
-            layers = wk.build_network(g, shape, np.random.default_rng(0)).layers
-            if iid == "winner":
-                assert [layer.kind for layer in layers] == ["conv", "pool", "upsample", "conv"]
-                layers = layers[:3] + (eng.CropLayer(*shape[1:]),) + layers[3:]
-            meta = FitnessMeta(iid, gn.ENCODER, gn.fitness_record(g, shape, metric), 1.0,
-                               "w9", 0, None, "Seed")
-            worker.store.publish(iid, gn.serialize(g), eng.serialize_network(eng.Network(layers)), meta)
-        live, claims, rounds = self.snapshot(worker.store)
-        assert worker.run_round(0) is False
-        assert live == {"winner", "loser"}
-        assert self.snapshot(worker.store) == (live, claims, rounds)
+        worker.seed_population()
+        worker.abandoned = wk.ABANDONED_ROUNDS_MAX - 1
+        assert worker.run_round(0) is True
+        assert worker.abandoned == 0
 
 
 class TestIdleWait:
@@ -489,6 +562,33 @@ class TestCaeSelection:
         assert encoder_id in {a.id for a in alts}
 
 
+class TestStoredNetworkReads:
+    """Step 2 and step 4 read a stored network through the round's checked
+    reader, so weights off their genome stop them."""
+
+    def test_finalize_refuses_an_encoder_off_its_genome(self, tmp_path):
+        cfg = tiny_cfg(tmp_path)
+        store = PopulationStore(pl.step_population_root(cfg, gn.ENCODER))
+        shape = load_run_data(cfg)[0].sample_shape
+        publish_off_genome(store, "enc-off", gn.seed_genome(gn.ENCODER, "enc-off"),
+                           WIDE[gn.ENCODER], shape, 0.9)
+        with pytest.raises(gn.GenomeError, match="^enc-off's weights do not follow its genome"):
+            pl.finalize_cae_step(cfg)
+        assert list(Path(cfg.report_dir).glob("*")) == []
+
+    @pytest.mark.parametrize("off", [gn.ENCODER, gn.CLASSIFIER])
+    def test_compose_refuses_a_network_off_its_genome(self, tmp_path, off):
+        cfg = tiny_cfg(tmp_path)
+        shape = load_run_data(cfg)[0].sample_shape
+        encoded_shape = gn.infer_shapes(gn.seed_genome(gn.ENCODER, "e"), shape)[-1]
+        for kind, on in ((gn.ENCODER, shape), (gn.CLASSIFIER, encoded_shape)):
+            g = gn.seed_genome(kind, kind)
+            store = PopulationStore(pl.step_population_root(cfg, kind))
+            publish_off_genome(store, kind, g, WIDE[kind] if kind == off else g, on, 0.9)
+        with pytest.raises(gn.GenomeError, match=f"^{off}'s weights do not follow its genome"):
+            pl.compose_final(cfg, gn.ENCODER, gn.CLASSIFIER)
+
+
 class TestCompose:
     def test_composed_network_equals_two_stage_evaluation(self, tmp_path, monkeypatch):
         result_cfg = tiny_cfg(tmp_path, round_budget=2)
@@ -627,18 +727,35 @@ class TestCli:
 
 
 class TestQuickStart:
-    def test_desk_pipeline_script_writes_summary(self, tmp_path):
+    def test_run_verb_writes_summary(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, n_classes=4, synth_count=80, round_budget=1)
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "run_desk_pipeline.py"),
-             "--workdir", str(tmp_path), "--workers", "1", "--rounds", "1",
-             "--count", "80", "--size", "8", "--epochs", "1"],
-            env=env, check=True, capture_output=True, timeout=300,
-        )
-        summary = json.loads((tmp_path / "summary.json").read_text())
+        out = subprocess.run(
+            [sys.executable, "-m", "evocnn.cli", "run", "--config", str(cfg_path)],
+            env=env, check=True, capture_output=True, text=True, timeout=300,
+        ).stdout.splitlines()
+        summary = json.loads((Path(cfg.report_dir) / "summary.json").read_text())
         assert set(summary) == {
             "encoder_id", "classifier_id", "cae_networks_generated",
             "cae_best_reconstruction_accuracy", "clf_networks_generated",
             "clf_best_validation_accuracy", "test_accuracy",
         }
         assert 0.0 <= summary["test_accuracy"] <= 1.0
+        # the lines evolve-cae, evolve-clf and compose print, in that order
+        assert out == [
+            *(f"step={step} networks_generated={summary[f'{step}_networks_generated']} "
+              f"best_metric={summary[f'{step}_best_{metric}_accuracy']:.4f} "
+              f"history={Path(cfg.report_dir) / f'history_{step}.csv'}"
+              for step, metric in (("cae", "reconstruction"), ("clf", "validation"))),
+            f"composed {summary['encoder_id']} + {summary['classifier_id']}: "
+            f"test accuracy {summary['test_accuracy']:.4f}",
+        ]
+
+    def test_run_verb_takes_no_flag_but_config(self):
+        # every setting of the run, its scale included, comes from the config file
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {flag for action in sub.choices["run"]._actions for flag in action.option_strings}
+        assert flags == {"-h", "--help", "--config"}

@@ -6,7 +6,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from evocnn.cli import build_parser
-from evocnn.config import RunConfig
+from evocnn.config import RunConfig, load_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -28,3 +28,12 @@ def test_config_table_lists_every_field():
     rows = [line for line in section("Configuration").splitlines() if line.startswith("| `")]
     documented = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert sorted(documented) == sorted(f.name for f in fields(RunConfig))
+
+
+def test_quick_start_config_loads(tmp_path):
+    text = section("Quick start")
+    path = tmp_path / "run.cfg"
+    path.write_text(text.split("```ini\n", 1)[1].split("```", 1)[0])
+    # load_config refuses an unknown key and a config that cannot run
+    assert load_config(path).data_source == "synth"
+    assert "evocnn run --config run.cfg" in text
