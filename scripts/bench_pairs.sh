@@ -19,6 +19,19 @@
 # comes largest_peak_rss_mb: the largest "peak rss" of a run's "trajectory
 # k:" lines, where peak_rss_mb is their median. A run that reports a
 # failed check stops the script.
+#
+# The summary is also appended to the ledger BENCH_<workload>.json, a JSON
+# list with one entry per completed run of this script, one entry a line,
+# each holding:
+# - "rev" and "working": each a commit and the sha256 of the working
+#   src/'s diff against it (`git diff --binary`, untracked files
+#   included), or null when src/ is the commit's;
+# - "seeds" and "pairs";
+# - "machine": the available processor count ("nproc"), every
+#   *_NUM_THREADS, VECLIB_MAXIMUM_THREADS and MALLOC_* environment
+#   variable set, and the Python and numpy versions;
+# - "metrics": per metric its unit, which way is better, the working
+#   tree's wins and losses, and each side's q1, median and q3.
 set -euo pipefail
 if [ $# -lt 3 ]; then
     echo "usage: $0 <rev> <workload> <pairs> [first seed]" >&2
@@ -53,6 +66,17 @@ trap 'exit 130' INT
 trap 'exit 143' TERM
 git archive "$rev" src | tar -x -C "$tmp"
 
+# the revisions, read before any run swaps src/; the diff is taken through
+# a scratch index, so that untracked files count and the real index stays
+rev_commit=$(git rev-parse --verify "$rev^{commit}")
+head_commit=$(git rev-parse --verify HEAD)
+GIT_INDEX_FILE=$tmp/index git read-tree HEAD
+GIT_INDEX_FILE=$tmp/index git add -A -- src
+src_diff=
+if ! GIT_INDEX_FILE=$tmp/index git diff --cached --quiet HEAD -- src; then
+    src_diff=$(GIT_INDEX_FILE=$tmp/index git diff --cached --binary HEAD -- src | sha256sum | cut -d' ' -f1)
+fi
+
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
 # run <side> <pair> <seed>: one benchmark run, its JSON line appended to results
@@ -85,7 +109,9 @@ EOF
 )
 
 report=$(cat <<'EOF'
-import json, statistics, sys
+import datetime, json, os, platform, re, statistics, sys
+
+import numpy
 
 spec = json.load(open("BENCHMARK.json"))["end_to_end"]
 spec.append({"name": "largest_peak_rss_mb", "unit": "MB", "better": "lower"})
@@ -122,6 +148,7 @@ def quartiles(values):
 
 
 print(f"{len(by_pair)} pairs; working tree wins per metric (ties count for neither)")
+metrics = {}
 for m in spec:
     a = [value(p["rev"], m["name"]) for p in by_pair.values()]
     b = [value(p["work"], m["name"]) for p in by_pair.values()]
@@ -131,6 +158,35 @@ for m in spec:
     (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
     print(f"  {m['name']} ({m['better']} is better): {wins}/{len(a)} won, {losses} lost; "
           f"rev {a2:.6g} ({a1:.6g}-{a3:.6g}) -> working {b2:.6g} ({b1:.6g}-{b3:.6g}) {m['unit']}")
+    metrics[m["name"]] = {
+        "unit": m["unit"], "better": m["better"], "wins": wins, "losses": losses,
+        "rev": {"q1": a1, "median": a2, "q3": a3}, "working": {"q1": b1, "median": b2, "q3": b3},
+    }
+
+workload, rev_commit, head_commit, src_diff = sys.argv[3:7]
+entry = {
+    "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+    "workload": workload,
+    "rev": {"commit": rev_commit, "src_diff_sha256": None},
+    "working": {"commit": head_commit, "src_diff_sha256": src_diff or None},
+    "seeds": sorted(r["seed"] for r in runs if r["side"] == "rev"),
+    "pairs": len(by_pair),
+    "machine": {
+        "nproc": len(os.sched_getaffinity(0)),
+        "env": {k: v for k, v in sorted(os.environ.items())
+                if re.fullmatch(r".+_NUM_THREADS|VECLIB_MAXIMUM_THREADS|MALLOC_.+", k)},
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    },
+    "metrics": metrics,
+}
+ledger = f"BENCH_{workload}.json"
+entries = json.load(open(ledger)) if os.path.exists(ledger) else []
+with open(f"{ledger}.tmp", "w") as fh:
+    # one entry a line, so that an appended run is one added line of diff
+    fh.write("[\n" + ",\n".join(json.dumps(e) for e in entries + [entry]) + "\n]\n")
+os.replace(f"{ledger}.tmp", ledger)
+print(f"appended to {ledger} (entry {len(entries) + 1})")
 EOF
 )
 
@@ -145,4 +201,4 @@ for ((i = 0; i < pairs; i++)); do
     fi
     python3 -c "$report" "$results" last
 done
-python3 -c "$report" "$results" summary
+python3 -c "$report" "$results" summary "$workload" "$rev_commit" "$head_commit" "$src_diff"

@@ -291,10 +291,8 @@ def derive_decoder(g: Genome, input_shape):
     so reconstructions stay in [0,1].
     """
     trace = infer_shapes(g, input_shape)
-    specs = []
-    for i in reversed(range(len(g.layers))):
-        specs.extend({**spec, "source": ("mirror", i)}
-                     for spec in g.layers[i].mirror(trace[i], trace[i + 1]))
+    specs = [spec for i in reversed(range(len(g.layers)))
+             for spec in g.layers[i].mirror(trace[i], trace[i + 1])]
     for spec in reversed(specs):
         if "activation" in spec:
             spec["activation"] = "sigmoid"
@@ -305,45 +303,40 @@ def derive_decoder(g: Genome, input_shape):
 def network_specs(g: Genome, input_shape, n_classes=10):
     """Full layer plan for the buildable network behind a genome: its
     genes, then its kind's tail (an encoder's mirrored decoder, or a
-    classifier's flatten + dense softmax head). Each spec's "source" is
-    ("gene", i) for gene i, ("mirror", i) for a decoder layer mirroring
-    gene i, or ("tail", n) for the n-th layer of any other tail."""
+    classifier's flatten + dense softmax head). Gene i builds layer i."""
     trace = infer_shapes(g, input_shape)
-    specs = [{**gene.spec(shape[0]), "source": ("gene", i)}
-             for i, (gene, shape) in enumerate(zip(g.layers, trace))]
-    tail = GENOME_KINDS[g.kind].tail(g, trace, n_classes)
-    return specs + [{"source": ("tail", n), **spec} for n, spec in enumerate(tail)]
+    genes = [gene.spec(shape[0]) for gene, shape in zip(g.layers, trace)]
+    return genes + GENOME_KINDS[g.kind].tail(g, trace, n_classes)
 
 
 # ---------------------------------------------------------------------------
 # Weight inheritance
 # ---------------------------------------------------------------------------
 
-def inherit_weights(net, child: Genome, parent: Genome, parent_net, parent_specs, genes_from,
-                    input_shape, n_classes, rng):
+def inherit_weights(net, child: Genome, parent: Genome, parent_net, genes_from, rng):
     """Write the parent's weights into the child's freshly built network.
 
-    Each child layer with parameters takes the arrays of the parent layer
-    built from the same source (parent_specs is the parent's
-    `network_specs`; child gene j came from parent gene genes_from[j], None
-    for an inserted gene, as `mutation.apply_mutation` reports) on the
-    overlap of their shapes, unless a policy line below keeps the build's
-    init. Other layers keep the build's init. A parent network whose layer
-    count differs from parent_specs raises ValueError.
+    Gene i builds layer i, and the layers after the genes are the kind's
+    tail. Child layer j of a gene takes the arrays of parent layer
+    genes_from[j] (the parent gene that child gene j came from, None for
+    an inserted gene, as `mutation.apply_mutation` reports), and the n-th
+    layer after the child's genes those of the n-th layer after the
+    parent's, on the overlap of their shapes, unless a policy line below
+    keeps the build's init. Other layers keep the build's init. parent_net
+    must follow the parent's layer plan, as `worker.read_individual` checks.
     """
-    parent_layers = {spec["source"]: layer for spec, layer
-                     in zip(parent_specs, parent_net.layers, strict=True) if layer.params()}
-    for spec, layer in zip(network_specs(child, input_shape, n_classes), net.layers):
-        role, i = spec["source"]
-        old = parent_layers.get((role, i if role == "tail" else genes_from[i]))
+    parent_layers = [*(None if i is None else parent_net.layers[i] for i in genes_from),
+                     *parent_net.layers[len(parent.layers):]]
+    for j, (layer, old) in enumerate(zip(net.layers, parent_layers)):
         if old is None or not layer.params():
             continue
+        tail = j >= len(child.layers)
         reshaped = tuple(a.shape for a in old.params()) != layer.param_shapes()
-        if role == "mirror" and parent.layers != child.layers:
+        if tail and child.kind == ENCODER and parent.layers != child.layers:
             continue  # policy: a changed encoder keeps the build's decoder
-        if reshaped and role == "tail":
+        if tail and reshaped:
             continue  # policy: a reshaped classifier head keeps the build's init
-        if reshaped and role == "gene":
+        if reshaped:
             layer.init_weights(rng)  # policy: a fresh init, drawn after the build's own draws
         for fresh, kept in zip(layer.params(), old.params()):
             overlap = tuple(slice(0, min(a, b)) for a, b in zip(fresh.shape, kept.shape))

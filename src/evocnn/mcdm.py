@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Alternative:
-    id: object  # generation id (int) or any sortable identifier
+    id: object  # an individual's id (a worker's id string), or any sortable identifier
     compression: float
     accuracy: float
 

@@ -155,7 +155,7 @@ def load_encoder(cfg: RunConfig, encoder_id, input_shape):
     """A stored autoencoder's encoder, the layers of its genes with the
     decoder dropped, and the shape it encodes input_shape to."""
     store = PopulationStore(step_population_root(cfg, gn.ENCODER))
-    g, net, _specs = read_individual(store, encoder_id, input_shape, cfg.n_classes)
+    g, net = read_individual(store, encoder_id, input_shape, cfg.n_classes)
     return eng.Network(net.layers[: len(g.layers)]), gn.infer_shapes(g, input_shape)[-1]
 
 
@@ -220,7 +220,7 @@ def compose_final(cfg: RunConfig, encoder_id, classifier_id, datasets=None):
     # the classifier is read on the shape the encoder makes, so one built
     # for another shape raises GenomeError here, before any forward pass
     clf_store = PopulationStore(step_population_root(cfg, gn.CLASSIFIER))
-    _g, clf_net, _specs = read_individual(clf_store, classifier_id, encoded_shape, cfg.n_classes)
+    _g, clf_net = read_individual(clf_store, classifier_id, encoded_shape, cfg.n_classes)
     composed = eng.Network(encoder.layers + clf_net.layers)
     return composed, eng.classifier_accuracy(composed, test.x, test.y)
 

@@ -100,7 +100,8 @@ def parse_fitness_line(line: str) -> FitnessMeta:
 
 
 class PopulationStore:
-    """Multi-process population directory with live/claimed/dead states."""
+    """Multi-process population directory with live/ and dead/ states
+    (claimed/ is made, but nothing moves an individual there yet)."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -116,7 +117,8 @@ class PopulationStore:
 
     def publish(self, individual_id, genome_text, weights_blob, meta: FitnessMeta):
         """Write everything to a temp dir, then rename into live/. An id
-        that is live or dead already raises IdCollision."""
+        that is live or dead already raises IdCollision. A publish that
+        raises removes its temp dir."""
         if (self.dead / individual_id).exists():
             # a step rerun on the same directory draws the first run's ids again
             raise IdCollision(f"id {individual_id} already published and killed")
@@ -131,7 +133,7 @@ class PopulationStore:
                 staging.rename(target)
             except OSError as exc:
                 raise IdCollision(f"id {individual_id} already published") from exc
-        except IdCollision:
+        except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise
         return individual_id

@@ -55,15 +55,14 @@ def load_run_data(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 def read_individual(store: PopulationStore, iid, input_shape, n_classes):
-    """A stored individual's (genome, network, the genome's layer plan); a network
-    off the plan, in a layer's kind or hyperparameters, raises GenomeError naming iid."""
+    """A stored individual's (genome, network); a network off the genome's layer
+    plan, in a layer's kind or hyperparameters, raises GenomeError naming iid."""
     g = gn.deserialize(store.load_genome_text(iid))
     net = eng.deserialize_network(store.load_weights(iid))
-    specs = gn.network_specs(g, input_shape, n_classes)
-    planned = [{k: v for k, v in spec.items() if k != "source"} for spec in specs]
+    planned = gn.network_specs(g, input_shape, n_classes)
     if [eng.layer_spec(layer) for layer in net.layers] != planned:
         raise gn.GenomeError(f"{iid}'s weights do not follow its genome")
-    return g, net, specs
+    return g, net
 
 
 def build_network(g: gn.Genome, input_shape, rng, n_classes=10) -> eng.Network:
@@ -77,13 +76,13 @@ def train_individual(g: gn.Genome, view: eng.DatasetView, cfg: RunConfig, rng,
                      input_shape, parent=None):
     """Train one genome; returns (network, TrainReport).
 
-    `parent` is an optional (genome, network, layer plan, genes_from) of
-    the parent for weight inheritance, the first three as `read_individual`
-    returns them, genes_from as `mutation.apply_mutation` reports it.
+    `parent` is an optional (genome, network, genes_from) of the parent
+    for weight inheritance, the first two as `read_individual` returns
+    them, genes_from as `mutation.apply_mutation` reports it.
     """
     net = build_network(g, input_shape, rng, n_classes=cfg.n_classes)
     if parent is not None:
-        gn.inherit_weights(net, g, *parent, input_shape, cfg.n_classes, rng)
+        gn.inherit_weights(net, g, *parent, rng)
     report = eng.train_network(net, gn.GENOME_KINDS[g.kind], view, cfg.epochs, cfg.batch_size,
                                g.learning_rate, cfg.momentum, rng)
     return net, report
@@ -156,7 +155,7 @@ class Worker:
         # read the winner before touching the loser: a round abandoned
         # here has killed nothing
         try:
-            parent, parent_net, specs = read_individual(
+            parent, parent_net = read_individual(
                 self.store, winner, self.input_shape, self.cfg.n_classes)
         except (OSError, StoreError, gn.GenomeError, eng.EngineError) as exc:
             return self._abandon(f"winner {winner} vanished or is unreadable: {exc}")
@@ -172,7 +171,7 @@ class Worker:
         child, genes_from = mutated
         net, report = train_individual(
             child, self.view, self.cfg, self.rng, self.input_shape,
-            parent=(parent, parent_net, specs, genes_from),
+            parent=(parent, parent_net, genes_from),
         )
         self._publish(child, net, report)
         self.store.append_round_log(

@@ -873,7 +873,7 @@ class TestTrainIndividual:
         child = g.with_child_fields("ch", "Identity")
         _, report2 = train_individual(
             child, view, cfg, rng, (1, 8, 8),
-            parent=(g, net, gn.network_specs(g, (1, 8, 8), 2), [0]),
+            parent=(g, net, [0]),
         )
         assert report2.metric >= report.metric - 0.05
 
@@ -890,8 +890,7 @@ class TestTrainIndividual:
         monkeypatch.setattr(eng, "train_network", lambda *args: None)
         rng = np.random.default_rng(2)
         net, _ = train_individual(child, None, RunConfig(wall_budget=1), rng, shape,
-                                  parent=(parent, parent_net, gn.network_specs(parent, shape),
-                                          [0, 1]))
+                                  parent=(parent, parent_net, [0, 1]))
 
         expected_rng = np.random.default_rng(2)
         build_network(child, shape, expected_rng)
@@ -1065,8 +1064,7 @@ class TestWeightsBlob:
         shape = (3, 7, 7)
         encoder = gn.Genome("e", gn.ENCODER, (gn.ConvGene(4, 3, 3, 2), gn.PoolGene(2, 2)))
         classifier = gn.Genome("c", gn.CLASSIFIER, (gn.ConvGene(4, 3, 3, 1),))
-        specs = [{k: v for k, v in spec.items() if k != "source"}
-                 for g in (encoder, classifier) for spec in gn.network_specs(g, shape, 3)]
+        specs = [spec for g in (encoder, classifier) for spec in gn.network_specs(g, shape, 3)]
         assert {spec["kind"] for spec in specs} == set(eng.LAYER_KINDS)
         for spec in specs:
             assert eng.layer_spec(eng.layer_from_spec(spec)) == spec

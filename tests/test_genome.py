@@ -286,9 +286,7 @@ def _inherit(parent, child, genes_from, rng, n_classes=10):
     parent_net = build_network(parent, SHAPE, rng, n_classes)
     net = build_network(child, SHAPE, rng, n_classes)
     built = [[a.copy() for a in layer.params()] for layer in net.layers]
-    parent_specs = gn.network_specs(parent, SHAPE, n_classes)
-    gn.inherit_weights(net, child, parent, parent_net, parent_specs, genes_from, SHAPE, n_classes,
-                       rng)
+    gn.inherit_weights(net, child, parent, parent_net, genes_from, rng)
     return parent_net, net, built
 
 
@@ -298,7 +296,101 @@ def _assert_arrays_equal(got, expected):
         np.testing.assert_array_equal(a, b)
 
 
+def _layer_sources(g, input_shape):
+    """Reference source of each layer of g's plan: ("gene", i) for gene
+    i, ("mirror", i) for a decoder layer mirroring gene i, or ("tail", n)
+    for the n-th layer of a classifier's head."""
+    sources = [("gene", i) for i in range(len(g.layers))]
+    if g.kind == gn.CLASSIFIER:
+        return sources + [("tail", 0), ("tail", 1)]
+    trace = gn.infer_shapes(g, input_shape)
+    for i in reversed(range(len(g.layers))):
+        sources += [("mirror", i)] * len(g.layers[i].mirror(trace[i], trace[i + 1]))
+    return sources
+
+
+def _builds(g, input_shape):
+    try:
+        gn.infer_shapes(g, input_shape)
+    except gn.ShapeInferenceError:
+        return False
+    return True
+
+
+def _source_keyed_inherit(net, child, parent, parent_net, genes_from, input_shape, rng):
+    """Reference inheritance: each child layer with weights takes the
+    arrays of the parent layer built from the same source, under the
+    same three policy lines as `gn.inherit_weights`."""
+    parent_layers = {source: layer for source, layer
+                     in zip(_layer_sources(parent, input_shape), parent_net.layers, strict=True)
+                     if layer.params()}
+    for (role, i), layer in zip(_layer_sources(child, input_shape), net.layers, strict=True):
+        old = parent_layers.get((role, i if role == "tail" else genes_from[i]))
+        if old is None or not layer.params():
+            continue
+        reshaped = tuple(a.shape for a in old.params()) != layer.param_shapes()
+        if role == "mirror" and parent.layers != child.layers:
+            continue
+        if reshaped and role == "tail":
+            continue
+        if reshaped and role == "gene":
+            layer.init_weights(rng)
+        for fresh, kept in zip(layer.params(), old.params()):
+            overlap = tuple(slice(0, min(a, b)) for a, b in zip(fresh.shape, kept.shape))
+            fresh[overlap] = kept[overlap]
+
+
+def _inherited(net, built, seed, inherit):
+    """(every array, generator state) that inherit(net, rng) leaves, from
+    net's arrays as built and a generator seeded with seed."""
+    for layer, arrays in zip(net.layers, built):
+        for a, kept in zip(layer.params(), arrays):
+            a[...] = kept
+    rng = np.random.default_rng(seed)
+    inherit(net, rng)
+    return [a.tobytes() for layer in net.layers for a in layer.params()], rng.bit_generator.state
+
+
 class TestInheritWeights:
+    def test_matches_the_source_keyed_inheritance(self):
+        # every parent of 1-4 genes over genes that InsertConv and InsertPool
+        # make, plus a strided conv, under every mutation kind, on shapes
+        # whose decoders mirror exactly (16x16), crop (13x11) and start
+        # from one channel (1x8x8)
+        alphabet = (gn.ConvGene(8, 3, 3, 1), gn.ConvGene(16, 3, 3, 1), gn.ConvGene(8, 3, 3, 2),
+                    gn.PoolGene(2, 2))
+        cases, kinds, nets = set(), set(), {}
+        for shape, kind in itertools.product(((3, 16, 16), (3, 13, 11), (1, 8, 8)), gn.GENOME_KINDS):
+            for n_parent in range(1, 5):
+                for p in itertools.product(alphabet, repeat=n_parent):
+                    parent = gn.Genome("p", kind, p)
+                    if not _builds(parent, shape):
+                        continue
+                    parent_net = build_network(parent, shape, np.random.default_rng(99), 3)
+                    for mutation, seed in itertools.product(mu.MutationKind, range(3)):
+                        mutated = mu.apply_mutation(parent, mutation, np.random.default_rng(seed),
+                                                    "c")
+                        if mutated is None or not _builds(mutated[0], shape):
+                            continue
+                        child, genes_from = mutated
+                        kinds.add(mutation)
+                        case = (shape, kind, p, child.layers, tuple(genes_from))
+                        if case in cases:  # another draw made the same child
+                            continue
+                        cases.add(case)
+                        if (shape, kind, child.layers) not in nets:
+                            net = build_network(child, shape, np.random.default_rng(seed), 3)
+                            built = [[a.copy() for a in layer.params()] for layer in net.layers]
+                            nets[shape, kind, child.layers] = net, built
+                        net, built = nets[shape, kind, child.layers]
+                        got = _inherited(net, built, seed, lambda net, rng: gn.inherit_weights(
+                            net, child, parent, parent_net, genes_from, rng))
+                        want = _inherited(net, built, seed, lambda net, rng: _source_keyed_inherit(
+                            net, child, parent, parent_net, genes_from, shape, rng))
+                        assert got == want, case
+        assert kinds == set(mu.MutationKind)
+        assert len(cases) > 1000, len(cases)
+
     def test_identity_is_bit_identical(self, rng):
         parent = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2), gid="p")
         child = parent.with_child_fields("c", "Identity")
@@ -342,19 +434,6 @@ class TestInheritWeights:
         # the build's init of the inserted conv is kept
         _assert_arrays_equal(net.layers[1].params(), built[1])
 
-    def test_parent_network_off_its_genome_raises(self, rng):
-        # an exact mirror's no-op crop, as populations stored before the
-        # decoder plan was fixed at build time hold it: the decoder conv
-        # would silently keep the build's init
-        parent = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2), gid="p")
-        layers = build_network(parent, SHAPE, rng).layers
-        parent_net = eng.Network(layers[:3] + (eng.CropLayer(*SHAPE[1:]),) + layers[3:])
-        child = parent.with_child_fields("c", "Identity")
-        net = build_network(child, SHAPE, rng)
-        with pytest.raises(ValueError):
-            gn.inherit_weights(net, child, parent, parent_net, gn.network_specs(parent, SHAPE),
-                               [0, 1], SHAPE, 10, rng)
-
 
 class TestInheritedLayerRoles:
     """What each kind of built layer takes from the parent network."""
@@ -370,8 +449,7 @@ class TestInheritedLayerRoles:
         parent_net = eng.deserialize_network(
             eng.serialize_network(build_network(parent, SHAPE, rng, 3)))
         net = build_network(child, SHAPE, rng, 3)
-        gn.inherit_weights(net, child, parent, parent_net, gn.network_specs(parent, SHAPE, 3),
-                           [0, 1, 2], SHAPE, 3, rng)
+        gn.inherit_weights(net, child, parent, parent_net, [0, 1, 2], rng)
         x = rng.random((5, *SHAPE))
         assert net.forward(x).tobytes() == parent_net.forward(x).tobytes()
 
@@ -385,7 +463,8 @@ class TestInheritedLayerRoles:
         child = parent.with_child_fields("c", "Edit", layers=layers)
         genes_from = _three_branch_mapping(parent, child)
         parent_net, net, built = _inherit(parent, child, genes_from, rng)
-        decoder = [s["source"][0] == "mirror" for s in gn.network_specs(child, SHAPE)]
+        # an encoder's decoder is the layers after its genes
+        decoder = [j >= len(child.layers) for j in range(len(net.layers))]
         assert any(decoder)
         for layer, fresh, is_decoder in zip(net.layers, built, decoder, strict=True):
             if is_decoder:

@@ -364,8 +364,10 @@ class TestRoundProtocol:
         assert worker.run_round(0) is True
         (child,) = set(racer.list_live()) - live
         winner = gn.deserialize(racer.load_genome_text(child)).parent_id
-        # the check of the stored weights and the inheritance share one plan
+        # the stored weights are checked against the winner's plan, and
+        # inheritance pairs layers by position, so neither plan is built twice
         assert planned.count(winner) == 1
+        assert planned.count(child) == 1
 
 
 class TestAbandonBound:
@@ -575,6 +577,16 @@ class TestStoredNetworkReads:
         with pytest.raises(gn.GenomeError, match="^enc-off's weights do not follow its genome"):
             pl.finalize_cae_step(cfg)
         assert list(Path(cfg.report_dir).glob("*")) == []
+
+    def test_parent_network_off_its_genome_raises(self, tmp_path):
+        # an exact mirror's no-op crop, as populations stored before the
+        # decoder plan was fixed at build time hold it: inheriting from it
+        # by position would pair the child's decoder conv with the crop
+        store = PopulationStore(tmp_path / "pop")
+        shape = (3, 16, 16)
+        publish_off_genome(store, "p", gn.seed_genome(gn.ENCODER, "p"), "crop", shape, 0.9)
+        with pytest.raises(gn.GenomeError, match="^p's weights do not follow its genome$"):
+            wk.read_individual(store, "p", shape, 10)
 
     @pytest.mark.parametrize("off", [gn.ENCODER, gn.CLASSIFIER])
     def test_compose_refuses_a_network_off_its_genome(self, tmp_path, off):

@@ -1,5 +1,7 @@
+import errno
 import math
 import multiprocessing as mp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,19 @@ class TestPublishAndList:
             publish(store, "dup")
         assert store.list_live() == ["dup"]
         assert list(store.tmp.iterdir()) == []
+
+    def test_failed_write_cleans_staging(self, tmp_path, monkeypatch):
+        store = PopulationStore(tmp_path)
+        publish(store, "kept")
+
+        def disk_full(path, data):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            publish(store, "x")
+        assert list(store.tmp.iterdir()) == []
+        assert store.list_live() == ["kept"]
 
     def test_killed_id_is_not_published_again(self, tmp_path):
         store = PopulationStore(tmp_path)
