@@ -20,6 +20,11 @@
 # k:" lines, where peak_rss_mb is their median. A run that reports a
 # failed check stops the script.
 #
+# Each pair also compares the "history sha256" of its two runs' trajectory
+# lines, trajectory by trajectory, and prints how many differ; the summary
+# prints the total. Zero in every pair shows that the working tree keeps
+# the seeded numerics of every trajectory the pairs ran.
+#
 # The summary is also appended to the ledger BENCH_<workload>.json, a JSON
 # list with one entry per completed run of this script, one entry a line,
 # each holding:
@@ -31,7 +36,9 @@
 #   *_NUM_THREADS, VECLIB_MAXIMUM_THREADS and MALLOC_* environment
 #   variable set, and the Python and numpy versions;
 # - "metrics": per metric its unit, which way is better, the working
-#   tree's wins and losses, and each side's q1, median and q3.
+#   tree's wins and losses, and each side's q1, median and q3;
+# - "differing_histories": the number of trajectories, over all pairs,
+#   whose history sha256 differs between the sides.
 set -euo pipefail
 if [ $# -lt 3 ]; then
     echo "usage: $0 <rev> <workload> <pairs> [first seed]" >&2
@@ -95,7 +102,8 @@ run() {
 }
 
 # record <side> <pair> <seed>: run.py's output on stdin -> its JSON line, with
-# the largest peak rss of its "trajectory k:" lines added as a metric
+# the largest peak rss of its "trajectory k:" lines added as a metric and
+# their history sha256s kept, in trajectory order
 record=$(cat <<'EOF'
 import json, re, sys
 
@@ -103,6 +111,8 @@ lines = sys.stdin.read().splitlines()
 r = json.loads(lines[-1])
 peaks = [float(m[1]) for line in lines if (m := re.match(r"trajectory \d+: .* peak rss ([0-9.]+)MB ", line))]
 r["metrics"]["largest_peak_rss_mb"] = {"value": max(peaks), "unit": "MB"}
+r["histories"] = [m[1] for line in lines
+                  if (m := re.match(r"trajectory \d+: .* history sha256 ([0-9a-f]{64})$", line))]
 r.update(side=sys.argv[1], pair=int(sys.argv[2]), seed=int(sys.argv[3]))
 print(json.dumps(r))
 EOF
@@ -129,6 +139,11 @@ def value(run, name):
     return run["metrics"][name]["value"]
 
 
+def differing(sides):
+    """The trajectories of one pair whose histories differ between the sides."""
+    return sum(a != b for a, b in zip(sides["rev"]["histories"], sides["work"]["histories"]))
+
+
 if sys.argv[2] == "last":
     pair = max(by_pair)
     sides = by_pair[pair]
@@ -137,6 +152,7 @@ if sys.argv[2] == "last":
         a, b = value(sides["rev"], m["name"]), value(sides["work"], m["name"])
         change = f"{100 * (b - a) / a:+.1f} %" if a else "n/a"
         print(f"  {m['name']}: {a:.6g} -> {b:.6g} {m['unit']} ({change})")
+    print(f"  histories: {differing(sides)} of {len(sides['rev']['histories'])} trajectories differ")
     sys.exit()
 
 
@@ -163,6 +179,10 @@ for m in spec:
         "rev": {"q1": a1, "median": a2, "q3": a3}, "working": {"q1": b1, "median": b2, "q3": b3},
     }
 
+differ = sum(differing(p) for p in by_pair.values())
+trajectories = sum(len(p["rev"]["histories"]) for p in by_pair.values())
+print(f"  histories: {differ} of {trajectories} trajectories differ between the sides")
+
 workload, rev_commit, head_commit, src_diff = sys.argv[3:7]
 entry = {
     "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -179,6 +199,7 @@ entry = {
         "numpy": numpy.__version__,
     },
     "metrics": metrics,
+    "differing_histories": differ,
 }
 ledger = f"BENCH_{workload}.json"
 entries = json.load(open(ledger)) if os.path.exists(ledger) else []

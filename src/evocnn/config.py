@@ -86,10 +86,11 @@ class RunConfig:
 
 
 def _parse(text, path) -> dict:
-    """key -> typed value of each key=value line; `#` starts a comment."""
+    """key -> typed value of each key=value line; `#` starts a comment. A key
+    set on two lines raises ConfigError naming both."""
     casts = {"int": int, "float": float, "str": str}
     known = {f.name: casts[f.type] for f in fields(RunConfig)}
-    values = {}
+    values, lines = {}, {}
     for n, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -99,6 +100,9 @@ def _parse(text, path) -> dict:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in known:
             raise ConfigError(f"{path}:{n}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{n}: {key} is set again, first on line {lines[key]}")
+        lines[key] = n
         try:
             values[key] = known[key](value)
         except ValueError as exc:

@@ -139,45 +139,29 @@ class Layer:
     def grads(self):
         return ()
 
-    def velocities(self):
-        return ()
-
 
 class ParamLayer(Layer):
     """A layer with one weight array and one bias vector; `fan_in` is the
-    number of inputs that feed each output."""
+    number of inputs that feed each output. It holds no optimizer state:
+    the `Network` that steps it owns the momentum."""
 
     def __init__(self):
         self.w = None
         self.b = None
-        self.vw = None
-        self.vb = None
         self.gw = None
         self.gb = None
         self._cache = None
 
     def init_weights(self, rng):
         w_shape, b_shape = self.param_shapes()
-        self.set_params(fan_in_normal(w_shape, self.fan_in, rng), np.zeros(b_shape))
-
-    def set_params(self, w, b):
-        """Install weights and biases; momentum restarts from zero."""
-        self.w = w
-        self.b = b
-        self.reset_momentum()
-
-    def reset_momentum(self):
-        self.vw = np.zeros_like(self.w)
-        self.vb = np.zeros_like(self.b)
+        self.w = fan_in_normal(w_shape, self.fan_in, rng)
+        self.b = np.zeros(b_shape)
 
     def params(self):
         return (self.w, self.b)
 
     def grads(self):
         return (self.gw, self.gb)
-
-    def velocities(self):
-        return (self.vw, self.vb)
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,10 +448,12 @@ EVAL_CHUNK = 256
 
 
 class Network:
-    """An ordered stack of layers, fixed when it is built, trained with SGD + momentum."""
+    """An ordered stack of layers, fixed when it is built, trained with SGD + momentum;
+    the first `step` makes the momentum, one zero buffer per parameter array."""
 
     def __init__(self, layers):
         self.layers = tuple(layers)
+        self._velocity = None
         self._calls = []  # (layer index, layer, up-sample factor it runs), input side first
         for i, layer in enumerate(self.layers):
             if i and layer.kind == "conv" and layer.stride == 1 and self.layers[i - 1].kind == "upsample":
@@ -507,9 +493,12 @@ class Network:
         return gy if input_grad else None
 
     def step(self, lr, momentum):
-        for layer in self.layers:
-            for w, g, v in zip(layer.params(), layer.grads(), layer.velocities()):
-                sgd_momentum_step(w, g, v, lr, momentum)
+        params = [p for layer in self.layers for p in layer.params()]
+        if self._velocity is None:
+            self._velocity = [np.zeros_like(w) for w in params]
+        grads = (g for layer in self.layers for g in layer.grads())
+        for w, g, v in zip(params, grads, self._velocity):
+            sgd_momentum_step(w, g, v, lr, momentum)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +594,7 @@ def deserialize_network(blob: bytes) -> Network:
             with np.errstate(invalid="ignore"):  # a signalling NaN weight reads as a quiet NaN
                 arrays.append(np.frombuffer(take(4 * n), "<f4").astype(np.float64).reshape(shape))
         if layer.param_shapes():
-            layer.set_params(*arrays)
+            layer.w, layer.b = arrays
         layers.append(layer)
     if off != len(blob):
         raise EngineError(f"weights blob has {len(blob) - off} trailing bytes")

@@ -37,7 +37,6 @@ def step_population_root(cfg: RunConfig, kind: str) -> Path:
 
 @dataclass
 class StepSummary:
-    kind: str
     networks_generated: int
     best_metric: float
     history_csv: str
@@ -128,7 +127,6 @@ def run_step(cfg: RunConfig, kind: str) -> StepSummary:
     history = report_dir / f"history_{name}.csv"
     rows = export_history(root, history)
     return StepSummary(
-        kind=kind,
         networks_generated=len(rows),
         # a row's validation metric is its last filled metric column
         best_metric=max([0.0] + [float(row[4] or row[3]) for row in rows]),

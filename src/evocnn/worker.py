@@ -93,13 +93,13 @@ def train_individual(g: gn.Genome, view: eng.DatasetView, cfg: RunConfig, rng,
 # ---------------------------------------------------------------------------
 
 class Worker:
-    def __init__(self, cfg: RunConfig, index: int, kind: str, datasets=None):
+    def __init__(self, cfg: RunConfig, index: int, kind: str):
         if kind not in gn.GENOME_KINDS:
             raise ValueError(f"worker kind must be one of {sorted(gn.GENOME_KINDS)}, got {kind!r}")
         self.cfg = cfg
         self.kind = kind
         self.worker_id = f"w{index}"
-        train, val, _test = datasets or load_run_data(cfg)
+        train, val, _test = load_run_data(cfg)
         if cfg.batch_size > train.n:
             # batches drop the remainder, so no epoch would train on anything
             raise dt.DataError(f"batch_size {cfg.batch_size} exceeds the {train.n} training samples")

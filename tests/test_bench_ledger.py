@@ -24,8 +24,11 @@ DATE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ")
 
 
 def check_entry(entry, workload):
-    assert set(entry) == {"date", "workload", "rev", "working", "seeds", "pairs", "machine",
-                          "metrics"}
+    keys = {"date", "workload", "rev", "working", "seeds", "pairs", "machine", "metrics"}
+    # entries written before bench_pairs.sh compared histories lack the count
+    assert set(entry) in (keys, keys | {"differing_histories"})
+    differ = entry.get("differing_histories", 0)
+    assert type(differ) is int and differ >= 0
     assert DATE.fullmatch(entry["date"])
     assert entry["workload"] == workload
     for side in ("rev", "working"):
@@ -73,6 +76,15 @@ def test_ledger_entries_follow_the_schema(path):
     assert type(entries) is list and entries
     for entry in entries:
         check_entry(entry, _workload(path))
+
+
+def test_schema_check_takes_a_history_count_and_refuses_a_negative_one():
+    entry = copy.deepcopy(json.loads(LEDGERS[0].read_text())[0])
+    entry["differing_histories"] = 0
+    check_entry(entry, _workload(LEDGERS[0]))
+    entry["differing_histories"] = -1
+    with pytest.raises(AssertionError):
+        check_entry(entry, _workload(LEDGERS[0]))
 
 
 def test_schema_check_refuses_an_undeclared_metric():

@@ -28,7 +28,6 @@ def make_conv(in_c, f, kh, kw, stride=1, activation="relu", rng=None):
     if rng is None:
         layer.w = np.zeros((f, in_c, kh, kw))
         layer.b = np.zeros(f)
-        layer.reset_momentum()
     else:
         layer.init_weights(rng)
     return layer
@@ -835,6 +834,54 @@ class TestSgdMomentum:
         np.testing.assert_allclose(w, expected)
 
 
+class TestNetworkMomentum:
+    def _net_with_fixed_grads(self, rng):
+        """A classifier whose parameters and gradients are small dyadic
+        values, so that every momentum sum below is exact in float64."""
+        net = build_network(gn.seed_genome(gn.CLASSIFIER, "m", 0.01), (1, 8, 8), rng)
+        grads = []
+        for layer in net.layers:
+            for p in layer.params():
+                p[...] = rng.integers(-8, 9, p.shape)
+            if layer.params():
+                layer.gw, layer.gb = (rng.integers(-8, 9, p.shape) / 4.0 for p in layer.params())
+                grads += [layer.gw, layer.gb]
+        return net, grads
+
+    def test_k_steps_follow_the_closed_form(self, rng):
+        # v_k = -lr*g*(1 - m^k)/(1 - m) and w_k = w_0 + v_1 + ... + v_k; at
+        # lr 1/4 and m 1/2 both are exact, so the steps must match to the byte
+        net, grads = self._net_with_fixed_grads(rng)
+        params = [p for layer in net.layers for p in layer.params()]
+        start = [p.copy() for p in params]
+        lr, m = 0.25, 0.5
+        for k in range(1, 9):
+            net.step(lr, m)
+            geometric = (1 - m ** np.arange(1, k + 1)) / (1 - m)
+            for p, w0, g, v in zip(params, start, grads, net._velocity):
+                assert (v == -lr * g * geometric[-1]).all() and v.dtype == p.dtype
+                assert (p == w0 - lr * g * geometric.sum()).all()
+
+    def test_never_stepped_network_holds_no_momentum(self, rng):
+        net = build_network(gn.seed_genome(gn.ENCODER, "e", 0.01), (1, 8, 8), rng)
+        net.backward(np.ones_like(net.forward(rng.random((2, 1, 8, 8)))), input_grad=False)
+        back = eng.deserialize_network(eng.serialize_network(net))
+        assert net._velocity is None and back._velocity is None
+        net.step(0.1, 0.9)
+        assert [v.shape for v in net._velocity] == [p.shape for l in net.layers for p in l.params()]
+
+    def test_a_new_network_starts_from_zero_momentum(self, rng):
+        # one network's momentum is not another's, even over the same layers
+        net, grads = self._net_with_fixed_grads(rng)
+        for _ in range(3):
+            net.step(0.25, 0.5)
+        params = [p for layer in net.layers for p in layer.params()]
+        before = [p.copy() for p in params]
+        eng.Network(net.layers).step(0.25, 0.5)
+        for p, w0, g in zip(params, before, grads):
+            assert (p == w0 - 0.25 * g).all()
+
+
 def _separable_view(rng, n=200, size=8):
     # class 0: bright left half, class 1: bright right half
     x = rng.random((n, 1, size, size)) * 0.2
@@ -1002,8 +1049,8 @@ class TestDtype:
             for layer, xin, kwargs in cases:
                 if layer.params():
                     w_shape, b_shape = layer.param_shapes()
-                    layer.set_params(rng.standard_normal(w_shape).astype(f32),
-                                     rng.standard_normal(b_shape).astype(f32))
+                    layer.w = rng.standard_normal(w_shape).astype(f32)
+                    layer.b = rng.standard_normal(b_shape).astype(f32)
                 if chunk and layer.kind == "conv":
                     run_in_chunks(monkeypatch, layer, xin, chunk, **kwargs)
                 y = layer.forward(xin, **kwargs)
@@ -1011,6 +1058,12 @@ class TestDtype:
                     assert_ran_in_chunks(layer, xin, chunk)
                 gx = layer.backward(np.ones_like(y))
                 assert [a.dtype for a in (y, gx, *layer.grads())] == [f32] * (2 + len(layer.grads())), layer.kind
+                # the network's momentum follows the parameters' dtype
+                net = eng.Network([layer])
+                net.step(0.1, 0.9)
+                net.step(0.1, 0.9)
+                assert [a.dtype for a in layer.params()] == [f32] * len(layer.params()), layer.kind
+                assert [v.dtype for v in net._velocity] == [f32] * len(layer.params()), layer.kind
 
 
 class TestWeightsBlob:

@@ -106,6 +106,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=":2"):
             load_config(path)
 
+    def test_repeated_key_rejected_with_both_line_numbers(self, tmp_path):
+        # neither value may win silently
+        path = tmp_path / "run.cfg"
+        path.write_text("round_budget = 3\nworkers = 1\n# round_budget = 4\nround_budget = 5\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:4: round_budget is set again, first on line 1"):
+            load_config(path)
+
     @pytest.mark.parametrize("key", ["synth_classes", "synth_channels"])
     def test_removed_synth_key_rejected(self, tmp_path, key):
         # n_classes is every source's class count, and synth images have 3 channels
@@ -268,9 +275,8 @@ class TestWorkerSeeding:
 
     def test_ids_deterministic_under_master_seed(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        data = load_run_data(cfg)
-        a = Worker(cfg, 0, gn.ENCODER, datasets=data)
-        b = Worker(cfg, 0, gn.ENCODER, datasets=data)
+        a = Worker(cfg, 0, gn.ENCODER)
+        b = Worker(cfg, 0, gn.ENCODER)
         assert [a._next_id() for _ in range(5)] == [b._next_id() for _ in range(5)]
 
 
