@@ -16,9 +16,12 @@
 # Prints each pair's end-to-end metrics as it completes, then per metric
 # the number of pairs the working tree won (ties count for neither side)
 # and each side's median and quartiles. After BENCHMARK.json's metrics
-# comes largest_peak_rss_mb: the largest "peak rss" of a run's "trajectory
-# k:" lines, where peak_rss_mb is their median. A run that reports a
-# failed check stops the script.
+# come largest_peak_rss_mb, the largest "peak rss" of a run's "trajectory
+# k:" lines, where peak_rss_mb is their median, and minor_faults, the
+# minor page faults of the whole run: run.py and every trajectory process
+# it waited for, read by a wrapper with getrusage(RUSAGE_CHILDREN). Unlike
+# the times, that count barely moves between runs of the same code. A run
+# that reports a failed check stops the script.
 #
 # Each pair also compares the "history sha256" of its two runs' trajectory
 # lines, trajectory by trajectory, and prints how many differ; the summary
@@ -93,7 +96,8 @@ run() {
         mv src "$aside"
         mv "$tmp/src" src
     fi
-    out=$(python3 perfbench/run.py --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0)
+    out=$(python3 -c "$faults" python3 perfbench/run.py --workload "$workload" --seed "$3" \
+        --seconds "$seconds" --trace 0)
     if [ "$1" = rev ]; then
         mv src "$tmp/src"
         mv "$aside" src
@@ -101,14 +105,29 @@ run() {
     printf '%s\n' "$out" | python3 -c "$record" "$1" "$2" "$3" >> "$results"
 }
 
-# record <side> <pair> <seed>: run.py's output on stdin -> its JSON line, with
-# the largest peak rss of its "trajectory k:" lines added as a metric and
-# their history sha256s kept, in trajectory order
+# faults <command>...: runs the command, then prints "minor faults <n>", the
+# minor page faults of the command and of every process it waited for
+faults=$(cat <<'EOF'
+import resource, subprocess, sys
+
+code = subprocess.run(sys.argv[1:]).returncode
+if code:
+    sys.exit(code)
+print(f"minor faults {resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt}")
+EOF
+)
+
+# record <side> <pair> <seed>: run.py's output and the fault line on stdin ->
+# its JSON line, with the largest peak rss of its "trajectory k:" lines and
+# the fault count added as metrics and their history sha256s kept, in
+# trajectory order
 record=$(cat <<'EOF'
 import json, re, sys
 
 lines = sys.stdin.read().splitlines()
+faults = int(re.fullmatch(r"minor faults (\d+)", lines.pop())[1])
 r = json.loads(lines[-1])
+r["metrics"]["minor_faults"] = {"value": faults, "unit": "count"}
 peaks = [float(m[1]) for line in lines if (m := re.match(r"trajectory \d+: .* peak rss ([0-9.]+)MB ", line))]
 r["metrics"]["largest_peak_rss_mb"] = {"value": max(peaks), "unit": "MB"}
 r["histories"] = [m[1] for line in lines
@@ -125,6 +144,7 @@ import numpy
 
 spec = json.load(open("BENCHMARK.json"))["end_to_end"]
 spec.append({"name": "largest_peak_rss_mb", "unit": "MB", "better": "lower"})
+spec.append({"name": "minor_faults", "unit": "count", "better": "lower"})
 runs = [json.loads(line) for line in open(sys.argv[1])]
 by_pair = {}
 for r in runs:

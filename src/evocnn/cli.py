@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 
 from .config import load_config
+from .fileio import replacing
 
 
 def cmd_worker(cfg, args):
@@ -89,7 +90,8 @@ def cmd_run(cfg, args):
         "clf_best_validation_accuracy": clf.best_metric,
         "test_accuracy": result["test_accuracy"],
     }
-    (Path(cfg.report_dir) / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    with replacing(Path(cfg.report_dir) / "summary.json") as fh:
+        fh.write(json.dumps(summary, indent=2) + "\n")
 
 
 def cmd_report(cfg, args):

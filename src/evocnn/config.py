@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .fileio import replacing
+
 
 class ConfigError(Exception):
     pass
@@ -130,4 +132,5 @@ def save_config(cfg: RunConfig, path):
     for key, value in back.items():
         if value != getattr(cfg, key):
             raise ConfigError(f"{path}: {key} value {getattr(cfg, key)!r} would not read back")
-    Path(path).write_bytes(data)
+    with replacing(path, "wb") as fh:
+        fh.write(data)

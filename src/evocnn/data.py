@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import replacing
+
 CIFAR_RECORD = 3073  # 1 label byte + 3*1024 channel-major pixel bytes
 CIFAR_SHAPE = (3, 32, 32)
 
@@ -200,7 +202,7 @@ def write_evod(path, ds: Dataset):
         x = ds.x.astype("<f4")
     if not np.isfinite(x).all():
         raise DataError(f"{path}: non-finite pixel")
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(_EVOD_MAGIC)
         fh.write(struct.pack("<IIIII", _EVOD_VERSION, n, c, h, w))
         fh.write(x.tobytes())

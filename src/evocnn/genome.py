@@ -257,10 +257,9 @@ def compression_ratio(g: Genome, input_shape):
 
 
 def fitness_record(g: Genome, input_shape, metric):
-    """(compression, metric) for a kind that must compress, else the metric alone."""
-    if GENOME_KINDS[g.kind].compresses:
-        return FitnessRecord(pair=(compression_ratio(g, input_shape), metric))
-    return FitnessRecord(scalar=metric)
+    """(compression, metric) for a kind that must compress, else (metric,)."""
+    compression = (compression_ratio(g, input_shape),) if GENOME_KINDS[g.kind].compresses else ()
+    return FitnessRecord((*compression, metric))
 
 
 def validate(g: Genome, input_shape):

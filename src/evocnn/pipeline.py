@@ -18,6 +18,7 @@ from . import data as dt
 from . import engine as eng
 from . import genome as gn
 from .config import RunConfig, save_config
+from .fileio import replacing
 from .mcdm import Alternative, TopsisWeights, select_best
 from .popstore import PopulationStore
 from .selection import pareto_fronts
@@ -67,10 +68,7 @@ def export_history(population_root, out_csv):
     entries.sort(key=lambda e: (e[1], e[0], e[2]))
     rows = []
     for seq, (_, _, _, meta) in enumerate(entries):
-        if meta.record.scalar is not None:
-            metric, metric2 = repr(meta.record.scalar), ""
-        else:
-            metric, metric2 = repr(meta.record.pair[0]), repr(meta.record.pair[1])
+        metric, metric2 = [*map(repr, meta.record.values), ""][:2]
         rows.append(
             [
                 str(seq),
@@ -85,7 +83,7 @@ def export_history(population_root, out_csv):
         )
     out = Path(out_csv)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
+    with replacing(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["offset", "id", "worker_id", "metric", "metric2", "generation", "mutation", "parent_id"]
@@ -137,7 +135,7 @@ def run_step(cfg: RunConfig, kind: str) -> StepSummary:
 def live_cae_alternatives(store: PopulationStore):
     """The live autoencoders on Pareto front 0, as TOPSIS alternatives."""
     fitness = store.load_all_fitness()
-    pairs = {iid: meta.record.pair for iid, meta in fitness.items() if meta.record.pair}
+    pairs = {iid: meta.record.pair for iid, meta in fitness.items()}
     if not pairs:
         raise PipelineError("no evaluated autoencoders in the population")
     ids = sorted(pairs)
@@ -171,7 +169,8 @@ def finalize_cae_step(cfg: RunConfig, datasets=None):
     prefix = _encoded_prefix(cfg, encoder_id)
     for ds in datasets:
         dt.write_evod(f"{prefix}{ds.split}.evod", dt.encode_dataset(encoder_net, ds))
-    (report_dir / "chosen_cae.txt").write_text(f"{encoder_id}\n")
+    with replacing(report_dir / "chosen_cae.txt") as fh:
+        fh.write(f"{encoder_id}\n")
     return encoder_id, prefix
 
 
@@ -194,16 +193,11 @@ def classifier_config(cfg: RunConfig, encoder_id) -> RunConfig:
 
 
 def best_classifier_id(cfg: RunConfig):
-    store = PopulationStore(step_population_root(cfg, gn.CLASSIFIER))
-    fitness = store.load_all_fitness()
-    scored = [
-        (meta.record.scalar, iid)
-        for iid, meta in fitness.items()
-        if meta.record.scalar is not None
-    ]
-    if not scored:
+    """The live classifier of highest validation accuracy (largest id on a tie)."""
+    fitness = PopulationStore(step_population_root(cfg, gn.CLASSIFIER)).load_all_fitness()
+    if not fitness:
         raise PipelineError("no evaluated classifiers in the population")
-    return max(scored)[1]
+    return max((meta.record.values, iid) for iid, meta in fitness.items())[1]
 
 
 def compose_final(cfg: RunConfig, encoder_id, classifier_id, datasets=None):

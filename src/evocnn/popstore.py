@@ -52,10 +52,7 @@ class FitnessMeta:
 
 
 def format_fitness_line(meta: FitnessMeta) -> str:
-    if meta.record.scalar is not None:
-        metric = repr(meta.record.scalar)
-    else:
-        metric = f"{meta.record.pair[0]!r}:{meta.record.pair[1]!r}"
+    metric = ":".join(map(repr, meta.record.values))
     parent = meta.parent_id if meta.parent_id is not None else "-"
     return (
         f"{meta.id},{meta.kind},{metric},{meta.wall_seconds!r},"
@@ -83,14 +80,10 @@ def parse_fitness_line(line: str) -> FitnessMeta:
     if len(values) > 3 or not all(math.isfinite(v) for v in values):
         raise StoreError(f"bad metric or wall time in fitness line {line!r}")
     *metrics, wall_seconds = values
-    if len(metrics) == 2:
-        record = FitnessRecord(pair=tuple(metrics))
-    else:
-        record = FitnessRecord(scalar=metrics[0])
     return FitnessMeta(
         id=iid,
         kind=kind,
-        record=record,
+        record=FitnessRecord(tuple(metrics)),
         wall_seconds=wall_seconds,
         worker_id=worker,
         generation=generation,

@@ -1,5 +1,5 @@
-"""Tournament comparison: scalar fitness for classifiers, Pareto front
-rank plus same-front isolation for autoencoders."""
+"""Tournament comparison by Pareto front rank plus same-front isolation,
+for classifiers (one objective) and autoencoders (two) alike."""
 
 from __future__ import annotations
 
@@ -10,15 +10,19 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class FitnessRecord:
-    """Exactly one of scalar (classifier accuracy) or pair
-    (compression, reconstruction accuracy) is set."""
+    """Maximised objectives: (validation accuracy,) for a classifier,
+    (compression, reconstruction accuracy) for an autoencoder."""
 
-    scalar: float | None = None
-    pair: tuple | None = None
+    values: tuple
 
     def __post_init__(self):
-        if (self.scalar is None) == (self.pair is None):
-            raise ValueError("exactly one of scalar/pair must be set")
+        if len(self.values) not in (1, 2):
+            raise ValueError(f"a record holds one or two objectives, got {self.values!r}")
+
+    @property
+    def pair(self):
+        """An autoencoder's (compression, reconstruction accuracy)."""
+        return self.values
 
 
 def dominates(a, b) -> bool:
@@ -26,40 +30,41 @@ def dominates(a, b) -> bool:
     return a[0] >= b[0] and a[1] >= b[1] and (a[0] > b[0] or a[1] > b[1])
 
 
-def pareto_fronts(pairs):
-    """Non-dominated sorting of two-objective pairs (both maximised);
+def pareto_fronts(points):
+    """Non-dominated sorting of points of one or two maximised objectives;
     front 0 is the non-dominated set, front k+1 what front k dominates.
+    With one objective, equal values share a front.
 
-    Returns a list of index lists partitioning range(len(pairs)), each
+    Returns a list of index lists partitioning range(len(points)), each
     front in ascending index order: `tournament_compare` hands fronts to
     `isolation`, whose distance sum follows that order, so seeded
     histories depend on it.
 
     One sweep in O(N log N) (Jensen, IEEE TEC 7(5), 2003): visit the
-    distinct pairs in descending order. Every pair visited earlier is at
-    least as large in the first objective, so it dominates the current
-    pair exactly when its second objective is at least as large. Within
-    a front the second objective therefore rises along the sweep, and
-    the fronts' highest second objectives so far fall with the front
-    number. The pair joins the first front whose highest is below its
-    own, found by bisection; identical pairs share a front.
+    distinct points in descending order. Every point visited earlier is
+    at least as large in the first objective, so it dominates the
+    current point exactly when its last objective is at least as large.
+    Within a front the last objective therefore rises along the sweep,
+    and the fronts' highest last objectives so far fall with the front
+    number. The point joins the first front whose highest is below its
+    own, found by bisection; identical points share a front.
     """
-    if not pairs:
-        raise ValueError("pairs must be non-empty")
-    order = sorted(range(len(pairs)), key=pairs.__getitem__, reverse=True)
+    if not points:
+        raise ValueError("points must be non-empty")
+    order = sorted(range(len(points)), key=points.__getitem__, reverse=True)
     fronts = []
-    neg_top = []  # -(highest second objective) of each front, ascending
+    neg_top = []  # -(highest last objective) of each front, ascending
     previous = None
     for i in order:
-        pair = pairs[i]
-        if pair != previous:
-            rank = bisect_right(neg_top, -pair[1])
+        p = points[i]
+        if p != previous:
+            rank = bisect_right(neg_top, -p[-1])
             if rank == len(fronts):
                 fronts.append([])
-                neg_top.append(-pair[1])
+                neg_top.append(-p[-1])
             else:
-                neg_top[rank] = -pair[1]
-            previous = pair
+                neg_top[rank] = -p[-1]
+            previous = p
         fronts[rank].append(i)
     for front in fronts:
         front.sort()
@@ -81,11 +86,14 @@ def isolation(ind, front):
 
 
 def tournament_compare(id_a, id_b, records, rng):
-    """Pick winner and loser of a k=2 tournament.
+    """Pick winner and loser of a k=2 tournament: the lower Pareto front
+    wins, then the more isolated member of a shared front, then a coin.
 
     `records` maps id -> FitnessRecord for the population snapshot
-    (must contain both contestants). Returns (winner, loser, reason)
-    with reason in {scalar, front, isolation, coin}.
+    (must contain both contestants). Returns (winner, loser, reason) with
+    reason in {scalar, front, isolation, coin}, "scalar" being a front
+    decision on one objective. There equal values share a front at
+    isolation 0, so the higher value wins and a tie is a coin.
     """
     if id_a == id_b:
         raise ValueError("contestants must differ")
@@ -94,25 +102,18 @@ def tournament_compare(id_a, id_b, records, rng):
     def ordered(a_wins, reason):
         return (id_a, id_b, reason) if a_wins else (id_b, id_a, reason)
 
-    if rec_a.scalar is not None:
-        if rec_a.scalar == rec_b.scalar:
-            return ordered(rng.integers(2), "coin")
-        return ordered(rec_a.scalar > rec_b.scalar, "scalar")
-
     ids = sorted(records)
-    pairs = [records[i].pair for i in ids]
-    fronts = pareto_fronts(pairs)
-    rank = {}
-    front_of = {}
-    for r, front in enumerate(fronts):
-        members = [pairs[j] for j in front]
+    points = [records[i].values for i in ids]
+    rank, front_of = {}, {}
+    for r, front in enumerate(pareto_fronts(points)):
+        members = [points[j] for j in front]
         for i in front:
             rank[ids[i]] = r
             front_of[ids[i]] = members
     if rank[id_a] != rank[id_b]:
-        return ordered(rank[id_a] < rank[id_b], "front")
-    iso_a = isolation(rec_a.pair, front_of[id_a])
-    iso_b = isolation(rec_b.pair, front_of[id_b])
+        return ordered(rank[id_a] < rank[id_b], "scalar" if len(rec_a.values) == 1 else "front")
+    iso_a = isolation(rec_a.values, front_of[id_a])
+    iso_b = isolation(rec_b.values, front_of[id_b])
     if iso_a == iso_b:
         return ordered(rng.integers(2), "coin")
     return ordered(iso_a > iso_b, "isolation")

@@ -149,6 +149,7 @@ class Worker:
             time.sleep(0.05)
             return False
         self.store.mark_idle(self.worker_id, False)
+        self.idle_snapshots = 0  # the bound counts stalled snapshots in a row
         id_a, id_b = pair
         records = {iid: meta.record for iid, meta in snapshot.items()}
         winner, loser, reason = tournament_compare(id_a, id_b, records, self.rng)

@@ -13,9 +13,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = {w["name"] for w in BENCHMARK["workloads"]}
-# bench_pairs.sh reports every end-to-end metric, then the largest trajectory peak
+# bench_pairs.sh reports every end-to-end metric, then the largest trajectory
+# peak and the run's minor page faults (entries written before it counted
+# faults lack that metric)
 METRICS = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 METRICS["largest_peak_rss_mb"] = {"name": "largest_peak_rss_mb", "unit": "MB", "better": "lower"}
+METRICS["minor_faults"] = {"name": "minor_faults", "unit": "count", "better": "lower"}
 LEDGERS = sorted(ROOT.glob("BENCH_*.json"))
 
 COMMIT = re.compile(r"[0-9a-f]{40}")

@@ -20,6 +20,7 @@ from evocnn import pipeline as pl
 from evocnn import worker as wk
 from evocnn import cli
 from evocnn.config import ConfigError, RunConfig, load_config, save_config
+from evocnn.fileio import replacing
 from evocnn.popstore import FitnessMeta, IdCollision, PopulationStore, StoreError
 from evocnn.selection import FitnessRecord
 from evocnn.worker import Worker, load_run_data, worker_seed_for
@@ -475,6 +476,85 @@ class TestIdleWait:
         with pytest.raises(Waited):
             Worker(cfg, 0, gn.ENCODER).run()
 
+    def test_a_round_that_samples_a_pair_restarts_the_count(self, tmp_path, monkeypatch):
+        # stalls just under the bound, a published round, then a stall that
+        # waits the full bound again: the bound counts stalls in a row
+        cfg = tiny_cfg(tmp_path, workers=2, seeds_per_worker=1, round_budget=1)
+        worker, peer = Worker(cfg, 0, gn.ENCODER), Worker(cfg, 1, gn.ENCODER)
+        worker.seed_population()
+        store = worker.store
+        store.mark_idle(peer.worker_id)  # a finished peer
+        sleeps = self.count_sleeps(monkeypatch)
+        for _ in range(wk.IDLE_SNAPSHOTS_MAX - 1):
+            assert not worker.run_round(0)
+        peer.seed_population()
+        assert worker.run_round(0)
+        (alive, *others) = store.list_live()
+        assert all(store.kill(iid) for iid in others)
+        sleeps.clear()
+        with pytest.raises(StoreError, match="^1 live individual"):
+            while not worker.run_round(1):
+                pass
+        assert len(sleeps) == wk.IDLE_SNAPSHOTS_MAX - 1
+
+
+class TestStepProductsAreReplaced:
+    """A step product whose write raises partway keeps its previous bytes,
+    and no temporary file is left beside it."""
+
+    @staticmethod
+    def assert_untouched(path, before, listing):
+        assert path.read_bytes() == before
+        assert sorted(path.parent.iterdir()) == listing
+
+    def test_history_export(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(tmp_path, round_budget=1)
+        history = Path(pl.run_step(cfg, gn.ENCODER).history_csv)
+        before, listing = history.read_bytes(), sorted(history.parent.iterdir())
+        real_writer = csv.writer
+
+        class FailingWriter:
+            def __init__(self, fh):
+                self.writer = real_writer(fh)
+                self.writerow = self.writer.writerow
+
+            def writerows(self, rows):
+                self.writer.writerow(rows[0])
+                raise OSError("no space left")
+
+        monkeypatch.setattr(pl.csv, "writer", FailingWriter)
+        with pytest.raises(OSError, match="no space left"):
+            pl.export_history(pl.step_population_root(cfg, gn.ENCODER), history)
+        self.assert_untouched(history, before, listing)
+
+    def test_evod_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "train.evod"
+        ds = dt.synth_dataset(2, 10, 6, seed=3)
+        dt.write_evod(path, ds)
+        before, listing = path.read_bytes(), sorted(tmp_path.iterdir())
+        # the header no longer packs, after the magic is written
+        monkeypatch.setattr(dt, "_EVOD_VERSION", -1)
+        with pytest.raises(dt.struct.error):
+            dt.write_evod(path, ds)
+        self.assert_untouched(path, before, listing)
+
+    def test_any_block_that_raises(self, tmp_path):
+        # the chosen encoder, the run summary and saved configs are written
+        # by one such block each
+        path = tmp_path / "chosen_cae.txt"
+        path.write_text("w0-1-00000000\n")
+        before, listing = path.read_bytes(), sorted(tmp_path.iterdir())
+        with pytest.raises(OSError, match="no space left"):
+            with replacing(path) as fh:
+                fh.write("w0-")
+                fh.flush()
+                raise OSError("no space left")
+        self.assert_untouched(path, before, listing)
+        with replacing(path) as fh:
+            fh.write("w1-2-00000000\n")
+        assert path.read_text() == "w1-2-00000000\n"
+        assert sorted(tmp_path.iterdir()) == listing
+
 
 class TestRunStep:
     def test_cae_step_conserves_individuals(self, tmp_path):
@@ -528,7 +608,7 @@ class TestRunStep:
         # sorts before it, and after d, whose sidecar is older; d dies
         store = PopulationStore(tmp_path / "pop")
         for t, (iid, gen, parent) in enumerate([("a", 0, None), ("d", 1, "a"), ("c", 2, "d"), ("b", 1, "a")]):
-            meta = FitnessMeta(iid, gn.ENCODER, FitnessRecord(pair=(0.5, 0.5)), 1.0, "w0", gen, parent,
+            meta = FitnessMeta(iid, gn.ENCODER, FitnessRecord((0.5, 0.5)), 1.0, "w0", gen, parent,
                                "Seed" if parent is None else "Identity")
             store.publish(iid, "", b"", meta)
             os.utime(store.fitness_path(iid), ns=(t, t))
@@ -544,7 +624,7 @@ class TestRunStep:
         assert 0.0 <= summary.best_metric <= 1.0
         store = PopulationStore(pl.step_population_root(cfg, gn.CLASSIFIER))
         for iid, meta in store.load_all_fitness().items():
-            assert meta.record.scalar is not None
+            assert len(meta.record.values) == 1
 
 
 class TestCaeSelection:

@@ -22,17 +22,14 @@ from evocnn.popstore import (
 from evocnn.selection import FitnessRecord
 
 
-def meta_for(iid, scalar=None, pair=None, worker="w0", gen=0, parent=None, mut="Seed"):
-    record = FitnessRecord(scalar=scalar) if scalar is not None else FitnessRecord(pair=pair)
+def meta_for(iid, values=(0.5, 0.5), worker="w0", gen=0, parent=None, mut="Seed"):
     return FitnessMeta(
-        id=iid, kind="Encoder", record=record, wall_seconds=1.25,
+        id=iid, kind="Encoder", record=FitnessRecord(values), wall_seconds=1.25,
         worker_id=worker, generation=gen, parent_id=parent, mutation=mut,
     )
 
 
 def publish(store, iid, **kw):
-    if "scalar" not in kw and "pair" not in kw:
-        kw["pair"] = (0.5, 0.5)
     store.publish(iid, f"genome for {iid}\n", b"\x00\x01" + iid.encode(), meta_for(iid, **kw))
 
 
@@ -49,8 +46,7 @@ def fitness_lines(draw):
     if draw(st.integers(0, 4)) == 0:
         return draw(st.text(max_size=60))
     value = st.floats(allow_nan=False, allow_infinity=False)
-    record = draw(st.builds(FitnessRecord, scalar=value) | st.builds(
-        FitnessRecord, pair=st.tuples(value, value)))
+    record = FitnessRecord(draw(st.tuples(value) | st.tuples(value, value)))
     meta = FitnessMeta(
         id=draw(st.text("abc-0123", min_size=1, max_size=8)), kind="Encoder", record=record,
         wall_seconds=draw(value), worker_id="w0", generation=draw(st.integers(0, 10_000)),
@@ -85,16 +81,16 @@ class TestFitnessLine:
         assert parse_fitness_line(format_fitness_line(meta)) == meta
 
     def test_scalar_round_trip(self):
-        m = meta_for("a-1", scalar=0.875, gen=3, parent="a-0", mut="InsertConv")
+        m = meta_for("a-1", (0.875,), gen=3, parent="a-0", mut="InsertConv")
         assert parse_fitness_line(format_fitness_line(m)) == m
 
     def test_pair_round_trip_preserves_floats_exactly(self):
-        m = meta_for("b-2", pair=(0.6666666666666666, 0.7028))
+        m = meta_for("b-2", (0.6666666666666666, 0.7028))
         back = parse_fitness_line(format_fitness_line(m))
         assert back.record.pair == (0.6666666666666666, 0.7028)
 
     def test_missing_parent_serialized_as_dash(self):
-        line = format_fitness_line(meta_for("c", scalar=0.1))
+        line = format_fitness_line(meta_for("c", (0.1,)))
         assert line.split(",")[6] == "-"
         assert parse_fitness_line(line).parent_id is None
 
@@ -185,7 +181,7 @@ class TestPublishAndList:
 
     def test_load_fitness_round_trip(self, tmp_path):
         store = PopulationStore(tmp_path)
-        publish(store, "p", pair=(0.66, 0.7028), gen=7, parent="q", mut="AlterStride")
+        publish(store, "p", values=(0.66, 0.7028), gen=7, parent="q", mut="AlterStride")
         m = store.load_fitness("p")
         assert m.record.pair == (0.66, 0.7028)
         assert m.generation == 7 and m.parent_id == "q"
@@ -219,7 +215,7 @@ class TestFitnessSnapshot:
             publish(store, iid)
         store.load_all_fitness()
         other.kill("b")
-        publish(other, "d", pair=(0.9, 0.1))
+        publish(other, "d", values=(0.9, 0.1))
         snapshot = store.load_all_fitness()
         assert sorted(snapshot) == ["a", "c", "d"]
         assert snapshot["d"].record.pair == (0.9, 0.1)
@@ -241,8 +237,8 @@ class TestFitnessSnapshot:
 
     def test_returned_dict_is_a_copy(self, tmp_path):
         store = PopulationStore(tmp_path)
-        publish(store, "a", pair=(0.1, 0.2))
-        publish(store, "b", pair=(0.3, 0.4))
+        publish(store, "a", values=(0.1, 0.2))
+        publish(store, "b", values=(0.3, 0.4))
         first = store.load_all_fitness()
         first["b"] = first.pop("a")
         first["ghost"] = first["b"]
@@ -327,7 +323,7 @@ def _hammer(root, worker, barrier, n):
     for k in range(n):
         iid = f"w{worker}-{k}"
         store.publish(
-            iid, "g\n", b"w", meta_for(iid, pair=(0.5, 0.5), worker=f"w{worker}")
+            iid, "g\n", b"w", meta_for(iid, (0.5, 0.5), worker=f"w{worker}")
         )
         live = store.list_live()
         if live:

@@ -67,6 +67,17 @@ class TestParetoFronts:
     def test_matches_oracle_property(self, pairs):
         assert pareto_fronts(pairs) == pareto_fronts_oracle(pairs)
 
+    @given(st.lists(objectives, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_one_objective_ranks_by_value(self, values):
+        # the distinct values in descending order, equal values sharing a front
+        fronts = pareto_fronts([(v,) for v in values])
+        assert [values[front[0]] for front in fronts] == sorted(set(values), reverse=True)
+        for front in fronts:
+            assert front == sorted(front)
+            assert all(values[i] == values[front[0]] for i in front)
+        assert sorted(i for front in fronts for i in front) == list(range(len(values)))
+
     def test_rank_invariant_under_monotone_rescale(self, rng):
         pairs = [tuple(rng.random(2)) for _ in range(30)]
         rescaled = [(math.sqrt(c), a ** 3) for c, a in pairs]
@@ -96,11 +107,20 @@ class TestIsolation:
 
 
 def scalar_pop(**kv):
-    return {k: FitnessRecord(scalar=v) for k, v in kv.items()}
+    return {k: FitnessRecord((v,)) for k, v in kv.items()}
 
 
 def pair_pop(**kv):
-    return {k: FitnessRecord(pair=v) for k, v in kv.items()}
+    return {k: FitnessRecord(v) for k, v in kv.items()}
+
+
+def scalar_rule(id_a, id_b, records, rng):
+    """The classifier tournament as a rule of its own: the higher value
+    wins, and a tie is a coin."""
+    (a,), (b,) = records[id_a].values, records[id_b].values
+    if a == b:
+        return (id_a, id_b, "coin") if rng.integers(2) else (id_b, id_a, "coin")
+    return (id_a, id_b, "scalar") if a > b else (id_b, id_a, "scalar")
 
 
 class TestTournamentCompare:
@@ -157,8 +177,25 @@ class TestTournamentCompare:
             winner, loser, _ = tournament_compare(a, b, records, rng)
             assert not dominates(records[loser].pair, records[winner].pair)
 
-    def test_record_requires_exactly_one_field(self):
+    @given(
+        values=st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]), min_size=2, max_size=12),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_objective_is_the_scalar_rule(self, values, data, seed):
+        # the Pareto rule on one objective picks the same winner, gives the
+        # same reason and draws the same coin as ranking by value
+        records = scalar_pop(**{f"i{k}": v for k, v in enumerate(values)})
+        a, b = data.draw(st.permutations(sorted(records)))[:2]
+        pareto_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert tournament_compare(a, b, records, pareto_rng) == scalar_rule(a, b, records, scalar_rng)
+        assert pareto_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_record_holds_one_or_two_values(self):
         with pytest.raises(ValueError):
-            FitnessRecord()
+            FitnessRecord(())
         with pytest.raises(ValueError):
-            FitnessRecord(scalar=0.5, pair=(0.5, 0.5))
+            FitnessRecord((0.5, 0.5, 0.5))
+        assert FitnessRecord((0.5,)).values == (0.5,)
+        assert FitnessRecord((0.5, 0.25)).pair == (0.5, 0.25)
