@@ -489,7 +489,7 @@ class TestIdleWait:
             assert not worker.run_round(0)
         peer.seed_population()
         assert worker.run_round(0)
-        (alive, *others) = store.list_live()
+        _, *others = store.list_live()
         assert all(store.kill(iid) for iid in others)
         sleeps.clear()
         with pytest.raises(StoreError, match="^1 live individual"):
