@@ -4,10 +4,11 @@ space's widest channels.
 
     PYTHONPATH=src python3 scripts/conv_memory_probe.py
 
-Runs one forward and one backward pass, with input gradient, of a float64
-3x3, 256 -> 256-channel, stride-1 conv on a batch of 50 32x32 inputs (the
+Runs one forward and one backward pass, with input gradient, of a 3x3,
+256 -> 256-channel, stride-1 conv on a batch of 50 32x32 inputs (the
 default config's batch size and CIFAR-10's side), in this process with BLAS
-pinned to one thread before numpy is imported.
+pinned to one thread before numpy is imported. Weights, input and output
+gradient are in the program's dtype, `engine.DTYPE`, as in training.
 
 Prints the input's size, the peak resident set the step added (this
 process's VmHWM after the step, as perfbench/trajectory.py reads it, less
@@ -46,8 +47,8 @@ def main():
     rng = np.random.default_rng(0)
     layer = eng.ConvLayer(CHANNELS, CHANNELS, KERNEL, KERNEL)
     layer.init_weights(rng)
-    x = rng.standard_normal((BATCH, CHANNELS, SIDE, SIDE))
-    gy = rng.standard_normal((BATCH, CHANNELS, *layer.out_shape(SIDE, SIDE)))
+    x = rng.standard_normal((BATCH, CHANNELS, SIDE, SIDE), eng.DTYPE)
+    gy = rng.standard_normal((BATCH, CHANNELS, *layer.out_shape(SIDE, SIDE)), eng.DTYPE)
     before_kib = status_kib("VmRSS")
     t0 = time.perf_counter()
     layer.forward(x)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import engine as eng
 from .fileio import replacing
 
 CIFAR_RECORD = 3073  # 1 label byte + 3*1024 channel-major pixel bytes
@@ -27,7 +28,7 @@ class DataError(Exception):
 
 @dataclass(frozen=True)
 class Dataset:
-    x: np.ndarray  # (N, C, H, W) float64 in [0,1]
+    x: np.ndarray  # (N, C, H, W) engine.DTYPE: images scaled to [0,1], or their encodings
     y: np.ndarray  # (N,) int labels
     split: str = "raw"
 
@@ -82,7 +83,7 @@ def load_cifar10(path) -> Dataset:
         lab, pix = parse_cifar_batch(f.read_bytes())
         labels.append(lab)
         pixels.append(pix)
-    x = np.concatenate(pixels).astype(np.float64) / 255.0
+    x = np.divide(np.concatenate(pixels), 255.0, dtype=eng.DTYPE)
     y = np.concatenate(labels).astype(np.int64)
     return Dataset(x=x, y=y, split="raw")
 
@@ -170,7 +171,7 @@ def synth_dataset(classes, count, size, seed=0) -> Dataset:
         xs.append(np.clip(imgs, 0.0, 1.0))
         ys.append(np.full(per, k, np.int64))
     order = rng.permutation(count)
-    x = np.concatenate(xs)[order]
+    x = np.concatenate(xs)[order].astype(eng.DTYPE)
     y = np.concatenate(ys)[order]
     return Dataset(x=x, y=y, split="raw")
 
@@ -228,6 +229,6 @@ def read_evod(path, split="raw") -> Dataset:
     x = np.frombuffer(raw, "<f4", size, off)
     if not np.isfinite(x).all():
         raise DataError(f"{path}: non-finite pixel")
-    x = x.astype(np.float64).reshape(n, c, h, w)
+    x = x.astype(eng.DTYPE).reshape(n, c, h, w)
     y = np.frombuffer(raw, np.uint8, n, off + 4 * size).astype(np.int64)
     return Dataset(x=x, y=y, split=split)

@@ -1,10 +1,12 @@
 """Minimal dense CNN engine: layer forward/backward, losses, SGD momentum.
 
 All tensors are numpy arrays in (batch, channels, height, width) order,
-float64 in the program; every buffer a layer allocates takes the dtype of
-the arrays it combines. Convolutions use same-padding, so spatial
-reduction comes only from stride and pooling and output dims are
-closed-form ceil divisions.
+of the one dtype DTYPE (float32) in the program: weights are drawn and
+read in it and the data loaders return it. Every buffer a layer allocates
+takes the dtype of the arrays it combines, so the engine runs any float
+dtype, and the tests run it in float64 against their oracles.
+Convolutions use same-padding, so spatial reduction comes only from
+stride and pooling and output dims are closed-form ceil divisions.
 
 A convolution is a matrix product over an im2col matrix (Chellapilla
 et al. 2006) laid out channel-major, (in_channels*kh*kw, batch*oh*ow):
@@ -18,7 +20,7 @@ single strided (in_channels, kh, kw, batch, oh, ow) view of that buffer.
 The matrix is built over batch chunks, so a conv's memory scales with
 its input, not kh*kw times it. A chunk holds the most samples whose
 matrix fits in CONV_CHUNK_BYTES, which sets the peak memory (the
-benchmark's 32-px CAE step: a 59 MB median peak at 1 MiB, 75.5 at 8 MiB),
+benchmark's 32-px CAE step: a 50.2 MB median peak at 1 MiB, 57.0 at 8 MiB),
 but never fewer than CONV_CHUNK_COLS columns: narrower products ran slower
 (192-column chunks of a 64-channel 8-px conv by 40 %). Each chunk's
 product is written into its slice of the output. A chunked conv keeps
@@ -87,20 +89,26 @@ class TrainingDiverged(EngineError):
     """Non-finite values appeared during training."""
 
 
+# The one floating-point dtype of weights, data and every buffer computed from them
+DTYPE = np.float32
+
+
 def ceil_div(n: int, d: int) -> int:
     return -(-n // d)
 
 
 def fan_in_normal(shape, fan_in, rng):
-    """Zero-mean Gaussian scaled by 1/sqrt(fan-in)."""
-    return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
+    """Zero-mean Gaussian scaled by 1/sqrt(fan-in), drawn in float64 and
+    cast to DTYPE."""
+    return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape).astype(DTYPE)
 
 
 def _activate(z, activation):
     if activation == "relu":
         return np.maximum(z, 0.0)
     if activation == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):  # exp(-z) is inf below z = -88 in float32, and 1/inf is 0
+            return 1.0 / (1.0 + np.exp(-z))
     raise EngineError(f"unknown activation {activation!r}")
 
 
@@ -155,7 +163,7 @@ class ParamLayer(Layer):
     def init_weights(self, rng):
         w_shape, b_shape = self.param_shapes()
         self.w = fan_in_normal(w_shape, self.fan_in, rng)
-        self.b = np.zeros(b_shape)
+        self.b = np.zeros(b_shape, self.w.dtype)
 
     def params(self):
         return (self.w, self.b)
@@ -591,8 +599,7 @@ def deserialize_network(blob: bytes) -> Network:
             (n,) = struct.unpack("<Q", take(8))
             if n != math.prod(shape):
                 raise EngineError(f"layer {i}: {n} stored values where {math.prod(shape)} belong")
-            with np.errstate(invalid="ignore"):  # a signalling NaN weight reads as a quiet NaN
-                arrays.append(np.frombuffer(take(4 * n), "<f4").astype(np.float64).reshape(shape))
+            arrays.append(np.frombuffer(take(4 * n), "<f4").astype(DTYPE).reshape(shape))
         if layer.param_shapes():
             layer.w, layer.b = arrays
         layers.append(layer)
@@ -659,16 +666,19 @@ def train_network(net: Network, objective, view: DatasetView, epochs, batch_size
     loss = 0.0
     epochs_run = 0
     try:
-        for _ in range(epochs):
-            for idx in dt.batches(n, batch_size, rng):
-                xb = view.train_x[idx]
-                loss, gy = objective.batch_loss(net.forward(xb), xb, view.train_y[idx])
-                if not math.isfinite(loss):
-                    raise TrainingDiverged(f"loss became {loss}")
-                net.backward(gy, input_grad=False)
-                net.step(lr, momentum)
-            epochs_run += 1
-        metric = objective.metric(net, view)
+        # a diverging network overflows on its way to a non-finite loss or
+        # metric; the checks on those report it, not numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(epochs):
+                for idx in dt.batches(n, batch_size, rng):
+                    xb = view.train_x[idx]
+                    loss, gy = objective.batch_loss(net.forward(xb), xb, view.train_y[idx])
+                    if not math.isfinite(loss):
+                        raise TrainingDiverged(f"loss became {loss}")
+                    net.backward(gy, input_grad=False)
+                    net.step(lr, momentum)
+                epochs_run += 1
+            metric = objective.metric(net, view)
         if not math.isfinite(metric):
             raise TrainingDiverged("non-finite validation metric")
         diverged = False

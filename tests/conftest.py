@@ -11,6 +11,16 @@ def rng():
 # Independent oracles (kept free of the implementation under test)
 # ---------------------------------------------------------------------------
 
+def to_float64(*layers):
+    """Cast each layer's parameters to float64 in place. The engine computes
+    in the dtype of its arrays, so a layer cast here and fed float64 inputs
+    runs at the precision the oracles and finite differences below are
+    checked at, although the program runs float32."""
+    for layer in layers:
+        if layer.params():
+            layer.w, layer.b = (p.astype(np.float64) for p in layer.params())
+
+
 def _same_padding(h, wd, kh, kw, stride):
     """(oh, ow, top pad, left pad) of a same-padded convolution."""
     oh = -(-h // stride)

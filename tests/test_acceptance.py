@@ -34,7 +34,7 @@ from evocnn.mcdm import Alternative, TopsisWeights, select_best
 from evocnn.popstore import GENOME_FILE, PopulationStore
 from evocnn.worker import Worker, build_network, load_run_data
 
-from conftest import assert_grads_close, finite_difference, pareto_fronts_oracle
+from conftest import assert_grads_close, finite_difference, pareto_fronts_oracle, to_float64
 from test_genome import random_valid_encoder
 
 
@@ -166,6 +166,7 @@ def test_criterion_2_gradient_suite():
     with criterion(2, "analytic gradients match finite differences on 100 random stacks"):
         for _ in range(100):
             net, x, labels, target = random_stack(rng)
+            to_float64(*net.layers)
 
             def loss_only():
                 out = net.forward(x)
@@ -515,29 +516,29 @@ def _seeded_run(root, kind=gn.ENCODER, round_budget=6):
 
 
 # sha256 of each step's 30-round history, of its live individuals' EVOW
-# weights, and of the float64 parameters of every network it trained; a
-# change that alters the seeded numerics changes these constants in its
-# own diff. EVOW rounds each weight to float32, so a change in the last
-# bits of float64 weights can pass the first two pins, but not the third.
+# weights, and of the parameters of every network it trained; a change
+# that alters the seeded numerics changes these constants in its own diff.
+# EVOW stores the float32 parameters bit for bit, but only the live
+# individuals': the third pin also sees the networks that were killed.
 PINNED_HISTORY_SHA256 = {
-    gn.ENCODER: "4690a1bd499f7ff805c3bcac12c94febacc8aa20be376ce25782aaf1dfc03321",
+    gn.ENCODER: "5e417f36b65ab4c513ab900c7a018bed983fa81fc0e5a07b1a9d90b9a65b47e7",
     gn.CLASSIFIER: "f6e452bde0b31ea1c04328bcc4e41aa14e5b242054eaebf7c9f0d0cd65c4320a",
 }
 PINNED_WEIGHTS_SHA256 = {
-    gn.ENCODER: "068efd7396e1946e624bd7ce1f1cc6b7bee1703dea2f4dcb1203df995d32db86",
-    gn.CLASSIFIER: "98c7cf24105af1433681a41044757b63daed2e77c0487a87d7ca518786745da1",
+    gn.ENCODER: "0daf39f28182e21c37aff456939b53b8cdc87a60ca207f7ccaf6b6745e569804",
+    gn.CLASSIFIER: "47f32cd3442f40c3957aafa97a4f23744dfb44a1c8175ccc20dcc6100b32df6e",
 }
 PINNED_PARAMS_SHA256 = {
-    gn.ENCODER: "4ce9f32f1fab870eccafce6d8fef53bc6efc25f272e6ada301cd9992793faf52",
-    gn.CLASSIFIER: "529345ffa2a78b7374d2e047878d6e3b377547a0a151b0df4d754d7327ddaadf",
+    gn.ENCODER: "e65db7e324c1e02b512d9118b8ec5a7870a051fb6f3ee8fe2221f7ff1ef5bf1a",
+    gn.CLASSIFIER: "2c1d9a3496f48796f7464f1d5933c9f100040815164e2adad8cab253b30a18d5",
 }
 
 
 @pytest.fixture(scope="module")
 def pinned_runs(tmp_path_factory):
     """Each step's 30-round run, run once for all three pins: its history
-    csv bytes, its live weights' digest, and the sha256 over the float64
-    bytes of each trained network's parameter arrays, in training order."""
+    csv bytes, its live weights' digest, and the sha256 over the bytes of
+    each trained network's parameter arrays, in training order."""
     root = tmp_path_factory.mktemp("criterion_10")
     runs = {}
     for kind in PINNED_HISTORY_SHA256:
@@ -578,7 +579,7 @@ def test_criterion_10_pinned_weights_digests(pinned_runs):
 
 
 def test_criterion_10_pinned_params_digests(pinned_runs):
-    with criterion(10, "float64 parameters of every network trained in both steps' "
+    with criterion(10, "parameters of every network trained in both steps' "
                        "seeded 30-round runs match their pinned sha256"):
         for kind, digest in PINNED_PARAMS_SHA256.items():
             assert pinned_runs[kind][2] == digest, kind

@@ -14,6 +14,8 @@ from evocnn import engine as eng
 from evocnn import genome as gn
 from evocnn.worker import build_network
 
+from conftest import to_float64
+
 ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 
 
@@ -51,5 +53,7 @@ def test_oracle_forward_matches_the_engine(rng, name):
     assert [layer.kind for layer in net.layers[len(genes):]] == decoder
     blob = eng.serialize_network(net)
     x = rng.uniform(0, 1, (3, *shape))
+    engine_net = eng.deserialize_network(blob)
+    to_float64(*engine_net.layers)  # the oracle computes in float64
     np.testing.assert_allclose(oracle.forward(oracle.parse_evow(blob), x),
-                               eng.deserialize_network(blob).forward(x), rtol=1e-12, atol=1e-12)
+                               engine_net.forward(x), rtol=1e-12, atol=1e-12)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from evocnn import data as dt
 from evocnn import engine as eng
 from evocnn import genome as gn
 from evocnn.config import RunConfig
@@ -19,17 +20,20 @@ from conftest import (
     conv_oracle,
     finite_difference,
     maxpool_oracle,
+    to_float64,
 )
 from test_acceptance import random_stack
 
 
 def make_conv(in_c, f, kh, kw, stride=1, activation="relu", rng=None):
+    """A float64 conv: zero parameters, or the program's init drawn from rng."""
     layer = eng.ConvLayer(in_c, f, kh, kw, stride, activation)
     if rng is None:
         layer.w = np.zeros((f, in_c, kh, kw))
         layer.b = np.zeros(f)
     else:
         layer.init_weights(rng)
+        to_float64(layer)
     return layer
 
 
@@ -751,6 +755,7 @@ class TestSoftmaxHead:
         # the classifier head as the training loop runs it: flatten, dense, softmax
         layer = eng.DenseLayer(12, 3)
         layer.init_weights(rng)
+        to_float64(layer)
         head = eng.Network([eng.FlattenLayer(), layer])
         x = rng.standard_normal((4, 3, 2, 2))
         labels = np.array([0, 1, 2, 1])
@@ -837,7 +842,7 @@ class TestSgdMomentum:
 class TestNetworkMomentum:
     def _net_with_fixed_grads(self, rng):
         """A classifier whose parameters and gradients are small dyadic
-        values, so that every momentum sum below is exact in float64."""
+        values, so that every momentum sum below is exact in float32."""
         net = build_network(gn.seed_genome(gn.CLASSIFIER, "m", 0.01), (1, 8, 8), rng)
         grads = []
         for layer in net.layers:
@@ -976,6 +981,21 @@ class TestTrainIndividual:
         assert report.diverged
         assert report.metric == 0.0
 
+    def test_diverging_float32_autoencoder_reports_divergence_without_a_warning(self):
+        # at this rate the weights overflow float32 within a few steps, and
+        # the arithmetic on them raises numpy's overflow and invalid flags
+        # before the loss turns NaN
+        ds = dt.synth_dataset(2, 40, 8, seed=1)
+        view = eng.DatasetView(ds.x[:30], ds.y[:30], ds.x[30:], ds.y[30:])
+        g = gn.Genome("e", gn.ENCODER, (gn.ConvGene(4, 3, 3, 1), gn.ConvGene(4, 3, 3, 1), gn.PoolGene(2, 2)))
+        rng = np.random.default_rng(0)
+        net = build_network(g, (3, 8, 8), rng)
+        assert ds.x.dtype == net.layers[0].w.dtype == np.float32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = eng.train_network(net, gn.GENOME_KINDS[gn.ENCODER], view, 3, 10, 1e16, 0.9, rng)
+        assert report.diverged and report.metric == 0.0
+
 
 def _classifier_blob():
     """EVOW blob of a 4-layer classifier: conv, pool, flatten, dense."""
@@ -1030,6 +1050,87 @@ _MALFORMED = {
 
 
 class TestDtype:
+    # float32 against float64 on the same float32 weights, inputs and output
+    # gradients. A float32 sum errs by a small multiple of float32's epsilon
+    # times the sum of its terms' magnitudes, which the float64 run of the
+    # same conv on |w|, |b|, |x| and |gy| gives; each output and gradient
+    # must be within F32_TOL of those magnitudes. An output here sums up to
+    # 6 * 9 * 9 = 486 products. The worst measured were 1.5e-6 for outputs
+    # (mostly the sigmoid's own rounding) and 6e-8 for gradients.
+    F32_TOL = 64 * np.finfo(np.float32).eps
+
+    @staticmethod
+    def conv_pass(conv, w, b, x, gy, kwargs):
+        """(y, gx, gw, gb) of conv at w, b on x, with output gradient gy."""
+        conv.w, conv.b = w, b
+        y = conv.forward(x, **kwargs)
+        return y, conv.backward(gy), conv.gw, conv.gb
+
+    @pytest.mark.parametrize("chunks", [False, True], ids=["one chunk", "chunks"])
+    @pytest.mark.parametrize("up", [False, True], ids=["conv", "resize conv"])
+    def test_float32_agrees_with_float64(self, rng, monkeypatch, up, chunks):
+        cases = resize_conv_sweep(rng) if up else conv_sweep(rng)
+        cases = chunked(cases, rng) if chunks else [(case, x, None) for case, x in cases]
+        for case, x, n in cases:
+            conv, kwargs = (case.layers[1], {"up": case.layers[0].factor}) if up else (case, {})
+            if n:
+                run_in_chunks(monkeypatch, conv, x, n, **kwargs)
+            f64 = [a.astype(np.float32).astype(np.float64) for a in (conv.w, conv.b, x)]
+            gy = rng.standard_normal(conv.forward(x, **kwargs).shape).astype(np.float32).astype(np.float64)
+            # relu passes each sum of magnitudes, all of them >= 0, unchanged
+            magnitudes = self.conv_pass(conv, *map(np.abs, f64), np.abs(gy), kwargs)
+            conv.activation = "sigmoid"  # smooth: no pre-activation near 0 flips a ReLU's gradient
+            ref = self.conv_pass(conv, *f64, gy, kwargs)
+            got = self.conv_pass(conv, *(a.astype(np.float32) for a in (*f64, gy)), kwargs)
+            if n:
+                assert_ran_in_chunks(conv, x, n)
+            for name, m, r, g in zip(("y", "gx", "gw", "gb"), magnitudes, ref, got):
+                assert g.dtype == np.float32 and g.shape == r.shape, name
+                assert np.all(np.abs(g - r) <= self.F32_TOL * m), name
+
+    def test_the_program_is_float32_end_to_end(self, rng, tmp_path):
+        # every loader, the init, inheritance and the EVOW reader give
+        # float32, and EVOW and EVOD store those values bit for bit
+        labels, pixels = rng.integers(0, 10, 4), rng.integers(0, 256, (4, *dt.CIFAR_SHAPE))
+        (tmp_path / "data_batch_1.bin").write_bytes(dt.serialize_cifar_batch(labels, pixels))
+        synth = dt.synth_dataset(2, 20, 8, seed=1)
+        shape = synth.sample_shape
+        view = eng.DatasetView(synth.x[:16], synth.y[:16], synth.x[16:], synth.y[16:])
+        parent = gn.seed_genome(gn.ENCODER, "p")
+        parent_net = build_network(parent, shape, rng)
+        # 8 -> 16 filters: the overlap is inherited, the rest a fresh init
+        child = parent.with_child_fields(
+            "c", "AlterFilterNumber", layers=(gn.ConvGene(16, 3, 3, 1), gn.PoolGene(2, 2))
+        )
+        cfg = RunConfig(epochs=1, batch_size=8, wall_budget=1)
+        net, report = train_individual(child, view, cfg, rng, shape, parent=(parent, parent_net, [0, 1]))
+        assert not report.diverged
+        blob = eng.serialize_network(net)
+        back = eng.deserialize_network(blob)
+        encoded = dt.encode_dataset(eng.Network(back.layers[:len(child.layers)]), synth)
+        dt.write_evod(tmp_path / "train.evod", encoded)
+        cached = dt.read_evod(tmp_path / "train.evod")
+        arrays = {
+            "load_cifar10": dt.load_cifar10(tmp_path).x,
+            "synth_dataset": synth.x,
+            "encode_dataset": encoded.x,
+            "read_evod": cached.x,
+            **{f"{how} layer {i}": p for how, built in (("init", parent_net), ("inherited", net),
+                                                         ("deserialized", back))
+               for i, layer in enumerate(built.layers) for p in layer.params()},
+        }
+        assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.float32)
+        assert [p.tobytes() for l in back.layers for p in l.params()] == \
+            [p.tobytes() for l in net.layers for p in l.params()]
+        assert eng.serialize_network(back) == blob
+        assert cached.x.tobytes() == encoded.x.tobytes()
+
+    def test_float32_sigmoid_saturates_to_zero_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = eng._activate(np.array([-100.0, 100.0], np.float32), "sigmoid")
+        assert y.dtype == np.float32 and y.tolist() == [0.0, 1.0]
+
     def test_float32_parameters_and_input_stay_float32(self, rng, monkeypatch):
         # each layer kind's output, input gradient and parameter gradients
         # take the dtype of the arrays they combine; no buffer widens them
@@ -1087,9 +1188,8 @@ class TestWeightsBlob:
         weights = [p for layer in net.layers for p in layer.params()]
         for stored, reread in zip(weights, (p for layer in back.layers for p in layer.params())):
             np.testing.assert_array_equal(stored, reread)
-        # f32 -> f64 -> f32 keeps every value; only a NaN's payload bits may change
-        if not any(np.isnan(p).any() for p in weights):
-            assert again == blob
+        # the weights are held as the float32 values stored, NaN payloads included
+        assert again == blob
 
     def test_round_trip(self, rng):
         g = gn.seed_genome(gn.ENCODER, "e", 0.01)
@@ -1102,8 +1202,9 @@ class TestWeightsBlob:
         assert eng.serialize_network(eng.deserialize_network(clf_blob)) == clf_blob
 
     def test_signalling_nan_weight_reads_back_without_a_warning(self):
-        # widening a signalling NaN raises the invalid flag, which numpy
-        # reports as a RuntimeWarning; the blob holds a NaN the format allows
+        # converting a signalling NaN to another float type raises the invalid
+        # flag, which numpy reports as a RuntimeWarning; the blob holds a NaN
+        # the format allows
         blob = bytearray(_classifier_blob())
         assert struct.unpack("<Q", blob[38:46]) == (2 * 1 * 3 * 3,)  # the conv's weights follow
         blob[46:50] = struct.pack("<I", 0x7F800001)

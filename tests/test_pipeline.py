@@ -555,6 +555,22 @@ class TestStepProductsAreReplaced:
         assert path.read_text() == "w1-2-00000000\n"
         assert sorted(tmp_path.iterdir()) == listing
 
+    def test_temporaries_of_killed_writers_are_removed(self, tmp_path):
+        # a writer killed inside its block leaves its .<name>.<pid>.tmp; the
+        # next write of that name removes those whose process has exited
+        exited = int(subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                                    capture_output=True, text=True, check=True).stdout)
+        path = tmp_path / "summary.json"
+        stale = tmp_path / f".summary.json.{exited}.tmp"
+        running = tmp_path / f".summary.json.{os.getppid()}.tmp"
+        other_name = tmp_path / f".other.json.{exited}.tmp"
+        for tmp in (stale, running, other_name):
+            tmp.write_text("{")
+        with replacing(path) as fh:
+            fh.write("{}")
+        assert sorted(tmp_path.iterdir()) == sorted([path, running, other_name])
+        assert path.read_text() == "{}"
+
 
 class TestRunStep:
     def test_cae_step_conserves_individuals(self, tmp_path):
