@@ -42,6 +42,14 @@
 #   tree's wins and losses, and each side's q1, median and q3;
 # - "differing_histories": the number of trajectories, over all pairs,
 #   whose history sha256 differs between the sides.
+#
+# Last, per metric, it prints this run's working/rev median ratio and the
+# A/A band of the ledger: the min-max of that ratio over the A/A entries,
+# those whose rev and working commits are equal and whose working src/ has
+# no diff (`scripts/bench_pairs.sh HEAD <workload> <pairs>` on a clean
+# checkout), with their count. Their two sides run the same code, so the
+# band is the noise of the machine. A speed claim counts only when its
+# median ratio lies outside the band.
 set -euo pipefail
 if [ $# -lt 3 ]; then
     echo "usage: $0 <rev> <workload> <pairs> [first seed]" >&2
@@ -228,6 +236,28 @@ with open(f"{ledger}.tmp", "w") as fh:
     fh.write("[\n" + ",\n".join(json.dumps(e) for e in entries + [entry]) + "\n]\n")
 os.replace(f"{ledger}.tmp", ledger)
 print(f"appended to {ledger} (entry {len(entries) + 1})")
+
+
+def ratio(e, name):
+    """An entry's working/rev median ratio of a metric; None when the entry
+    lacks the metric or its rev median is 0."""
+    m = e["metrics"].get(name)
+    return m["working"]["median"] / m["rev"]["median"] if m and m["rev"]["median"] else None
+
+
+aa = [e for e in entries + [entry]
+      if e["rev"]["commit"] == e["working"]["commit"] and e["working"]["src_diff_sha256"] is None]
+if not aa:
+    print(f"A/A band: {ledger} holds no A/A entry, so no speed claim can be judged yet")
+    sys.exit()
+print(f"A/A band: {len(aa)} A/A entries in {ledger}; per metric, the working/rev "
+      "median ratio of this run and its min-max over the A/A entries")
+for m in spec:
+    ratios = [r for e in aa if (r := ratio(e, m["name"])) is not None]
+    here = ratio(entry, m["name"])
+    here = "n/a" if here is None else f"{here:.3f}"
+    band = f"{min(ratios):.3f}-{max(ratios):.3f} ({len(ratios)} entries)" if ratios else "none"
+    print(f"  {m['name']}: this run {here}, A/A band {band}")
 EOF
 )
 

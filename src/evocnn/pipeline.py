@@ -36,6 +36,14 @@ def step_population_root(cfg: RunConfig, kind: str) -> Path:
     return Path(cfg.population_root) / gn.GENOME_KINDS[kind].step
 
 
+def _existing_store(root) -> PopulationStore:
+    """The population store at root, which a step has run in; PipelineError,
+    before anything is created, when root is no directory."""
+    if not Path(root).is_dir():
+        raise PipelineError(f"{root} is missing: run its evolution step first")
+    return PopulationStore(root)
+
+
 @dataclass
 class StepSummary:
     networks_generated: int
@@ -48,26 +56,11 @@ class StepSummary:
 # ---------------------------------------------------------------------------
 
 def export_history(population_root, out_csv):
-    """One row per individual ever published, live or dead.
-
-    Rows are sorted by generation, then by the mtime of the individual's
-    fitness sidecar, then by id; a child published after a deeper
-    descendant of another lineage sorts before it, so this is not publish
-    order. The offset column is the row's rank in this order (0-based).
-    """
-    store = PopulationStore(population_root)
-    entries = []
-    for dirname, lister in (("live", store.list_live), ("dead", store.list_dead)):
-        for iid in lister():
-            try:
-                meta = store.load_fitness(iid, dirname)
-                mtime = store.fitness_path(iid, dirname).stat().st_mtime_ns
-            except OSError:
-                continue
-            entries.append((mtime, meta.generation, meta.id, meta))
-    entries.sort(key=lambda e: (e[1], e[0], e[2]))
+    """One row per individual ever published, live or dead, in publish
+    order (`PopulationStore.load_published_fitness`). The offset column is
+    the row's rank in that order (0-based)."""
     rows = []
-    for seq, (_, _, _, meta) in enumerate(entries):
+    for seq, meta in enumerate(_existing_store(population_root).load_published_fitness()):
         metric, metric2 = [*map(repr, meta.record.values), ""][:2]
         rows.append(
             [
@@ -150,7 +143,7 @@ def live_cae_alternatives(store: PopulationStore):
 def load_encoder(cfg: RunConfig, encoder_id, input_shape):
     """A stored autoencoder's encoder, the layers of its genes with the
     decoder dropped, and the shape it encodes input_shape to."""
-    store = PopulationStore(step_population_root(cfg, gn.ENCODER))
+    store = _existing_store(step_population_root(cfg, gn.ENCODER))
     g, net = read_individual(store, encoder_id, input_shape, cfg.n_classes)
     return eng.Network(net.layers[: len(g.layers)]), gn.infer_shapes(g, input_shape)[-1]
 
@@ -158,7 +151,7 @@ def load_encoder(cfg: RunConfig, encoder_id, input_shape):
 def finalize_cae_step(cfg: RunConfig, datasets=None):
     """Pick the TOPSIS-best front-0 autoencoder and cache the encoded
     train/val/test splits next to its id. Returns (encoder id, prefix)."""
-    store = PopulationStore(step_population_root(cfg, gn.ENCODER))
+    store = _existing_store(step_population_root(cfg, gn.ENCODER))
     weights = TopsisWeights(cfg.w_compression, cfg.w_accuracy)
     encoder_id = select_best(live_cae_alternatives(store), weights).id
     if datasets is None:
@@ -194,7 +187,7 @@ def classifier_config(cfg: RunConfig, encoder_id) -> RunConfig:
 
 def best_classifier_id(cfg: RunConfig):
     """The live classifier of highest validation accuracy (largest id on a tie)."""
-    fitness = PopulationStore(step_population_root(cfg, gn.CLASSIFIER)).load_all_fitness()
+    fitness = _existing_store(step_population_root(cfg, gn.CLASSIFIER)).load_all_fitness()
     if not fitness:
         raise PipelineError("no evaluated classifiers in the population")
     return max((meta.record.values, iid) for iid, meta in fitness.items())[1]
@@ -211,7 +204,7 @@ def compose_final(cfg: RunConfig, encoder_id, classifier_id, datasets=None):
     encoder, encoded_shape = load_encoder(cfg, encoder_id, test.sample_shape)
     # the classifier is read on the shape the encoder makes, so one built
     # for another shape raises GenomeError here, before any forward pass
-    clf_store = PopulationStore(step_population_root(cfg, gn.CLASSIFIER))
+    clf_store = _existing_store(step_population_root(cfg, gn.CLASSIFIER))
     _g, clf_net = read_individual(clf_store, classifier_id, encoded_shape, cfg.n_classes)
     composed = eng.Network(encoder.layers + clf_net.layers)
     return composed, eng.classifier_accuracy(composed, test.x, test.y)

@@ -4,7 +4,9 @@ Workers never talk to each other; all coordination goes through a
 population directory where the only commit primitive is an atomic
 rename. An individual becomes visible only when its fully written
 directory (genome, weights, fitness sidecar) is renamed into live/
-(publish-last rule), and dies by a rename into dead/.
+(publish-last rule), and dies by a rename into dead/. Before it writes
+anything, a publish appends the id to its worker's claim log, so the logs
+record every publish in the order each worker made it.
 
 A fitness sidecar is written before the publish rename and never
 rewritten, and ids are never reused, so what a store once read for an
@@ -109,12 +111,15 @@ class PopulationStore:
     # -- write path ---------------------------------------------------------
 
     def publish(self, individual_id, genome_text, weights_blob, meta: FitnessMeta):
-        """Write everything to a temp dir, then rename into live/. An id
-        that is live or dead already raises IdCollision. A publish that
-        raises removes its temp dir."""
+        """Append the id to meta.worker_id's claim log, write everything to
+        a temp dir, then rename into live/. An id that is live or dead
+        already raises IdCollision (a dead one before it is logged). A
+        publish that raises removes its temp dir."""
         if (self.dead / individual_id).exists():
             # a step rerun on the same directory draws the first run's ids again
             raise IdCollision(f"id {individual_id} already published and killed")
+        with open(self.logs / f"claims_{meta.worker_id}.log", "a") as fh:
+            fh.write(f"{individual_id}\n")
         staging = self.tmp / f"{individual_id}.{os.getpid()}"
         staging.mkdir(parents=True)
         try:
@@ -167,11 +172,14 @@ class PopulationStore:
         picked = rng.choice(len(ids), size=2, replace=False)
         return ids[int(picked[0])], ids[int(picked[1])]
 
-    def fitness_path(self, individual_id, dirname="live"):
-        return self.root / dirname / individual_id / FITNESS_FILE
-
     def load_fitness(self, individual_id, dirname="live") -> FitnessMeta:
-        return parse_fitness_line(self.fitness_path(individual_id, dirname).read_text())
+        """The sidecar of live/ (or dirname/) <id>; a malformed one raises
+        StoreError naming its path."""
+        path = self.root / dirname / individual_id / FITNESS_FILE
+        try:
+            return parse_fitness_line(path.read_text())
+        except StoreError as exc:
+            raise StoreError(f"{path}: {exc}") from None
 
     def load_all_fitness(self):
         """Snapshot of live fitness records, as a new dict.
@@ -193,6 +201,24 @@ class PopulationStore:
         self._fitness = known
         return dict(known)
 
+    def load_published_fitness(self):
+        """The sidecar of each id in the claim logs that reached live/ or
+        dead/, once each, in publish order: each worker's ids in the order
+        it logged them, the workers in the order of their log names. An id
+        whose publish never reached live/ (its worker was killed mid-publish,
+        or the id collided) has none."""
+        logged = dict.fromkeys(iid for ids in self.read_claim_logs().values() for iid in ids)
+        metas = []
+        for iid in logged:
+            # a kill moves live/ -> dead/, so this order misses no id killed meanwhile
+            for dirname in ("live", "dead"):
+                try:
+                    metas.append(self.load_fitness(iid, dirname))
+                    break
+                except FileNotFoundError:
+                    pass
+        return metas
+
     def load_genome_text(self, individual_id) -> str:
         return (self.live / individual_id / GENOME_FILE).read_text()
 
@@ -207,13 +233,6 @@ class PopulationStore:
     def append_round_log(self, worker_id, round_id, id_a, id_b, winner, reason):
         with open(self.round_log_path(worker_id), "a") as fh:
             fh.write(f"{round_id},{worker_id},{id_a},{id_b},{winner},{reason}\n")
-
-    def claim_log_path(self, worker_id):
-        return self.logs / f"claims_{worker_id}.log"
-
-    def append_claim(self, worker_id, individual_id):
-        with open(self.claim_log_path(worker_id), "a") as fh:
-            fh.write(f"{individual_id}\n")
 
     def mark_idle(self, worker_id, idle=True):
         """Mark a worker that publishes nothing until a peer does (it is idle

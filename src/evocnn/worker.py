@@ -115,7 +115,6 @@ class Worker:
         return f"{self.worker_id}-{self.counter}-{suffix}"
 
     def _publish(self, g, net, report):
-        self.store.append_claim(self.worker_id, g.id)
         meta = FitnessMeta(
             id=g.id,
             kind=g.kind,

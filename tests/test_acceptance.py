@@ -515,11 +515,23 @@ def _seeded_run(root, kind=gn.ENCODER, round_budget=6):
     return Path(summary.history_csv).read_bytes(), weights.hexdigest()
 
 
+def lineage_sha256(history):
+    """sha256 of history csv bytes with every row's metric and metric2
+    blanked: what stays are the offsets, ids, workers, generations,
+    mutations and parents."""
+    header, *rows = history.decode().splitlines()
+    blanked = [header] + [",".join([*f[:3], "", "", *f[5:]]) for f in (r.split(",") for r in rows)]
+    return hashlib.sha256("\n".join(blanked).encode()).hexdigest()
+
+
 # sha256 of each step's 30-round history, of its live individuals' EVOW
 # weights, and of the parameters of every network it trained; a change
 # that alters the seeded numerics changes these constants in its own diff.
 # EVOW stores the float32 parameters bit for bit, but only the live
 # individuals': the third pin also sees the networks that were killed.
+# The lineage pin hashes the history without its metrics, so a change in
+# their last bits moves the history pin alone, and this one only when the
+# search itself went another way.
 PINNED_HISTORY_SHA256 = {
     gn.ENCODER: "5e417f36b65ab4c513ab900c7a018bed983fa81fc0e5a07b1a9d90b9a65b47e7",
     gn.CLASSIFIER: "f6e452bde0b31ea1c04328bcc4e41aa14e5b242054eaebf7c9f0d0cd65c4320a",
@@ -527,6 +539,10 @@ PINNED_HISTORY_SHA256 = {
 PINNED_WEIGHTS_SHA256 = {
     gn.ENCODER: "0daf39f28182e21c37aff456939b53b8cdc87a60ca207f7ccaf6b6745e569804",
     gn.CLASSIFIER: "47f32cd3442f40c3957aafa97a4f23744dfb44a1c8175ccc20dcc6100b32df6e",
+}
+PINNED_LINEAGE_SHA256 = {
+    gn.ENCODER: "e35a3410a907109494159312d8f7793a074c58545806d9b7419950683aee3976",
+    gn.CLASSIFIER: "5c951d3d73d5884eff813b1ad2fa59362e7418b121f3cdd6adbdba59f3772a83",
 }
 PINNED_PARAMS_SHA256 = {
     gn.ENCODER: "e65db7e324c1e02b512d9118b8ec5a7870a051fb6f3ee8fe2221f7ff1ef5bf1a",
@@ -576,6 +592,13 @@ def test_criterion_10_pinned_weights_digests(pinned_runs):
     with criterion(10, "live weights after both steps' seeded 30-round runs match their pinned sha256"):
         for kind, digest in PINNED_WEIGHTS_SHA256.items():
             assert pinned_runs[kind][1] == digest, kind
+
+
+def test_criterion_10_pinned_lineage_digests(pinned_runs):
+    with criterion(10, "seeded 30-round histories of both steps, metrics blanked, "
+                       "match their pinned sha256"):
+        for kind, digest in PINNED_LINEAGE_SHA256.items():
+            assert lineage_sha256(pinned_runs[kind][0]) == digest, kind
 
 
 def test_criterion_10_pinned_params_digests(pinned_runs):

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,7 +22,7 @@ from evocnn import worker as wk
 from evocnn import cli
 from evocnn.config import ConfigError, RunConfig, load_config, save_config
 from evocnn.fileio import replacing
-from evocnn.popstore import FitnessMeta, IdCollision, PopulationStore, StoreError
+from evocnn.popstore import FITNESS_FILE, FitnessMeta, IdCollision, PopulationStore, StoreError
 from evocnn.selection import FitnessRecord
 from evocnn.worker import Worker, load_run_data, worker_seed_for
 
@@ -619,20 +620,35 @@ class TestRunStep:
         pl.export_history(root, out2)
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_history_rows_sort_by_generation_then_sidecar_mtime_then_id(self, tmp_path):
-        # published in this order: b (generation 1) after c (generation 2)
-        # sorts before it, and after d, whose sidecar is older; d dies
+    def test_history_rows_follow_publish_order(self, tmp_path):
+        # b (generation 1) is published after c (generation 2), and d dies
         store = PopulationStore(tmp_path / "pop")
-        for t, (iid, gen, parent) in enumerate([("a", 0, None), ("d", 1, "a"), ("c", 2, "d"), ("b", 1, "a")]):
+        for iid, gen, parent in [("a", 0, None), ("d", 1, "a"), ("c", 2, "d"), ("b", 1, "a")]:
             meta = FitnessMeta(iid, gn.ENCODER, FitnessRecord((0.5, 0.5)), 1.0, "w0", gen, parent,
                                "Seed" if parent is None else "Identity")
             store.publish(iid, "", b"", meta)
-            os.utime(store.fitness_path(iid), ns=(t, t))
         store.kill("d")
         rows = pl.export_history(store.root, tmp_path / "h.csv")
-        assert [(r[0], r[1]) for r in rows] == [("0", "a"), ("1", "d"), ("2", "b"), ("3", "c")]
-        os.utime(store.fitness_path("b"), ns=(1, 1))  # as old as d's: the id breaks the tie
-        assert [r[1] for r in pl.export_history(store.root, tmp_path / "h.csv")] == ["a", "b", "d", "c"]
+        assert [(r[0], r[1]) for r in rows] == [("0", "a"), ("1", "d"), ("2", "c"), ("3", "b")]
+
+    def test_history_lists_ids_in_the_order_publish_received_them(self, tmp_path, monkeypatch):
+        # a population of 6 lets a child be published after a deeper
+        # descendant of another lineage, which a population of 2 cannot show
+        published = []
+        publish = PopulationStore.publish
+
+        def recording_publish(store, iid, *args):
+            published.append(iid)
+            return publish(store, iid, *args)
+
+        monkeypatch.setattr(PopulationStore, "publish", recording_publish)
+        cfg = tiny_cfg(tmp_path, seeds_per_worker=6, round_budget=20)
+        summary = pl.run_step(cfg, gn.ENCODER)
+        with open(summary.history_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["id"] for r in rows] == published
+        generations = [int(r["generation"]) for r in rows]
+        assert generations != sorted(generations)
 
     def test_classifier_step_reports_scalar_metric(self, tmp_path):
         cfg = tiny_cfg(tmp_path, round_budget=2)
@@ -810,6 +826,37 @@ class TestCli:
         save_config(tiny_cfg(tmp_path), cfg_path)
         with pytest.raises(pl.PipelineError, match="chosen_cae.txt"):
             cli.main(["evolve-clf", "--config", str(cfg_path)])
+
+    @pytest.mark.parametrize("verb", [["report", "--step", "cae"], ["report", "--step", "clf"],
+                                      ["encode"], ["compose"]])
+    def test_verb_on_a_step_that_never_ran_changes_nothing(self, tmp_path, verb):
+        # a mistyped population_root: the verb names the missing step
+        # directory, and neither builds a store there nor replaces a product
+        cfg = tiny_cfg(tmp_path, population_root=str(tmp_path / "typo"))
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+        reports = Path(cfg.report_dir)
+        reports.mkdir()
+        for name in ("history_cae.csv", "history_clf.csv", "chosen_cae.txt"):
+            (reports / name).write_text(f"earlier {name}\n")
+        listing = sorted(tmp_path.rglob("*"))
+        step = "clf" if verb in (["compose"], ["report", "--step", "clf"]) else "cae"
+        missing = re.escape(f"{tmp_path / 'typo' / step} is missing")
+        with pytest.raises(pl.PipelineError, match=missing):
+            cli.main([*verb, "--config", str(cfg_path)])
+        assert sorted(tmp_path.rglob("*")) == listing
+        for name in ("history_cae.csv", "history_clf.csv", "chosen_cae.txt"):
+            assert (reports / name).read_text() == f"earlier {name}\n"
+
+    def test_report_names_an_unreadable_sidecar(self, tmp_path):
+        cfg, cfg_path = tiny_cfg(tmp_path, round_budget=2), tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+        cli.main(["evolve-cae", "--config", str(cfg_path)])
+        store = PopulationStore(pl.step_population_root(cfg, gn.ENCODER))
+        sidecar = store.dead / store.list_dead()[0] / FITNESS_FILE
+        sidecar.write_text(sidecar.read_text()[:6])
+        with pytest.raises(StoreError, match=re.escape(str(sidecar))):
+            cli.main(["report", "--config", str(cfg_path)])
 
     def test_verbs_on_one_config_match_full_pipeline(self, tmp_path, capsys):
         def run_cfg(workdir):

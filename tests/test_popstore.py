@@ -1,5 +1,6 @@
 import errno
 import math
+import re
 import multiprocessing as mp
 from pathlib import Path
 
@@ -146,6 +147,24 @@ class TestPublishAndList:
             publish(store, "dup")
         assert store.list_live() == ["dup"]
         assert list(store.tmp.iterdir()) == []
+        # the collision is found at the rename, after the id was logged, so
+        # every live or dead id stays among the logged ones
+        assert store.read_claim_logs() == {"w0": ["dup", "dup"]}
+
+    def test_publish_logs_its_id_before_it_writes(self, tmp_path, monkeypatch):
+        store = PopulationStore(tmp_path)
+        publish(store, "a", worker="w1")
+        logged = []
+
+        def disk_full(path, data):
+            logged.append(store.read_claim_logs())
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            publish(store, "b", worker="w1")
+        assert logged == [{"w1": ["a", "b"]}]
+        assert store.list_live() == ["a"]
 
     def test_failed_write_cleans_staging(self, tmp_path, monkeypatch):
         store = PopulationStore(tmp_path)
@@ -169,6 +188,7 @@ class TestPublishAndList:
         assert store.list_live() == []
         assert store.list_dead() == ["dup"]
         assert list(store.tmp.iterdir()) == []
+        assert store.read_claim_logs() == {"w0": ["dup"]}
 
     def test_partial_staging_dir_is_never_live(self, tmp_path):
         # simulate a crash mid-write: a staging dir exists but was never renamed
@@ -185,6 +205,15 @@ class TestPublishAndList:
         m = store.load_fitness("p")
         assert m.record.pair == (0.66, 0.7028)
         assert m.generation == 7 and m.parent_id == "q"
+
+    def test_malformed_sidecar_raises_naming_its_path(self, tmp_path):
+        store = PopulationStore(tmp_path)
+        publish(store, "p")
+        assert store.kill("p")
+        sidecar = store.dead / "p" / FITNESS_FILE
+        sidecar.write_text("p,Enc")
+        with pytest.raises(StoreError, match=re.escape(f"{sidecar}: bad fitness line 'p,Enc'")):
+            store.load_fitness("p", "dead")
 
 
 class CountingStore(PopulationStore):
@@ -246,6 +275,55 @@ class TestFitnessSnapshot:
         assert sorted(again) == ["a", "b"]
         assert again["a"].record.pair == (0.1, 0.2)
         assert again["b"].record.pair == (0.3, 0.4)
+
+
+class TestPublishedFitness:
+    def ids(self, store):
+        return [meta.id for meta in store.load_published_fitness()]
+
+    def test_publish_order_per_worker_then_workers_by_log_name(self, tmp_path):
+        store = PopulationStore(tmp_path)
+        for iid, worker in [("z", "w1"), ("b", "w0"), ("y", "w1"), ("a", "w0"), ("c", "w10")]:
+            publish(store, iid, worker=worker)
+        assert store.kill("y") and store.kill("b")
+        assert self.ids(store) == ["b", "a", "z", "y", "c"]
+        assert [m.worker_id for m in store.load_published_fitness()] == ["w0", "w0", "w1", "w1", "w10"]
+
+    def test_claimed_id_that_never_reached_the_store_has_no_sidecar(self, tmp_path):
+        # a worker killed between its log append and its rename
+        store = PopulationStore(tmp_path)
+        publish(store, "a")
+        with open(store.logs / "claims_w0.log", "a") as fh:
+            fh.write("ghost\n")
+        publish(store, "b")
+        assert self.ids(store) == ["a", "b"]
+
+    def test_id_logged_twice_is_read_once_at_its_first_place(self, tmp_path):
+        # a rerun's first publish logs a live id again, then collides
+        store = PopulationStore(tmp_path)
+        publish(store, "a")
+        publish(store, "b")
+        with pytest.raises(IdCollision):
+            publish(store, "a")
+        publish(store, "c")
+        assert store.read_claim_logs() == {"w0": ["a", "b", "a", "c"]}
+        assert self.ids(store) == ["a", "b", "c"]
+
+    def test_id_killed_during_the_read_is_read_from_dead(self, tmp_path):
+        store, other = CountingStore(tmp_path), PopulationStore(tmp_path)
+        for iid in ("a", "b"):
+            publish(store, iid)
+        load_fitness = store.load_fitness
+
+        def killed_first(iid, dirname="live"):
+            if (iid, dirname) == ("b", "live"):
+                assert other.kill("b")
+            return load_fitness(iid, dirname)
+
+        store.load_fitness = killed_first
+        assert self.ids(store) == ["a", "b"]
+        assert store.list_dead() == ["b"]
+        assert store.reads == ["a", "b", "b"]
 
 
 class TestKill:
