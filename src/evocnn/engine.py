@@ -20,7 +20,7 @@ single strided (in_channels, kh, kw, batch, oh, ow) view of that buffer.
 The matrix is built over batch chunks, so a conv's memory scales with
 its input, not kh*kw times it. A chunk holds the most samples whose
 matrix fits in CONV_CHUNK_BYTES, which sets the peak memory (the
-benchmark's 32-px CAE step: a 50.2 MB median peak at 1 MiB, 57.0 at 8 MiB),
+benchmark's 32-px CAE step: a 49.2 MB median peak at 1 MiB, 57.6 at 8 MiB),
 but never fewer than CONV_CHUNK_COLS columns: narrower products ran slower
 (192-column chunks of a 64-channel 8-px conv by 40 %). Each chunk's
 product is written into its slice of the output. A chunked conv keeps
@@ -292,9 +292,9 @@ class ConvLayer(ParamLayer):
 
 
 class MaxPoolLayer(Layer):
-    """Non-overlapping max pooling; edge windows are truncated.
-
-    Gradient goes to the argmax of each window, first occurrence on ties.
+    """Non-overlapping max pooling; edge windows are truncated. Forward keeps
+    only the max; backward routes each window's gradient to its first tap, in
+    row-major order, equal to the max, or where the max is NaN to its first NaN tap.
     """
 
     kind = "pool"
@@ -310,30 +310,29 @@ class MaxPoolLayer(Layer):
         return ceil_div(h, self.ph), ceil_div(w, self.pw)
 
     def forward(self, x):
-        # a running max over per-tap views that only a larger tap replaces:
-        # ties keep the first, and the first NaN stays, as argmax routes them
         y = x[:, :, ::self.ph, ::self.pw].copy()
-        idx = np.zeros(y.shape, dtype=np.intp)
         for t in range(1, self.ph * self.pw):
             tap = x[:, :, t // self.pw::self.ph, t % self.pw::self.pw]
             best = y[:, :, :tap.shape[2], :tap.shape[3]]
-            take = ~(tap <= best) & (best == best)
-            np.copyto(best, tap, where=take)
-            np.copyto(idx[:, :, :tap.shape[2], :tap.shape[3]], t, where=take)
-        self._cache = (x.shape, idx)
+            np.maximum(tap, best, out=best)  # a tie returns best: the earlier tap, sign of zero too
+        self._cache = (x, y)  # x by reference: it must not change before backward
         return y
 
     def backward(self, gy):
-        (b, c, h, w), idx = self._cache
-        oh, ow = self.out_shape(h, w)
-        gblocks = np.zeros((b, c, oh, ow, self.ph * self.pw), gy.dtype)
-        np.put_along_axis(gblocks, idx[..., None], gy[..., None], axis=-1)
-        gx = (
-            gblocks.reshape(b, c, oh, ow, self.ph, self.pw)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, oh * self.ph, ow * self.pw)
-        )
-        return gx[:, :, :h, :w]
+        x, y = self._cache
+        gx, bits = np.empty(x.shape, gy.dtype), np.dtype(f"u{gy.itemsize}")  # the taps partition gx
+        free, nan = np.ones(y.shape, bool), np.isnan(y).any()  # free: no earlier tap held the max
+        for i, j in np.ndindex(self.ph, self.pw):
+            tap = x[:, :, i::self.ph, j::self.pw]
+            cells = (..., slice(tap.shape[2]), slice(tap.shape[3]))
+            hit = tap == y[cells]
+            if nan:  # only a NaN window holds a NaN tap
+                hit |= np.isnan(tap)
+            hit &= free[cells]
+            free[cells] ^= hit
+            # gy's bits as integers times 1 where routed, else 0: a copy of gy or +0.0
+            np.multiply(gy[cells].view(bits), hit, out=gx[:, :, i::self.ph, j::self.pw].view(bits))
+        return gx
 
 
 class UpsampleLayer(Layer):
@@ -632,9 +631,12 @@ class DatasetView:
 
 
 def classifier_accuracy(net, x, y):
-    """Share of samples whose largest logit is at their label."""
+    """Share of samples whose largest logit is at their label; NaN when a
+    logit is not finite, as after a diverged step, where argmax means nothing."""
     correct = 0
     for part, logits in net.forward_chunks(x):
+        if not np.isfinite(logits).all():
+            return math.nan
         correct += int((logits.argmax(axis=1) == y[part]).sum())
     return correct / x.shape[0]
 

@@ -634,28 +634,66 @@ class TestMaxPool:
         idx = blocks.argmax(axis=-1)
         return np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0], idx
 
+    @staticmethod
+    def padded_argmax_backward(layer, idx, gy, shape):
+        """The pool backward this engine used while its forward kept the
+        argmax indices: gy put at each window's index, the windows
+        transposed back into place and the padding cut off."""
+        b, c, h, w = shape
+        oh, ow = layer.out_shape(h, w)
+        gblocks = np.zeros((b, c, oh, ow, layer.ph * layer.pw), gy.dtype)
+        np.put_along_axis(gblocks, idx[..., None], gy[..., None], axis=-1)
+        gx = (gblocks.reshape(b, c, oh, ow, layer.ph, layer.pw).transpose(0, 1, 2, 4, 3, 5)
+              .reshape(b, c, oh * layer.ph, ow * layer.pw))
+        return gx[:, :, :h, :w]
+
     def test_running_max_equals_padded_argmax_bytes(self, rng):
-        # few distinct values make ties; -inf and NaN cells, and truncated
-        # edge windows, route as argmax routes them
+        # few distinct values make ties; -inf, NaN and -0.0 cells, and
+        # truncated edge windows, route as argmax routes them. gy's values
+        # are distinct and non-zero, so equal gradients mean equal indices
         seen = set()
-        for _ in range(300):
+        for case in range(300):
+            dtype = (np.float64, np.float32)[case % 2]
             ph, pw = (int(v) for v in rng.integers(2, gn.POOL_MAX + 1, size=2))
             shape = (int(rng.integers(1, 3)), int(rng.integers(1, 3)),
                      int(rng.integers(1, 12)), int(rng.integers(1, 12)))
-            x = rng.integers(-2, 3, size=shape).astype(float)
+            x = rng.integers(-2, 3, size=shape).astype(dtype)
             x[rng.random(shape) < 0.15] = -np.inf
             x[rng.random(shape) < 0.05] = np.nan
+            x[(x == 0) & (rng.random(shape) < 0.5)] = -0.0
             layer = eng.MaxPoolLayer(ph, pw)
             y = layer.forward(x)
             ref_y, ref_idx = self.padded_argmax_forward(layer, x)
+            assert y.dtype == ref_y.dtype == dtype
             assert y.tobytes() == ref_y.tobytes()
-            assert layer._cache[1].dtype == ref_idx.dtype
-            assert layer._cache[1].tobytes() == ref_idx.tobytes()
+            gy = (np.arange(1, y.size + 1) * (-1) ** np.arange(y.size)).reshape(y.shape).astype(dtype)
+            gx = layer.backward(gy)
+            ref_gx = self.padded_argmax_backward(layer, ref_idx, gy, shape)
+            assert gx.shape == ref_gx.shape and gx.dtype == ref_gx.dtype
+            assert gx.tobytes() == ref_gx.tobytes()
             if shape[2] % ph or shape[3] % pw:
                 seen.add("edge window")
-            seen.update(k for k, v in (("nan", np.isnan(y).any()), ("-inf", np.isneginf(y).any()))
-                        if v)
-        assert seen == {"edge window", "nan", "-inf"}
+            seen.update(k for k, v in (("nan", np.isnan(y).any()), ("-inf", np.isneginf(y).any()),
+                                       ("-0.0", ((y == 0) & np.signbit(y)).any()),
+                                       ("float32", dtype == np.float32)) if v)
+        assert seen == {"edge window", "nan", "-inf", "-0.0", "float32"}
+
+    def test_backward_routes_by_the_last_forward_input(self, rng):
+        # the layer keeps its input by reference and no index, so backward
+        # reads the input of the forward before it, which forward leaves as it was
+        layer = eng.MaxPoolLayer(2, 3)
+        first, second = (rng.standard_normal((2, 3, 7, 8)).astype(np.float32) for _ in range(2))
+        kept = second.copy()
+        layer.forward(first)
+        y = layer.forward(second)
+        assert second.tobytes() == kept.tobytes()
+        gy = np.arange(1, y.size + 1, dtype=np.float32).reshape(y.shape)
+        gx = layer.backward(gy)
+        assert second.tobytes() == kept.tobytes()
+        _, idx = self.padded_argmax_forward(layer, kept)
+        assert gx.tobytes() == self.padded_argmax_backward(layer, idx, gy, kept.shape).tobytes()
+        _, first_idx = self.padded_argmax_forward(layer, first)
+        assert not np.array_equal(idx, first_idx)
 
 
 class TestUpsample:
@@ -980,6 +1018,22 @@ class TestTrainIndividual:
         )
         assert report.diverged
         assert report.metric == 0.0
+
+    def test_classifier_whose_last_step_breaks_its_weights_reports_divergence(self, rng):
+        # one batch at this rate leaves the loss it was computed from finite
+        # but the weights non-finite; the validation logits then hold no
+        # largest value, so the metric is not an accuracy
+        view = _separable_view(rng, n=40)
+        view = eng.DatasetView(view.train_x.astype(np.float32), view.train_y,
+                               view.val_x.astype(np.float32), view.val_y)
+        net = eng.Network([eng.FlattenLayer(), eng.DenseLayer(64, 2)])
+        net.layers[1].init_weights(rng)
+        report = eng.train_network(net, gn.GENOME_KINDS[gn.CLASSIFIER], view, 1, 32, 1e39, 0.9, rng)
+        assert not np.isfinite(net.layers[1].w).all()
+        assert math.isfinite(report.final_train_loss)
+        assert report.diverged and report.metric == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(eng.classifier_accuracy(net, view.val_x, view.val_y))
 
     def test_diverging_float32_autoencoder_reports_divergence_without_a_warning(self):
         # at this rate the weights overflow float32 within a few steps, and
