@@ -91,7 +91,7 @@ def cmd_run(cfg, args):
         "test_accuracy": result["test_accuracy"],
     }
     with replacing(Path(cfg.report_dir) / "summary.json") as fh:
-        fh.write(json.dumps(summary, indent=2) + "\n")
+        fh.write(json.dumps(summary, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_report(cfg, args):

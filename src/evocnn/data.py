@@ -1,6 +1,7 @@
 """Dataset ingestion and plumbing: CIFAR-10 binary batches, a synthetic
-desk-scale generator, stratified splits, batching, and re-encoding a
-dataset through a trained encoder."""
+desk-scale generator, stratified splits, and re-encoding a dataset
+through a trained encoder. Epoch batching lives with the training loop,
+in `engine.batches`."""
 
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ def load_cifar10(path) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Splits and batching
+# Splits
 # ---------------------------------------------------------------------------
 
 def _allocate(counts, proportions):
@@ -127,15 +128,6 @@ def split(raw: Dataset, seed) -> tuple[Dataset, Dataset, Dataset]:
         sel = np.sort(np.concatenate(parts))
         out.append(Dataset(x=raw.x[sel], y=raw.y[sel], split=tag))
     return tuple(out)
-
-
-def batches(n_samples, batch_size, rng):
-    """Index batches for one epoch: one `rng.permutation` shuffle, remainder dropped."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    order = rng.permutation(n_samples)
-    for start in range(0, n_samples - batch_size + 1, batch_size):
-        yield order[start:start + batch_size]
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import data as dt
-
 
 class EngineError(Exception):
     pass
@@ -344,16 +342,14 @@ class UpsampleLayer(Layer):
         if factor < 2:
             raise ShapeError("upsample factor must be >= 2")
         self.factor = factor
-        self._in_shape = None
 
     def forward(self, x):
-        self._in_shape = x.shape
         return x.repeat(self.factor, axis=2).repeat(self.factor, axis=3)
 
     def backward(self, gy):
-        b, c, h, w = self._in_shape
+        b, c, h, w = gy.shape
         f = self.factor
-        return gy.reshape(b, c, h, f, w, f).sum(axis=(3, 5))
+        return gy.reshape(b, c, h // f, f, w // f, f).sum(axis=(3, 5))
 
 
 class CropLayer(Layer):
@@ -634,10 +630,11 @@ def classifier_accuracy(net, x, y):
     """Share of samples whose largest logit is at their label; NaN when a
     logit is not finite, as after a diverged step, where argmax means nothing."""
     correct = 0
-    for part, logits in net.forward_chunks(x):
-        if not np.isfinite(logits).all():
-            return math.nan
-        correct += int((logits.argmax(axis=1) == y[part]).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is reported as NaN
+        for part, logits in net.forward_chunks(x):
+            if not np.isfinite(logits).all():
+                return math.nan
+            correct += int((logits.argmax(axis=1) == y[part]).sum())
     return correct / x.shape[0]
 
 
@@ -650,6 +647,15 @@ def reconstruction_accuracy(net, x):
             raise ShapeError(f"reconstruction shapes differ: {xb.shape} vs {recon.shape}")
         sq_sum += float(((xb - recon) ** 2).sum())
     return min(max(1.0 - sq_sum / x.size, 0.0), 1.0)
+
+
+def batches(n_samples, batch_size, rng):
+    """Index batches for one epoch: one `rng.permutation` shuffle, remainder dropped."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    order = rng.permutation(n_samples)
+    for start in range(0, n_samples - batch_size + 1, batch_size):
+        yield order[start:start + batch_size]
 
 
 def train_network(net: Network, objective, view: DatasetView, epochs, batch_size,
@@ -672,7 +678,7 @@ def train_network(net: Network, objective, view: DatasetView, epochs, batch_size
         # metric; the checks on those report it, not numpy's warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(epochs):
-                for idx in dt.batches(n, batch_size, rng):
+                for idx in batches(n, batch_size, rng):
                     xb = view.train_x[idx]
                     loss, gy = objective.batch_loss(net.forward(xb), xb, view.train_y[idx])
                     if not math.isfinite(loss):

@@ -109,20 +109,19 @@ def apply_mutation(g, kind: MutationKind, rng, child_id):
 
 
 EXHAUSTED = "exhausted"
+MUTATION_TRIES = 25  # draws per child before mutate_valid returns EXHAUSTED
 
 
-def mutate_valid(g, input_shape, rng, child_id, max_tries=25, kind_set=None):
-    """(sample, apply, validate) until a valid child appears.
+def mutate_valid(g, input_shape, rng, child_id):
+    """(sample, apply, validate) over the kind's mutations until a valid
+    child appears.
 
     Returns apply_mutation's (child, genes_from), or EXHAUSTED after
-    max_tries; the caller is expected to fall back to Identity so the
+    MUTATION_TRIES; the caller is expected to fall back to Identity so the
     worker stays live.
     """
-    if max_tries < 1:
-        raise ValueError("max_tries must be >= 1")
-    if kind_set is None:
-        kind_set = gn.GENOME_KINDS[g.kind].mutations
-    for _ in range(max_tries):
+    kind_set = gn.GENOME_KINDS[g.kind].mutations
+    for _ in range(MUTATION_TRIES):
         kind = sample_mutation(kind_set, rng)
         mutated = apply_mutation(g, kind, rng, child_id)
         if mutated is not INAPPLICABLE and gn.validate(mutated[0], input_shape) is None:

@@ -9,6 +9,7 @@ processes coordinated only through the population directory.
 from __future__ import annotations
 
 import csv
+import math
 import subprocess
 import sys
 from dataclasses import dataclass, replace
@@ -133,11 +134,7 @@ def live_cae_alternatives(store: PopulationStore):
         raise PipelineError("no evaluated autoencoders in the population")
     ids = sorted(pairs)
     fronts = pareto_fronts([pairs[i] for i in ids])
-    front0 = [ids[i] for i in fronts[0]]
-    return [
-        Alternative(id=iid, compression=pairs[iid][0], accuracy=min(pairs[iid][1], 1.0))
-        for iid in front0
-    ]
+    return [Alternative(ids[i], *pairs[ids[i]]) for i in fronts[0]]
 
 
 def load_encoder(cfg: RunConfig, encoder_id, input_shape):
@@ -196,7 +193,8 @@ def best_classifier_id(cfg: RunConfig):
 def compose_final(cfg: RunConfig, encoder_id, classifier_id, datasets=None):
     """Encoder + classifier as one network, evaluated on the test split.
 
-    Returns (composed Network, test accuracy).
+    Returns (composed Network, test accuracy); PipelineError when the
+    accuracy is NaN, as a diverged classifier's non-finite logits make it.
     """
     if datasets is None:
         datasets = load_run_data(cfg)
@@ -207,7 +205,10 @@ def compose_final(cfg: RunConfig, encoder_id, classifier_id, datasets=None):
     clf_store = _existing_store(step_population_root(cfg, gn.CLASSIFIER))
     _g, clf_net = read_individual(clf_store, classifier_id, encoded_shape, cfg.n_classes)
     composed = eng.Network(encoder.layers + clf_net.layers)
-    return composed, eng.classifier_accuracy(composed, test.x, test.y)
+    accuracy = eng.classifier_accuracy(composed, test.x, test.y)
+    if math.isnan(accuracy):
+        raise PipelineError(f"{encoder_id} + {classifier_id} makes non-finite logits on the test split")
+    return composed, accuracy
 
 
 def run_full_pipeline(cfg: RunConfig):

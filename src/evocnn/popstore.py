@@ -4,9 +4,11 @@ Workers never talk to each other; all coordination goes through a
 population directory where the only commit primitive is an atomic
 rename. An individual becomes visible only when its fully written
 directory (genome, weights, fitness sidecar) is renamed into live/
-(publish-last rule), and dies by a rename into dead/. Before it writes
-anything, a publish appends the id to its worker's claim log, so the logs
-record every publish in the order each worker made it.
+(publish-last rule), and dies by a rename into dead/. A publish is named
+by its sidecar: the id in it names the directory, its staging directory
+and its claim-log line. Before it writes anything, a publish appends the
+id to its worker's claim log, so the logs record every publish in the
+order each worker made it.
 
 A fitness sidecar is written before the publish rename and never
 rewritten, and ids are never reused, so what a store once read for an
@@ -64,7 +66,8 @@ def format_fitness_line(meta: FitnessMeta) -> str:
 
 def parse_fitness_line(line: str) -> FitnessMeta:
     """Inverse of `format_fitness_line`; raises StoreError on any
-    malformed line, including non-finite metrics and wall times."""
+    malformed line, including a metric outside [0, 1] and a wall time
+    that is negative or not finite."""
     parts = line.strip().split(",")
     if len(parts) != 8:
         raise StoreError(f"bad fitness line {line!r}")
@@ -79,9 +82,9 @@ def parse_fitness_line(line: str) -> FitnessMeta:
     # read ' 0.5', '+1.0', '0_0.9', '1_0' and non-ASCII digits
     if list(map(repr, values)) != numbers or repr(generation) != gen or generation < 0:
         raise StoreError(f"number not spelled as written in fitness line {line!r}")
-    if len(values) > 3 or not all(math.isfinite(v) for v in values):
-        raise StoreError(f"bad metric or wall time in fitness line {line!r}")
     *metrics, wall_seconds = values
+    if len(metrics) > 2 or not all(0 <= v <= 1 for v in metrics) or not 0 <= wall_seconds < math.inf:
+        raise StoreError(f"bad metric or wall time in fitness line {line!r}")
     return FitnessMeta(
         id=iid,
         kind=kind,
@@ -110,31 +113,30 @@ class PopulationStore:
 
     # -- write path ---------------------------------------------------------
 
-    def publish(self, individual_id, genome_text, weights_blob, meta: FitnessMeta):
-        """Append the id to meta.worker_id's claim log, write everything to
-        a temp dir, then rename into live/. An id that is live or dead
-        already raises IdCollision (a dead one before it is logged). A
+    def publish(self, genome_text, weights_blob, meta: FitnessMeta):
+        """Append meta.id to meta.worker_id's claim log, write everything to
+        a temp dir, then rename into live/<meta.id>. An id that is live or
+        dead already raises IdCollision (a dead one before it is logged). A
         publish that raises removes its temp dir."""
-        if (self.dead / individual_id).exists():
+        iid = meta.id
+        if (self.dead / iid).exists():
             # a step rerun on the same directory draws the first run's ids again
-            raise IdCollision(f"id {individual_id} already published and killed")
+            raise IdCollision(f"id {iid} already published and killed")
         with open(self.logs / f"claims_{meta.worker_id}.log", "a") as fh:
-            fh.write(f"{individual_id}\n")
-        staging = self.tmp / f"{individual_id}.{os.getpid()}"
+            fh.write(f"{iid}\n")
+        staging = self.tmp / f"{iid}.{os.getpid()}"
         staging.mkdir(parents=True)
         try:
             (staging / GENOME_FILE).write_text(genome_text)
             (staging / WEIGHTS_FILE).write_bytes(weights_blob)
             (staging / FITNESS_FILE).write_text(format_fitness_line(meta))
-            target = self.live / individual_id
             try:
-                staging.rename(target)
+                staging.rename(self.live / iid)
             except OSError as exc:
-                raise IdCollision(f"id {individual_id} already published") from exc
+                raise IdCollision(f"id {iid} already published") from exc
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise
-        return individual_id
 
     def kill(self, individual_id) -> bool:
         """live/<id> -> dead/<id>; False when already gone (normal race).
@@ -227,11 +229,8 @@ class PopulationStore:
 
     # -- logs ---------------------------------------------------------------
 
-    def round_log_path(self, worker_id):
-        return self.logs / f"rounds_{worker_id}.csv"
-
     def append_round_log(self, worker_id, round_id, id_a, id_b, winner, reason):
-        with open(self.round_log_path(worker_id), "a") as fh:
+        with open(self.logs / f"rounds_{worker_id}.csv", "a") as fh:
             fh.write(f"{round_id},{worker_id},{id_a},{id_b},{winner},{reason}\n")
 
     def mark_idle(self, worker_id, idle=True):

@@ -25,11 +25,6 @@ class FitnessRecord:
         return self.values
 
 
-def dominates(a, b) -> bool:
-    """a >= b in both objectives and > in at least one."""
-    return a[0] >= b[0] and a[1] >= b[1] and (a[0] > b[0] or a[1] > b[1])
-
-
 def pareto_fronts(points):
     """Non-dominated sorting of points of one or two maximised objectives;
     front 0 is the non-dominated set, front k+1 what front k dominates.

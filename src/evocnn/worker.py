@@ -125,7 +125,7 @@ class Worker:
             parent_id=g.parent_id,
             mutation=g.mutation_applied,
         )
-        self.store.publish(g.id, gn.serialize(g), eng.serialize_network(net), meta)
+        self.store.publish(gn.serialize(g), eng.serialize_network(net), meta)
 
     def seed_population(self):
         for _ in range(self.cfg.seeds_per_worker):

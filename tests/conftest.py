@@ -97,17 +97,19 @@ def maxpool_oracle(x, ph, pw):
     return out
 
 
+def dominates(a, b):
+    """a >= b in both objectives and > in at least one."""
+    return a[0] >= b[0] and a[1] >= b[1] and (a[0] > b[0] or a[1] > b[1])
+
+
 def pareto_fronts_oracle(pairs):
     """O(n^3)-ish reference: repeatedly strip the non-dominated set."""
-    def dom(a, b):
-        return a[0] >= b[0] and a[1] >= b[1] and (a[0] > b[0] or a[1] > b[1])
-
     remaining = list(range(len(pairs)))
     fronts = []
     while remaining:
         front = [
             i for i in remaining
-            if not any(dom(pairs[j], pairs[i]) for j in remaining if j != i)
+            if not any(dominates(pairs[j], pairs[i]) for j in remaining if j != i)
         ]
         fronts.append(front)
         remaining = [i for i in remaining if i not in front]

@@ -210,7 +210,8 @@ def test_criterion_3_pareto_oracle():
 # 4. Mutation compression constraint
 # ---------------------------------------------------------------------------
 
-def test_criterion_4_accepted_mutations_always_compress():
+def test_criterion_4_accepted_mutations_always_compress(monkeypatch):
+    monkeypatch.setattr(mu, "MUTATION_TRIES", 50)
     rng = np.random.default_rng(4)
     shape = (3, 32, 32)
     input_size = int(np.prod(shape))
@@ -218,7 +219,7 @@ def test_criterion_4_accepted_mutations_always_compress():
     t0 = time.monotonic()
     with criterion(4, "10,000 accepted encoder mutations all shrink the encoding"):
         for i in range(10_000):
-            mutated = mu.mutate_valid(current, shape, rng, f"c{i}", max_tries=50)
+            mutated = mu.mutate_valid(current, shape, rng, f"c{i}")
             assert mutated is not mu.EXHAUSTED
             child, _ = mutated
             c, h, w = gn.infer_shapes(child, shape)[-1]

@@ -112,34 +112,34 @@ class TestSplit:
 
 class TestBatches:
     def test_drop_remainder_count(self):
-        got = list(dt.batches(45, 10, np.random.default_rng(0)))
+        got = list(eng.batches(45, 10, np.random.default_rng(0)))
         assert len(got) == 4
         assert all(b.size == 10 for b in got)
 
     def test_standard_epoch_is_900_batches(self):
         # 45000 training samples at batch size 50
-        n = sum(1 for _ in dt.batches(45_000, 50, np.random.default_rng(0)))
+        n = sum(1 for _ in eng.batches(45_000, 50, np.random.default_rng(0)))
         assert n == 900
 
     def test_each_index_at_most_once(self):
-        seen = np.concatenate(list(dt.batches(103, 10, np.random.default_rng(3))))
+        seen = np.concatenate(list(eng.batches(103, 10, np.random.default_rng(3))))
         assert len(seen) == len(set(seen.tolist())) == 100
 
     def test_shuffle_changes_with_seed(self):
-        a = np.concatenate(list(dt.batches(64, 8, np.random.default_rng(0))))
-        b = np.concatenate(list(dt.batches(64, 8, np.random.default_rng(1))))
+        a = np.concatenate(list(eng.batches(64, 8, np.random.default_rng(0))))
+        b = np.concatenate(list(eng.batches(64, 8, np.random.default_rng(1))))
         assert not np.array_equal(a, b)
 
     def test_epoch_draws_one_permutation(self):
         # the training loop's numerics rest on exactly one rng.permutation per epoch
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-        got = np.concatenate(list(dt.batches(64, 8, rng)))
+        got = np.concatenate(list(eng.batches(64, 8, rng)))
         np.testing.assert_array_equal(got, twin.permutation(64))
         assert rng.random() == twin.random()
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
-            next(dt.batches(10, 0, np.random.default_rng(0)))
+            next(eng.batches(10, 0, np.random.default_rng(0)))
 
 
 class TestSynthDataset:

@@ -158,21 +158,21 @@ class TestApplyMutation:
 
 
 class TestMutateValid:
-    def test_boundary_remove_pool_rejected(self):
+    def test_boundary_remove_pool_rejected(self, monkeypatch):
         # encoder at minimum compression: removing the pool equalizes sizes
+        monkeypatch.setattr(mu, "MUTATION_TRIES", 50)
         g = enc(gn.ConvGene(3, 3, 3, 1), gn.PoolGene(2, 2))
         for seed in range(30):
-            mutated = mu.mutate_valid(
-                g, (3, 32, 32), np.random.default_rng(seed), "c", max_tries=50
-            )
+            mutated = mu.mutate_valid(g, (3, 32, 32), np.random.default_rng(seed), "c")
             assert mutated is not mu.EXHAUSTED
             assert gn.validate(mutated[0], (3, 32, 32)) is None
 
-    def test_accepted_children_always_compress(self, rng):
+    def test_accepted_children_always_compress(self, rng, monkeypatch):
+        monkeypatch.setattr(mu, "MUTATION_TRIES", 50)
         g = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2))
         current = g
         for i in range(300):
-            mutated = mu.mutate_valid(current, (3, 32, 32), rng, f"c{i}", max_tries=50)
+            mutated = mu.mutate_valid(current, (3, 32, 32), rng, f"c{i}")
             assert mutated is not mu.EXHAUSTED
             child, genes_from = mutated
             assert len(genes_from) == len(child.layers)
@@ -180,13 +180,12 @@ class TestMutateValid:
             assert trace[-1][0] * trace[-1][1] * trace[-1][2] < 3 * 32 * 32
             current = child
 
-    def test_exhausted_with_all_inapplicable_kind_set(self, rng):
+    def test_exhausted_with_all_inapplicable_kind_set(self, rng, monkeypatch):
         g = enc(gn.ConvGene(4, 3, 3, 1), gn.ConvGene(2, 3, 3, 2))
-        out = mu.mutate_valid(
-            g, (3, 32, 32), rng, "c", max_tries=1,
-            kind_set={mu.MutationKind.RemovePool},  # no pool to remove
-        )
-        assert out is mu.EXHAUSTED
+        only_remove_pool = frozenset({mu.MutationKind.RemovePool})  # no pool to remove
+        kind = gn.GENOME_KINDS[gn.ENCODER]._replace(mutations=only_remove_pool)
+        monkeypatch.setitem(gn.GENOME_KINDS, gn.ENCODER, kind)
+        assert mu.mutate_valid(g, (3, 32, 32), rng, "c") is mu.EXHAUSTED
 
     def test_deterministic_under_fixed_seed(self):
         g = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2))
@@ -200,11 +199,6 @@ class TestMutateValid:
             child, _ = mu.mutate_valid(g, (3, 16, 16), rng, f"c{i}")
             assert child.generation == g.generation + 1
             assert child.parent_id == "root"
-
-    def test_max_tries_must_be_positive(self, rng):
-        g = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2))
-        with pytest.raises(ValueError):
-            mu.mutate_valid(g, (3, 32, 32), rng, "c", max_tries=0)
 
 
 # The four alteration kinds as `apply_mutation` drew them in three separate

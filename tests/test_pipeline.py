@@ -62,7 +62,7 @@ def publish_off_genome(store, iid, g, built, shape, metric, n_classes=2):
     else:
         layers = wk.build_network(built, shape, rng, n_classes).layers
     meta = FitnessMeta(iid, g.kind, gn.fitness_record(g, shape, metric), 1.0, "w9", 0, None, "Seed")
-    store.publish(iid, gn.serialize(g), eng.serialize_network(eng.Network(layers)), meta)
+    store.publish(gn.serialize(g), eng.serialize_network(eng.Network(layers)), meta)
 
 
 # a stored network built for CONV 16 3 3 1 behind a CONV 8 3 3 1 genome:
@@ -626,7 +626,7 @@ class TestRunStep:
         for iid, gen, parent in [("a", 0, None), ("d", 1, "a"), ("c", 2, "d"), ("b", 1, "a")]:
             meta = FitnessMeta(iid, gn.ENCODER, FitnessRecord((0.5, 0.5)), 1.0, "w0", gen, parent,
                                "Seed" if parent is None else "Identity")
-            store.publish(iid, "", b"", meta)
+            store.publish("", b"", meta)
         store.kill("d")
         rows = pl.export_history(store.root, tmp_path / "h.csv")
         assert [(r[0], r[1]) for r in rows] == [("0", "a"), ("1", "d"), ("2", "c"), ("3", "b")]
@@ -637,9 +637,9 @@ class TestRunStep:
         published = []
         publish = PopulationStore.publish
 
-        def recording_publish(store, iid, *args):
-            published.append(iid)
-            return publish(store, iid, *args)
+        def recording_publish(store, genome_text, weights_blob, meta):
+            published.append(meta.id)
+            return publish(store, genome_text, weights_blob, meta)
 
         monkeypatch.setattr(PopulationStore, "publish", recording_publish)
         cfg = tiny_cfg(tmp_path, seeds_per_worker=6, round_budget=20)
@@ -720,6 +720,26 @@ class TestStoredNetworkReads:
 
 
 class TestCompose:
+    def test_compose_refuses_a_classifier_whose_logits_overflow(self, tmp_path):
+        # when every live classifier scored 0.0 the best one may have diverged;
+        # its logits overflow, and a NaN accuracy must not reach summary.json
+        cfg = tiny_cfg(tmp_path)
+        shape = load_run_data(cfg)[0].sample_shape
+        enc = gn.seed_genome(gn.ENCODER, "enc")
+        publish_off_genome(PopulationStore(pl.step_population_root(cfg, gn.ENCODER)),
+                           "enc", enc, enc, shape, 0.9)
+        encoded_shape = gn.infer_shapes(enc, shape)[-1]
+        clf = gn.seed_genome(gn.CLASSIFIER, "clf")
+        net = wk.build_network(clf, encoded_shape, np.random.default_rng(0), cfg.n_classes)
+        for layer in net.layers:
+            for p in layer.params():
+                p[...] = 1e30  # finite in float32, but a product of two is not
+        meta = FitnessMeta("clf", gn.CLASSIFIER, FitnessRecord((0.0,)), 1.0, "w9", 0, None, "Seed")
+        PopulationStore(pl.step_population_root(cfg, gn.CLASSIFIER)).publish(
+            gn.serialize(clf), eng.serialize_network(net), meta)
+        with pytest.raises(pl.PipelineError, match="^enc \\+ clf makes non-finite logits"):
+            pl.compose_final(cfg, "enc", "clf")
+
     def test_composed_network_equals_two_stage_evaluation(self, tmp_path, monkeypatch):
         result_cfg = tiny_cfg(tmp_path, round_budget=2)
         sources = []

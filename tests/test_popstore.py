@@ -31,7 +31,7 @@ def meta_for(iid, values=(0.5, 0.5), worker="w0", gen=0, parent=None, mut="Seed"
 
 
 def publish(store, iid, **kw):
-    store.publish(iid, f"genome for {iid}\n", b"\x00\x01" + iid.encode(), meta_for(iid, **kw))
+    store.publish(f"genome for {iid}\n", b"\x00\x01" + iid.encode(), meta_for(iid, **kw))
 
 
 # Spellings that float() or int() reads but format_fitness_line never
@@ -109,6 +109,10 @@ class TestFitnessLine:
             pytest.param("a,Classifier,nan,1.25,w0,0,-,Seed\n", id="nan scalar"),
             pytest.param("a,Encoder,0.5:0.2,inf,w0,0,-,Seed\n", id="inf wall time"),
             pytest.param("a,Encoder,0.5:0.2,nan,w0,0,-,Seed\n", id="nan wall time"),
+            # numbers the program never writes, and its readers assume it does not
+            pytest.param("a,Encoder,0.5:1.5,1.25,w0,0,-,Seed\n", id="accuracy above 1"),
+            pytest.param("a,Encoder,-0.1:0.5,1.25,w0,0,-,Seed\n", id="negative compression"),
+            pytest.param("a,Encoder,0.5:0.2,-1.0,w0,0,-,Seed\n", id="negative wall time"),
             # spellings float() or int() reads but format_fitness_line never writes
             pytest.param("a,Encoder,0.5:0.2,1.25,w0,-2,-,Seed\n", id="negative generation"),
             pytest.param("a,Encoder,0.5:0.2,1.25,w0,1_0,-,Seed\n", id="underscored generation"),
@@ -400,9 +404,7 @@ def _hammer(root, worker, barrier, n):
     rng = np.random.default_rng(worker)
     for k in range(n):
         iid = f"w{worker}-{k}"
-        store.publish(
-            iid, "g\n", b"w", meta_for(iid, (0.5, 0.5), worker=f"w{worker}")
-        )
+        store.publish("g\n", b"w", meta_for(iid, (0.5, 0.5), worker=f"w{worker}"))
         live = store.list_live()
         if live:
             store.kill(live[int(rng.integers(len(live)))])

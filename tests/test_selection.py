@@ -7,33 +7,12 @@ from hypothesis import strategies as st
 
 from evocnn.selection import (
     FitnessRecord,
-    dominates,
     isolation,
     pareto_fronts,
     tournament_compare,
 )
 
-from conftest import pareto_fronts_oracle
-
-# (compression, accuracy) pairs of published autoencoder results used as
-# handy dominance fixtures
-CAE_507 = (0.66, 0.7028)
-CAE_130 = (0.66, 0.5650)
-CAE_574 = (0.75, 0.4289)
-
-
-class TestDominates:
-    def test_equal_compression_higher_accuracy_dominates(self):
-        assert dominates(CAE_507, CAE_130)
-        assert not dominates(CAE_130, CAE_507)
-
-    def test_trade_off_is_incomparable(self):
-        assert not dominates(CAE_507, CAE_574)
-        assert not dominates(CAE_574, CAE_507)
-
-    def test_equal_pairs_do_not_dominate(self):
-        assert not dominates(CAE_507, CAE_507)
-
+from conftest import dominates, pareto_fronts_oracle
 
 # a few grid values force ties and duplicates; any finite float covers the rest
 objectives = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(
