@@ -12,7 +12,8 @@ The internal `worker` verb is what `run_step` launches per worker process.
 import os
 
 # Workers run many small matmuls; single-threaded BLAS keeps multi-worker
-# runs from oversubscribing cores and keeps results reproducible.
+# runs from oversubscribing cores and keeps results reproducible. numpy
+# loads with the imports below, so they stay after this loop.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -22,11 +23,14 @@ from pathlib import Path
 
 from .config import load_config
 from .fileio import replacing
+from .pipeline import (
+    STEP_KINDS, best_classifier_id, chosen_encoder_id, classifier_config, compose_final,
+    finalize_cae_step, report_step, run_full_pipeline, run_step,
+)
+from .worker import Worker
 
 
 def cmd_worker(cfg, args):
-    from .worker import Worker
-
     completed = Worker(cfg, args.index, args.kind).run()
     print(f"worker {args.index} completed {completed} rounds")
 
@@ -43,8 +47,6 @@ def _print_composed(encoder_id, classifier_id, accuracy):
 
 
 def _evolve(cfg, name):
-    from .pipeline import STEP_KINDS, run_step
-
     _print_step(name, run_step(cfg, STEP_KINDS[name]))
 
 
@@ -53,29 +55,21 @@ def cmd_evolve_cae(cfg, args):
 
 
 def cmd_evolve_clf(cfg, args):
-    from .pipeline import chosen_encoder_id, classifier_config
-
     _evolve(classifier_config(cfg, chosen_encoder_id(cfg)), "clf")
 
 
 def cmd_encode(cfg, args):
-    from .pipeline import finalize_cae_step
-
     encoder_id, prefix = finalize_cae_step(cfg)
     print(f"chosen encoder {encoder_id}; encoded dataset cached at {prefix}{{train,val,test}}.evod")
 
 
 def cmd_compose(cfg, args):
-    from .pipeline import best_classifier_id, chosen_encoder_id, compose_final
-
     encoder_id, classifier_id = chosen_encoder_id(cfg), best_classifier_id(cfg)
     _net, acc = compose_final(cfg, encoder_id, classifier_id)
     _print_composed(encoder_id, classifier_id, acc)
 
 
 def cmd_run(cfg, args):
-    from .pipeline import run_full_pipeline
-
     result = run_full_pipeline(cfg)
     cae, clf = result["cae_summary"], result["clf_summary"]
     _print_step("cae", cae)
@@ -95,16 +89,11 @@ def cmd_run(cfg, args):
 
 
 def cmd_report(cfg, args):
-    from .pipeline import STEP_KINDS, export_history, step_population_root
-
-    out = Path(cfg.report_dir) / f"history_{args.step}.csv"
-    rows = export_history(step_population_root(cfg, STEP_KINDS[args.step]), out)
-    print(f"wrote {len(rows)} rows to {out}")
+    summary = report_step(cfg, STEP_KINDS[args.step])
+    print(f"wrote {summary.networks_generated} rows to {summary.history_csv}")
 
 
 def build_parser():
-    from .pipeline import STEP_KINDS
-
     parser = argparse.ArgumentParser(prog="evocnn")
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -36,10 +36,11 @@ def replacing(path, mode="w", **open_kwargs):
     """Open a temporary file beside `path` for writing and, when the block
     ends cleanly, rename it onto `path`, so a reader sees the old file or
     the new one, never a part. A block that raises removes the temporary
-    file and leaves `path` as it was. Before writing, the temporary files
-    of earlier writers of `path` that were killed are removed. Nothing is
-    fsynced."""
+    file and leaves `path` as it was. Before writing, `path`'s directory is
+    made if missing, and the temporary files of earlier writers of `path`
+    that were killed are removed. Nothing is fsynced."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     _remove_stale_temporaries(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -133,15 +133,9 @@ class PoolGene:
         return _upsample_to(max(self.ph, self.pw), in_shape, out_shape)
 
 
-class GeneKind(NamedTuple):
-    cls: type
-    fields: tuple  # field names in dataclass order, as a gene line lists their values
-
-
-# Text tag -> gene kind; a gene line is the tag, then the fields' values.
-GENE_KINDS = {
-    cls.tag: GeneKind(cls, tuple(f.name for f in fields(cls))) for cls in (ConvGene, PoolGene)
-}
+# Text tag -> gene class; a gene line is the tag, then the values of the
+# class's dataclass fields in order.
+GENE_KINDS = {cls.tag: cls for cls in (ConvGene, PoolGene)}
 
 
 @dataclass(frozen=True)
@@ -363,8 +357,7 @@ def serialize(g: Genome) -> str:
         f"{g.generation} {g.learning_rate!r} {g.mutation_applied}"
     ]
     for gene in g.layers:
-        names = GENE_KINDS[gene.tag].fields
-        lines.append(" ".join([gene.tag, *(str(getattr(gene, name)) for name in names)]))
+        lines.append(" ".join([gene.tag, *(str(getattr(gene, f.name)) for f in fields(gene))]))
     return "\n".join(lines) + "\n"
 
 
@@ -384,10 +377,10 @@ def deserialize(text: str) -> Genome:
         if not line.strip():
             continue
         tag, *values = line.split()
-        gene_kind = GENE_KINDS.get(tag)
-        if gene_kind is None or len(values) != len(gene_kind.fields):
+        cls = GENE_KINDS.get(tag)
+        if cls is None or len(values) != len(fields(cls)):
             raise GenomeParseError(n, f"bad gene line {line!r}")
-        genes.append(gene_kind.cls(*(_decimal(v, n) for v in values)))
+        genes.append(cls(*(_decimal(v, n) for v in values)))
     if not genes:
         raise GenomeParseError(len(lines), "genome has no gene lines")
     try:

@@ -57,33 +57,34 @@ class StepSummary:
 # ---------------------------------------------------------------------------
 
 def export_history(population_root, out_csv):
-    """One row per individual ever published, live or dead, in publish
-    order (`PopulationStore.load_published_fitness`). The offset column is
-    the row's rank in that order (0-based)."""
-    rows = []
-    for seq, meta in enumerate(_existing_store(population_root).load_published_fitness()):
-        metric, metric2 = [*map(repr, meta.record.values), ""][:2]
-        rows.append(
-            [
-                str(seq),
-                meta.id,
-                meta.worker_id,
-                metric,
-                metric2,
-                str(meta.generation),
-                meta.mutation,
-                meta.parent_id or "-",
-            ]
-        )
-    out = Path(out_csv)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with replacing(out, "w", newline="") as fh:
+    """Write one row per individual ever published, live or dead, in publish
+    order (`PopulationStore.load_published_fitness`), and return their
+    sidecars in that order. The offset column is the row's rank in that
+    order (0-based)."""
+    metas = _existing_store(population_root).load_published_fitness()
+    with replacing(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["offset", "id", "worker_id", "metric", "metric2", "generation", "mutation", "parent_id"]
         )
-        writer.writerows(rows)
-    return rows
+        writer.writerows([
+            [seq, meta.id, meta.worker_id, *[*map(repr, meta.record.values), ""][:2],
+             meta.generation, meta.mutation, meta.parent_id or "-"]
+            for seq, meta in enumerate(metas)
+        ])
+    return metas
+
+
+def report_step(cfg: RunConfig, kind: str) -> StepSummary:
+    """Export a step's history to `history_<step>.csv` under report_dir and
+    summarise it; a record's validation metric is its last objective."""
+    history = Path(cfg.report_dir) / f"history_{gn.GENOME_KINDS[kind].step}.csv"
+    metas = export_history(step_population_root(cfg, kind), history)
+    return StepSummary(
+        networks_generated=len(metas),
+        best_metric=max([0.0] + [meta.record.values[-1] for meta in metas]),
+        history_csv=str(history),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +94,12 @@ def export_history(population_root, out_csv):
 def run_step(cfg: RunConfig, kind: str) -> StepSummary:
     """Run one evolution step: a single worker runs in this process,
     more run as cfg.workers worker processes."""
-    root = step_population_root(cfg, kind)
     name = gn.GENOME_KINDS[kind].step
-    step_cfg = replace(cfg, population_root=str(root))
-    report_dir = Path(cfg.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
+    step_cfg = replace(cfg, population_root=str(step_population_root(cfg, kind)))
     if cfg.workers == 1:
         Worker(step_cfg, 0, kind).run()
     else:
-        cfg_path = report_dir / f"worker_{name}.cfg"
+        cfg_path = Path(cfg.report_dir) / f"worker_{name}.cfg"
         save_config(step_cfg, cfg_path)
         procs = [
             subprocess.Popen(
@@ -116,14 +114,7 @@ def run_step(cfg: RunConfig, kind: str) -> StepSummary:
         failed = [f"worker {i} exited with code {code}" for i, code in enumerate(codes) if code]
         if failed:
             raise PipelineError(f"{name} step: " + "; ".join(failed))
-    history = report_dir / f"history_{name}.csv"
-    rows = export_history(root, history)
-    return StepSummary(
-        networks_generated=len(rows),
-        # a row's validation metric is its last filled metric column
-        best_metric=max([0.0] + [float(row[4] or row[3]) for row in rows]),
-        history_csv=str(history),
-    )
+    return report_step(cfg, kind)
 
 
 def live_cae_alternatives(store: PopulationStore):
@@ -154,12 +145,10 @@ def finalize_cae_step(cfg: RunConfig, datasets=None):
     if datasets is None:
         datasets = load_run_data(cfg)
     encoder_net, _shape = load_encoder(cfg, encoder_id, datasets[0].sample_shape)
-    report_dir = Path(cfg.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
     prefix = _encoded_prefix(cfg, encoder_id)
     for ds in datasets:
         dt.write_evod(f"{prefix}{ds.split}.evod", dt.encode_dataset(encoder_net, ds))
-    with replacing(report_dir / "chosen_cae.txt") as fh:
+    with replacing(Path(cfg.report_dir) / "chosen_cae.txt") as fh:
         fh.write(f"{encoder_id}\n")
     return encoder_id, prefix
 

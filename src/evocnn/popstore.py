@@ -55,6 +55,15 @@ class FitnessMeta:
     mutation: str
 
 
+def _read_text(path) -> str:
+    """A store file's text. The store writes only ASCII, so bytes that do
+    not decode as ASCII raise StoreError naming the file."""
+    try:
+        return path.read_bytes().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise StoreError(f"{path}: not ASCII text (byte {exc.start})") from None
+
+
 def format_fitness_line(meta: FitnessMeta) -> str:
     metric = ":".join(map(repr, meta.record.values))
     parent = meta.parent_id if meta.parent_id is not None else "-"
@@ -178,8 +187,9 @@ class PopulationStore:
         """The sidecar of live/ (or dirname/) <id>; a malformed one raises
         StoreError naming its path."""
         path = self.root / dirname / individual_id / FITNESS_FILE
+        text = _read_text(path)
         try:
-            return parse_fitness_line(path.read_text())
+            return parse_fitness_line(text)
         except StoreError as exc:
             raise StoreError(f"{path}: {exc}") from None
 
@@ -222,7 +232,7 @@ class PopulationStore:
         return metas
 
     def load_genome_text(self, individual_id) -> str:
-        return (self.live / individual_id / GENOME_FILE).read_text()
+        return _read_text(self.live / individual_id / GENOME_FILE)
 
     def load_weights(self, individual_id) -> bytes:
         return (self.live / individual_id / WEIGHTS_FILE).read_bytes()
@@ -248,7 +258,7 @@ class PopulationStore:
     def read_round_logs(self):
         rows = []
         for path in sorted(self.logs.glob("rounds_*.csv")):
-            for line in path.read_text().splitlines():
+            for line in _read_text(path).splitlines():
                 if line.strip():
                     rows.append(line.split(","))
         return rows
@@ -257,5 +267,5 @@ class PopulationStore:
         claims = {}
         for path in sorted(self.logs.glob("claims_*.log")):
             worker = path.stem.replace("claims_", "")
-            claims[worker] = [l for l in path.read_text().splitlines() if l.strip()]
+            claims[worker] = [l for l in _read_text(path).splitlines() if l.strip()]
         return claims

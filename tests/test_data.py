@@ -212,7 +212,7 @@ class TestEvodFormat:
         path = tmp_path / "cache.evod"
         dt.write_evod(path, ds)
         back = dt.read_evod(path, split="train")
-        np.testing.assert_allclose(back.x, ds.x, atol=1e-7)  # f32 storage
+        np.testing.assert_array_equal(back.x, ds.x)
         np.testing.assert_array_equal(back.y, ds.y)
         assert back.split == "train"
 

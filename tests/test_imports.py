@@ -1,7 +1,11 @@
-"""The package's import graph: `engine` imports no sibling, and no module
-reaches itself through its imports."""
+"""The package's import graph: `engine` imports no sibling, no module
+reaches itself through its imports, and the CLI pins BLAS before numpy
+loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -29,3 +33,31 @@ def test_import_graph_is_acyclic_and_engine_imports_no_sibling():
     assert graph["data"] == {"engine", "fileio"}  # the parser sees both import forms
     # static_order raises graphlib.CycleError naming a cycle
     assert len(list(TopologicalSorter(graph).static_order())) == len(graph)
+
+
+# Records OPENBLAS_NUM_THREADS as numpy is first imported, then loads the CLI.
+_BLAS_AT_NUMPY_IMPORT = """
+import os, sys
+
+class Probe:
+    seen = "numpy not imported"
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and Probe.seen == "numpy not imported":
+            Probe.seen = os.environ.get("OPENBLAS_NUM_THREADS")
+
+sys.meta_path.insert(0, Probe())
+import evocnn.cli
+evocnn.cli.build_parser()
+print(Probe.seen)
+"""
+
+
+def test_cli_pins_blas_before_numpy_loads():
+    # worker processes run `python -m evocnn.cli`; an import moved above the
+    # *_NUM_THREADS block would leave their BLAS unpinned
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(SRC.parent)
+    out = subprocess.run([sys.executable, "-c", _BLAS_AT_NUMPY_IMPORT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "1"

@@ -268,6 +268,18 @@ class TestFitnessSnapshot:
         assert sorted(store.load_all_fitness()) == ["a", "b"]
         assert store.reads.count("b") == 3
 
+    def test_sidecar_that_is_not_text_skipped_and_named(self, tmp_path):
+        # a snapshot skips it as it skips one that fails to parse; the
+        # history's reader names it
+        store = PopulationStore(tmp_path)
+        publish(store, "a")
+        publish(store, "b")
+        sidecar = store.live / "b" / FITNESS_FILE
+        sidecar.write_bytes(b"\xff\xfe")
+        assert sorted(store.load_all_fitness()) == ["a"]
+        with pytest.raises(StoreError, match=f"^{re.escape(str(sidecar))}: not ASCII text"):
+            store.load_published_fitness()
+
     def test_returned_dict_is_a_copy(self, tmp_path):
         store = PopulationStore(tmp_path)
         publish(store, "a", values=(0.1, 0.2))
