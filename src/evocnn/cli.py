@@ -5,7 +5,7 @@ steps in that order; each reads the run's one config file and derives
 what its step needs from it and from the products of the steps before
 (`evolve-clf` reads the encoded caches of the encoder that `encode`
 picked, `compose` stacks that encoder and the best classifier). `run`
-runs all four in one call and writes `summary.json` into `report_dir`.
+runs the verbs' steps in order and writes `summary.json` into `report_dir`.
 The internal `worker` verb is what `run_step` launches per worker process.
 """
 
@@ -25,7 +25,7 @@ from .config import load_config
 from .fileio import replacing
 from .pipeline import (
     STEP_KINDS, best_classifier_id, chosen_encoder_id, classifier_config, compose_final,
-    finalize_cae_step, report_step, run_full_pipeline, run_step,
+    finalize_cae_step, report_step, run_step,
 )
 from .worker import Worker
 
@@ -35,19 +35,23 @@ def cmd_worker(cfg, args):
     print(f"worker {args.index} completed {completed} rounds")
 
 
-def _print_step(name, summary):
+def _evolve(cfg, name):
+    """Run step `name` ("cae" or "clf"), print its line and return its StepSummary."""
+    summary = run_step(cfg, STEP_KINDS[name])
     print(
         f"step={name} networks_generated={summary.networks_generated} "
         f"best_metric={summary.best_metric:.4f} history={summary.history_csv}"
     )
+    return summary
 
 
-def _print_composed(encoder_id, classifier_id, accuracy):
+def _compose(cfg, encoder_id):
+    """Compose encoder_id with the best classifier, print the test accuracy
+    and return (classifier id, test accuracy)."""
+    classifier_id = best_classifier_id(cfg)
+    _net, accuracy = compose_final(cfg, encoder_id, classifier_id)
     print(f"composed {encoder_id} + {classifier_id}: test accuracy {accuracy:.4f}")
-
-
-def _evolve(cfg, name):
-    _print_step(name, run_step(cfg, STEP_KINDS[name]))
+    return classifier_id, accuracy
 
 
 def cmd_evolve_cae(cfg, args):
@@ -64,25 +68,22 @@ def cmd_encode(cfg, args):
 
 
 def cmd_compose(cfg, args):
-    encoder_id, classifier_id = chosen_encoder_id(cfg), best_classifier_id(cfg)
-    _net, acc = compose_final(cfg, encoder_id, classifier_id)
-    _print_composed(encoder_id, classifier_id, acc)
+    _compose(cfg, chosen_encoder_id(cfg))
 
 
 def cmd_run(cfg, args):
-    result = run_full_pipeline(cfg)
-    cae, clf = result["cae_summary"], result["clf_summary"]
-    _print_step("cae", cae)
-    _print_step("clf", clf)
-    _print_composed(result["encoder_id"], result["classifier_id"], result["test_accuracy"])
+    cae = _evolve(cfg, "cae")
+    encoder_id, _prefix = finalize_cae_step(cfg)
+    clf = _evolve(classifier_config(cfg, encoder_id), "clf")
+    classifier_id, accuracy = _compose(cfg, encoder_id)
     summary = {
-        "encoder_id": result["encoder_id"],
-        "classifier_id": result["classifier_id"],
+        "encoder_id": encoder_id,
+        "classifier_id": classifier_id,
         "cae_networks_generated": cae.networks_generated,
         "cae_best_reconstruction_accuracy": cae.best_metric,
         "clf_networks_generated": clf.networks_generated,
         "clf_best_validation_accuracy": clf.best_metric,
-        "test_accuracy": result["test_accuracy"],
+        "test_accuracy": accuracy,
     }
     with replacing(Path(cfg.report_dir) / "summary.json") as fh:
         fh.write(json.dumps(summary, indent=2, allow_nan=False) + "\n")

@@ -136,14 +136,13 @@ def load_encoder(cfg: RunConfig, encoder_id, input_shape):
     return eng.Network(net.layers[: len(g.layers)]), gn.infer_shapes(g, input_shape)[-1]
 
 
-def finalize_cae_step(cfg: RunConfig, datasets=None):
+def finalize_cae_step(cfg: RunConfig):
     """Pick the TOPSIS-best front-0 autoencoder and cache the encoded
     train/val/test splits next to its id. Returns (encoder id, prefix)."""
     store = _existing_store(step_population_root(cfg, gn.ENCODER))
     weights = TopsisWeights(cfg.w_compression, cfg.w_accuracy)
     encoder_id = select_best(live_cae_alternatives(store), weights).id
-    if datasets is None:
-        datasets = load_run_data(cfg)
+    datasets = load_run_data(cfg)
     encoder_net, _shape = load_encoder(cfg, encoder_id, datasets[0].sample_shape)
     prefix = _encoded_prefix(cfg, encoder_id)
     for ds in datasets:
@@ -179,15 +178,13 @@ def best_classifier_id(cfg: RunConfig):
     return max((meta.record.values, iid) for iid, meta in fitness.items())[1]
 
 
-def compose_final(cfg: RunConfig, encoder_id, classifier_id, datasets=None):
+def compose_final(cfg: RunConfig, encoder_id, classifier_id):
     """Encoder + classifier as one network, evaluated on the test split.
 
     Returns (composed Network, test accuracy); PipelineError when the
     accuracy is NaN, as a diverged classifier's non-finite logits make it.
     """
-    if datasets is None:
-        datasets = load_run_data(cfg)
-    test = datasets[2]
+    test = load_run_data(cfg)[2]
     encoder, encoded_shape = load_encoder(cfg, encoder_id, test.sample_shape)
     # the classifier is read on the shape the encoder makes, so one built
     # for another shape raises GenomeError here, before any forward pass
@@ -199,19 +196,3 @@ def compose_final(cfg: RunConfig, encoder_id, classifier_id, datasets=None):
         raise PipelineError(f"{encoder_id} + {classifier_id} makes non-finite logits on the test split")
     return composed, accuracy
 
-
-def run_full_pipeline(cfg: RunConfig):
-    """All four steps end to end; returns a result dict."""
-    cae_summary = run_step(cfg, gn.ENCODER)
-    datasets = load_run_data(cfg)
-    encoder_id, _prefix = finalize_cae_step(cfg, datasets)
-    clf_summary = run_step(classifier_config(cfg, encoder_id), gn.CLASSIFIER)
-    classifier_id = best_classifier_id(cfg)
-    composed, test_acc = compose_final(cfg, encoder_id, classifier_id, datasets)
-    return {
-        "cae_summary": cae_summary,
-        "encoder_id": encoder_id,
-        "clf_summary": clf_summary,
-        "classifier_id": classifier_id,
-        "test_accuracy": test_acc,
-    }

@@ -24,6 +24,7 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
+from .genome import GENOME_KINDS
 from .selection import FitnessRecord
 
 GENOME_FILE = "genome.txt"
@@ -75,12 +76,15 @@ def format_fitness_line(meta: FitnessMeta) -> str:
 
 def parse_fitness_line(line: str) -> FitnessMeta:
     """Inverse of `format_fitness_line`; raises StoreError on any
-    malformed line, including a metric outside [0, 1] and a wall time
-    that is negative or not finite."""
+    malformed line, including a kind not in `GENOME_KINDS`, a metric count
+    other than its kind's (two when it compresses, else one), a metric
+    outside [0, 1] and a wall time that is negative or not finite."""
     parts = line.strip().split(",")
     if len(parts) != 8:
         raise StoreError(f"bad fitness line {line!r}")
     iid, kind, metric, wall, worker, gen, parent, mutation = parts
+    if kind not in GENOME_KINDS:
+        raise StoreError(f"unknown genome kind in fitness line {line!r}")
     numbers = [*metric.split(":"), wall]
     try:
         values = [float(v) for v in numbers]
@@ -92,8 +96,9 @@ def parse_fitness_line(line: str) -> FitnessMeta:
     if list(map(repr, values)) != numbers or repr(generation) != gen or generation < 0:
         raise StoreError(f"number not spelled as written in fitness line {line!r}")
     *metrics, wall_seconds = values
-    if len(metrics) > 2 or not all(0 <= v <= 1 for v in metrics) or not 0 <= wall_seconds < math.inf:
-        raise StoreError(f"bad metric or wall time in fitness line {line!r}")
+    if (len(metrics) != 1 + GENOME_KINDS[kind].compresses
+            or not all(0 <= v <= 1 for v in metrics) or not 0 <= wall_seconds < math.inf):
+        raise StoreError(f"bad metric count, metric or wall time in fitness line {line!r}")
     return FitnessMeta(
         id=iid,
         kind=kind,

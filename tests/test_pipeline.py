@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -741,6 +742,13 @@ class TestStoredNetworkReads:
             pl.compose_final(cfg, gn.ENCODER, gn.CLASSIFIER)
 
 
+def run_verb(cfg, cfg_path):
+    """Save cfg to cfg_path, run the `run` verb on it and return its summary.json."""
+    save_config(cfg, cfg_path)
+    cli.main(["run", "--config", str(cfg_path)])
+    return json.loads((Path(cfg.report_dir) / "summary.json").read_text())
+
+
 class TestCompose:
     def test_compose_refuses_a_classifier_whose_logits_overflow(self, tmp_path):
         # when every live classifier scored 0.0 the best one may have diverged;
@@ -772,9 +780,9 @@ class TestCompose:
 
         monkeypatch.setattr(pl, "load_run_data", counting_load_run_data)
         monkeypatch.setattr(wk, "load_run_data", counting_load_run_data)
-        result = pl.run_full_pipeline(result_cfg)
-        # raw data: once for the CAE worker, once for finalize and compose
-        assert sorted(sources) == ["evod", "synth", "synth"]
+        result = run_verb(result_cfg, tmp_path / "run.cfg")
+        # raw data: once each for the CAE worker, finalize and compose
+        assert sorted(sources) == ["evod", "synth", "synth", "synth"]
         assert 0.0 <= result["test_accuracy"] <= 1.0
 
         cae_store = PopulationStore(pl.step_population_root(result_cfg, gn.ENCODER))
@@ -793,7 +801,7 @@ class TestCompose:
 
     def test_compose_accuracy_matches_encoded_classifier_accuracy(self, tmp_path):
         cfg = tiny_cfg(tmp_path, round_budget=2)
-        result = pl.run_full_pipeline(cfg)
+        result = run_verb(cfg, tmp_path / "run.cfg")
         clf_store = PopulationStore(pl.step_population_root(cfg, gn.CLASSIFIER))
         clf_net = eng.deserialize_network(clf_store.load_weights(result["classifier_id"]))
         prefix = Path(cfg.report_dir) / f"encoded_{result['encoder_id']}_"
@@ -913,7 +921,7 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         composed_line = [line for line in out if line.startswith("composed")]
 
-        result = pl.run_full_pipeline(full_cfg)
+        result = run_verb(full_cfg, tmp_path / "full.cfg")
         for name in ("history_cae.csv", "history_clf.csv"):
             cli_bytes = (Path(cli_cfg.report_dir) / name).read_bytes()
             assert cli_bytes == (Path(full_cfg.report_dir) / name).read_bytes()
@@ -925,6 +933,32 @@ class TestCli:
             f"composed {encoder_id} + {result['classifier_id']}: test accuracy {accuracy:.4f}"
         ]
         assert composed.layers[-1].units == 4
+
+
+class TestRunMemory:
+    def test_raw_splits_are_freed_before_the_classifier_step(self, tmp_path, monkeypatch):
+        # step 3 trains on the encoded caches, so no raw split that steps 1
+        # and 2 loaded may stay alive through it
+        raw, at_clf_start = [], []
+
+        def tracking_load_run_data(cfg):
+            splits = load_run_data(cfg)
+            if cfg.data_source == "synth":
+                raw.extend(weakref.ref(ds.x) for ds in splits)
+            return splits
+
+        def checking_run(self):
+            if self.kind == gn.CLASSIFIER:
+                at_clf_start.append((len(raw), sum(ref() is not None for ref in raw)))
+            return worker_run(self)
+
+        worker_run = Worker.run
+        monkeypatch.setattr(pl, "load_run_data", tracking_load_run_data)
+        monkeypatch.setattr(wk, "load_run_data", tracking_load_run_data)
+        monkeypatch.setattr(Worker, "run", checking_run)
+        run_verb(tiny_cfg(tmp_path, round_budget=1), tmp_path / "run.cfg")
+        # (splits loaded by steps 1 and 2, of them alive)
+        assert at_clf_start == [(6, 0)]
 
 
 class TestQuickStart:

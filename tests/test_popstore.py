@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evocnn.genome import CLASSIFIER, ENCODER
 from evocnn.popstore import (
     FITNESS_FILE,
     GENOME_FILE,
@@ -23,9 +24,14 @@ from evocnn.popstore import (
 from evocnn.selection import FitnessRecord
 
 
+def kind_for(values):
+    """The genome kind whose sidecar holds this many values."""
+    return ENCODER if len(values) == 2 else CLASSIFIER
+
+
 def meta_for(iid, values=(0.5, 0.5), worker="w0", gen=0, parent=None, mut="Seed"):
     return FitnessMeta(
-        id=iid, kind="Encoder", record=FitnessRecord(values), wall_seconds=1.25,
+        id=iid, kind=kind_for(values), record=FitnessRecord(values), wall_seconds=1.25,
         worker_id=worker, generation=gen, parent_id=parent, mutation=mut,
     )
 
@@ -49,7 +55,8 @@ def fitness_lines(draw):
     value = st.floats(allow_nan=False, allow_infinity=False)
     record = FitnessRecord(draw(st.tuples(value) | st.tuples(value, value)))
     meta = FitnessMeta(
-        id=draw(st.text("abc-0123", min_size=1, max_size=8)), kind="Encoder", record=record,
+        id=draw(st.text("abc-0123", min_size=1, max_size=8)), kind=kind_for(record.values),
+        record=record,
         wall_seconds=draw(value), worker_id="w0", generation=draw(st.integers(0, 10_000)),
         parent_id=draw(st.none() | st.just("p-1")), mutation="InsertConv",
     )
@@ -120,6 +127,10 @@ class TestFitnessLine:
             pytest.param("a,Classifier, 0.5,1.25,w0,0,-,Seed\n", id="padded metric"),
             pytest.param("a,Classifier,0_0.9,1.25,w0,0,-,Seed\n", id="underscored metric"),
             pytest.param("a,Encoder,0.5:0.2,+1.0,w0,0,-,Seed\n", id="signed wall time"),
+            # a kind the program does not know, and a value count its kind never has
+            pytest.param("a,Decoder,0.5:0.2,1.25,w0,0,-,Seed\n", id="unknown kind"),
+            pytest.param("a,Encoder,0.5,1.25,w0,0,-,Seed\n", id="one-value encoder"),
+            pytest.param("a,Classifier,0.5:0.2,1.25,w0,0,-,Seed\n", id="two-value classifier"),
         ],
     )
     def test_malformed_line_rejected(self, line):
