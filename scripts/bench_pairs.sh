@@ -1,17 +1,21 @@
 #!/usr/bin/env bash
-# Alternating benchmark pairs of a revision and the working tree, run from
-# one checkout with only src/ swapped.
+# Alternating benchmark pairs of a revision and the working tree, each side
+# run on its own copy of src/.
 #
 #     scripts/bench_pairs.sh <rev> <workload> <pairs> [first seed]
 #
 # Run from the root of a checkout. Pair i runs `perfbench/run.py
 # --workload <workload> --seed <first seed + i>` (first seed defaults to
 # 1) once on <rev>'s src/ and once on the working src/: <rev> first in
-# even pairs, the working tree first in odd ones. Everything else,
-# perfbench/ included, is the working tree's, so the two sides differ in
-# src/ alone. While <rev>'s side runs, the working src/ is moved aside to
-# .bench_src_working, never deleted; a trap moves it back on exit, failure
-# or interrupt.
+# even pairs, the working tree first in odd ones. Each side runs from its
+# own root under .bench_work/pairs/, rev/ or wrk/ (names of one length, as
+# the directory name moves the fault counts), which holds a copy of that
+# side's src/: <rev>'s from `git archive`, the working tree's as it stood
+# at start (the tree its diff hash below covers, so no __pycache__). The
+# checkout's perfbench/run.py runs by absolute path with the side's root
+# as working directory, so the two sides differ in src/ alone, and the
+# checkout's own src/ is only read. A run that is killed leaves the roots
+# behind; the next run replaces them.
 #
 # Prints each pair's end-to-end metrics as it completes, then per metric
 # the number of pairs the working tree won (ties count for neither side)
@@ -60,32 +64,17 @@ if [ ! -d src ] || [ ! -f BENCHMARK.json ]; then
     echo "$0: run from the root of a checkout" >&2
     exit 2
 fi
-aside=.bench_src_working
-if [ -e "$aside" ]; then
-    echo "$0: $aside exists, so an earlier run did not restore src/; move it back to src/ first" >&2
-    exit 2
-fi
-
+checkout=$PWD
+roots=.bench_work/pairs
 tmp=$(mktemp -d)
 results=$tmp/results.jsonl
-
-restore() {
-    if [ -e "$aside" ]; then
-        # src/ here, if any, is <rev>'s copy
-        if [ -e src ]; then
-            mv src "$tmp/src"
-        fi
-        mv "$aside" src
-    fi
-    rm -rf "$tmp"
-}
-trap restore EXIT
+trap 'rm -rf "$tmp" "$roots"' EXIT
 trap 'exit 130' INT
 trap 'exit 143' TERM
-git archive "$rev" src | tar -x -C "$tmp"
 
-# the revisions, read before any run swaps src/; the diff is taken through
-# a scratch index, so that untracked files count and the real index stays
+# the revisions and the working src/, read once at start; the diff is taken
+# through a scratch index, so that untracked files count and the real index
+# stays, and that index's tree is the working side's copy
 rev_commit=$(git rev-parse --verify "$rev^{commit}")
 head_commit=$(git rev-parse --verify HEAD)
 GIT_INDEX_FILE=$tmp/index git read-tree HEAD
@@ -94,22 +83,21 @@ src_diff=
 if ! GIT_INDEX_FILE=$tmp/index git diff --cached --quiet HEAD -- src; then
     src_diff=$(GIT_INDEX_FILE=$tmp/index git diff --cached --binary HEAD -- src | sha256sum | cut -d' ' -f1)
 fi
+rm -rf "$roots"
+mkdir -p "$roots/rev" "$roots/wrk"
+git archive "$rev" src | tar -x -C "$roots/rev"
+git archive "$(GIT_INDEX_FILE=$tmp/index git write-tree)" src | tar -x -C "$roots/wrk"
 
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
 # run <side> <pair> <seed>: one benchmark run, its JSON line appended to results
 run() {
-    local out
+    local out root=$roots/wrk
     if [ "$1" = rev ]; then
-        mv src "$aside"
-        mv "$tmp/src" src
+        root=$roots/rev
     fi
-    out=$(python3 -c "$faults" python3 perfbench/run.py --workload "$workload" --seed "$3" \
-        --seconds "$seconds" --trace 0)
-    if [ "$1" = rev ]; then
-        mv src "$tmp/src"
-        mv "$aside" src
-    fi
+    out=$(cd "$root" && python3 -c "$faults" python3 "$checkout/perfbench/run.py" \
+        --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0)
     printf '%s\n' "$out" | python3 -c "$record" "$1" "$2" "$3" >> "$results"
 }
 

@@ -31,7 +31,7 @@ from .worker import Worker
 
 
 def cmd_worker(cfg, args):
-    completed = Worker(cfg, args.index, args.kind).run()
+    completed = Worker(cfg, args.index, STEP_KINDS[args.step]).run()
     print(f"worker {args.index} completed {completed} rounds")
 
 
@@ -115,7 +115,7 @@ def build_parser():
 
     p = verb("worker", cmd_worker, "internal: run one worker process")
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--kind", required=True, choices=list(STEP_KINDS.values()))
+    p.add_argument("--step", required=True, choices=list(STEP_KINDS))
 
     return parser
 

@@ -17,6 +17,7 @@ from .fileio import replacing
 CIFAR_RECORD = 3073  # 1 label byte + 3*1024 channel-major pixel bytes
 CIFAR_SHAPE = (3, 32, 32)
 
+SPLITS = ("train", "val", "test")  # a run's splits, in `split`'s order, and their cache names
 SPLIT_PROPORTIONS = (45, 5, 10)  # train : val : test
 
 SYNTH_CHANNELS = 3
@@ -31,7 +32,6 @@ class DataError(Exception):
 class Dataset:
     x: np.ndarray  # (N, C, H, W) engine.DTYPE: images scaled to [0,1], or their encodings
     y: np.ndarray  # (N,) int labels
-    split: str = "raw"
 
     def __post_init__(self):
         if self.x.shape[0] != self.y.shape[0]:
@@ -86,7 +86,7 @@ def load_cifar10(path) -> Dataset:
         pixels.append(pix)
     x = np.divide(np.concatenate(pixels), 255.0, dtype=eng.DTYPE)
     y = np.concatenate(labels).astype(np.int64)
-    return Dataset(x=x, y=y, split="raw")
+    return Dataset(x=x, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +121,12 @@ def split(raw: Dataset, seed) -> tuple[Dataset, Dataset, Dataset]:
         buckets[1].append(idx[n_train:n_train + n_val])
         buckets[2].append(idx[n_train + n_val:])
     out = []
-    for tag, parts in zip(("train", "val", "test"), buckets):
+    for tag, parts in zip(SPLITS, buckets):
         if sum(p.size for p in parts) == 0:
             # an empty split fails later (no batch, a 0/0 accuracy) with another error
             raise DataError(f"{raw.n} samples leave the {tag} split empty")
         sel = np.sort(np.concatenate(parts))
-        out.append(Dataset(x=raw.x[sel], y=raw.y[sel], split=tag))
+        out.append(Dataset(x=raw.x[sel], y=raw.y[sel]))
     return tuple(out)
 
 
@@ -165,7 +165,7 @@ def synth_dataset(classes, count, size, seed=0) -> Dataset:
     order = rng.permutation(count)
     x = np.concatenate(xs)[order].astype(eng.DTYPE)
     y = np.concatenate(ys)[order]
-    return Dataset(x=x, y=y, split="raw")
+    return Dataset(x=x, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def synth_dataset(classes, count, size, seed=0) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def encode_dataset(encoder_net, ds: Dataset) -> Dataset:
-    """Replace every sample with its encoding; labels and split kept."""
+    """Replace every sample with its encoding; labels kept."""
     return replace(ds, x=np.concatenate([out for _, out in encoder_net.forward_chunks(ds.x)]))
 
 
@@ -202,7 +202,7 @@ def write_evod(path, ds: Dataset):
         fh.write(ds.y.astype(np.uint8).tobytes())
 
 
-def read_evod(path, split="raw") -> Dataset:
+def read_evod(path) -> Dataset:
     raw = Path(path).read_bytes()
     if raw[:4] != _EVOD_MAGIC:
         raise DataError(f"{path}: not an EVOD file")
@@ -223,4 +223,4 @@ def read_evod(path, split="raw") -> Dataset:
         raise DataError(f"{path}: non-finite pixel")
     x = x.astype(eng.DTYPE).reshape(n, c, h, w)
     y = np.frombuffer(raw, np.uint8, n, off + 4 * size).astype(np.int64)
-    return Dataset(x=x, y=y, split=split)
+    return Dataset(x=x, y=y)

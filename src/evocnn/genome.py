@@ -173,16 +173,16 @@ class Genome:
 
 
 class MutationKind(str, enum.Enum):
-    Identity = "Identity"
-    InsertConv = "InsertConv"
-    RemoveConv = "RemoveConv"
-    AlterStride = "AlterStride"
-    InsertPool = "InsertPool"
-    RemovePool = "RemovePool"
     AlterFilterNumber = "AlterFilterNumber"
     AlterFilterSize = "AlterFilterSize"
-    AlterPoolSize = "AlterPoolSize"
     AlterLearningRate = "AlterLearningRate"
+    AlterPoolSize = "AlterPoolSize"
+    AlterStride = "AlterStride"
+    Identity = "Identity"
+    InsertConv = "InsertConv"
+    InsertPool = "InsertPool"
+    RemoveConv = "RemoveConv"
+    RemovePool = "RemovePool"
 
 
 class GenomeKind(NamedTuple):
@@ -190,7 +190,7 @@ class GenomeKind(NamedTuple):
     seed_layers: tuple    # genes of a seed genome
     batch_loss: Callable  # (output, x batch, y batch) -> (loss, output gradient)
     metric: Callable      # (network, DatasetView) -> validation metric
-    mutations: frozenset  # MutationKinds drawn for a child
+    mutations: tuple      # MutationKinds drawn for a child, in value order (seeded draws index it)
     tail: Callable        # (genome, shape trace, n_classes) -> specs of the layers after the genes
     compresses: bool      # must shrink its input, and is scored (compression, metric)
 
@@ -201,7 +201,7 @@ GENOME_KINDS = {
         seed_layers=(ConvGene(8, 3, 3, 1), PoolGene(2, 2)),  # the pool makes the seed compress
         batch_loss=lambda out, x, y: eng.mse_loss(out, x),
         metric=lambda net, view: eng.reconstruction_accuracy(net, view.val_x),
-        mutations=frozenset(MutationKind) - {MutationKind.AlterLearningRate},
+        mutations=tuple(k for k in MutationKind if k is not MutationKind.AlterLearningRate),
         tail=lambda g, trace, n_classes: derive_decoder(g, trace[0]),
         compresses=True,
     ),
@@ -210,7 +210,7 @@ GENOME_KINDS = {
         seed_layers=(ConvGene(8, 3, 3, 1),),
         batch_loss=lambda out, x, y: eng.softmax_cross_entropy(out, y),
         metric=lambda net, view: eng.classifier_accuracy(net, view.val_x, view.val_y),
-        mutations=frozenset(MutationKind),
+        mutations=tuple(MutationKind),
         tail=lambda g, trace, n_classes: [
             {"kind": "flatten"},
             {"kind": "dense", "in_features": math.prod(trace[-1]), "units": n_classes},

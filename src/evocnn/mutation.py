@@ -1,4 +1,4 @@
-"""Mutation catalog, uniform sampling, and the validity-retry loop."""
+"""Mutation catalog and the validity-retry loop of uniform draws."""
 
 from __future__ import annotations
 
@@ -11,14 +11,6 @@ from .genome import MutationKind
 INSERT_FILTERS = (8, 16, 32, 64)
 
 INAPPLICABLE = None
-
-
-def sample_mutation(kind_set, rng) -> MutationKind:
-    """Uniform draw over the kind set."""
-    if not kind_set:
-        raise ValueError("kind_set must be non-empty")
-    kinds = sorted(kind_set, key=lambda k: k.value)
-    return kinds[int(rng.integers(len(kinds)))]
 
 
 def _new_conv(rng):
@@ -113,16 +105,16 @@ MUTATION_TRIES = 25  # draws per child before mutate_valid returns EXHAUSTED
 
 
 def mutate_valid(g, input_shape, rng, child_id):
-    """(sample, apply, validate) over the kind's mutations until a valid
-    child appears.
+    """(draw, apply, validate) over the kind's mutations until a valid
+    child appears; each draw is uniform over them.
 
     Returns apply_mutation's (child, genes_from), or EXHAUSTED after
     MUTATION_TRIES; the caller is expected to fall back to Identity so the
     worker stays live.
     """
-    kind_set = gn.GENOME_KINDS[g.kind].mutations
+    kinds = gn.GENOME_KINDS[g.kind].mutations
     for _ in range(MUTATION_TRIES):
-        kind = sample_mutation(kind_set, rng)
+        kind = kinds[int(rng.integers(len(kinds)))]
         mutated = apply_mutation(g, kind, rng, child_id)
         if mutated is not INAPPLICABLE and gn.validate(mutated[0], input_shape) is None:
             return mutated

@@ -105,7 +105,7 @@ def run_step(cfg: RunConfig, kind: str) -> StepSummary:
             subprocess.Popen(
                 [
                     sys.executable, "-m", "evocnn.cli", "worker",
-                    "--config", str(cfg_path), "--index", str(i), "--kind", kind,
+                    "--config", str(cfg_path), "--index", str(i), "--step", name,
                 ]
             )
             for i in range(cfg.workers)
@@ -145,8 +145,8 @@ def finalize_cae_step(cfg: RunConfig):
     datasets = load_run_data(cfg)
     encoder_net, _shape = load_encoder(cfg, encoder_id, datasets[0].sample_shape)
     prefix = _encoded_prefix(cfg, encoder_id)
-    for ds in datasets:
-        dt.write_evod(f"{prefix}{ds.split}.evod", dt.encode_dataset(encoder_net, ds))
+    for tag, ds in zip(dt.SPLITS, datasets):
+        dt.write_evod(f"{prefix}{tag}.evod", dt.encode_dataset(encoder_net, ds))
     with replacing(Path(cfg.report_dir) / "chosen_cae.txt") as fh:
         fh.write(f"{encoder_id}\n")
     return encoder_id, prefix
@@ -157,11 +157,17 @@ def _encoded_prefix(cfg: RunConfig, encoder_id) -> str:
 
 
 def chosen_encoder_id(cfg: RunConfig) -> str:
-    """The encoder `finalize_cae_step` picked for this run."""
+    """The encoder `finalize_cae_step` picked for this run; PipelineError naming
+    chosen_cae.txt unless it is one line holding a live step-1 autoencoder's id."""
     path = Path(cfg.report_dir) / "chosen_cae.txt"
     if not path.exists():
         raise PipelineError(f"{path} is missing: pick and encode a CAE first")
-    return path.read_text().strip()
+    store = _existing_store(step_population_root(cfg, gn.ENCODER))
+    # a byte that is not ASCII decodes to U+FFFD, which no store id holds
+    encoder_id = path.read_bytes().removesuffix(b"\n").decode("ascii", "replace")
+    if encoder_id not in store.list_live():
+        raise PipelineError(f"{path} is not one line holding the id of a live step-1 autoencoder")
+    return encoder_id
 
 
 def classifier_config(cfg: RunConfig, encoder_id) -> RunConfig:

@@ -39,8 +39,7 @@ def load_run_data(cfg: RunConfig):
         raw = dt.load_cifar10(cfg.dataset_dir)
         splits = dt.split(raw, seed=cfg.master_seed)
     elif cfg.data_source == "evod":
-        splits = tuple(dt.read_evod(f"{cfg.evod_prefix}{tag}.evod", split=tag)
-                       for tag in ("train", "val", "test"))
+        splits = tuple(dt.read_evod(f"{cfg.evod_prefix}{tag}.evod") for tag in dt.SPLITS)
     else:
         raise ValueError(f"unknown data source {cfg.data_source!r}")
     top = max(int(ds.y.max()) for ds in splits)

@@ -315,7 +315,7 @@ def _launch_workers(cfg, tmp_path, n):
     return [
         subprocess.Popen(
             [sys.executable, "-m", "evocnn.cli", "worker",
-             "--config", str(cfg_path), "--index", str(i), "--kind", gn.ENCODER],
+             "--config", str(cfg_path), "--index", str(i), "--step", "cae"],
             stdout=subprocess.DEVNULL,
         )
         for i in range(n)
@@ -443,8 +443,8 @@ def test_criterion_8_throughput_gain(tmp_path):
     conv.init_weights(rng)
     encoder = eng.Network([conv, eng.MaxPoolLayer(2, 2)])
     prefix = str(tmp_path / "encoded_")
-    for ds in load_run_data(raw_cfg):
-        dt.write_evod(f"{prefix}{ds.split}.evod", dt.encode_dataset(encoder, ds))
+    for tag, ds in zip(dt.SPLITS, load_run_data(raw_cfg)):
+        dt.write_evod(f"{prefix}{tag}.evod", dt.encode_dataset(encoder, ds))
     enc_cfg = replace(raw_cfg, data_source="evod", evod_prefix=prefix)
     assert load_run_data(enc_cfg)[0].sample_shape == (4, 8, 8)
 

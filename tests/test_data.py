@@ -1,7 +1,7 @@
 import os
 import struct
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -77,7 +77,7 @@ class TestSplit:
     def test_proportions_45_5_10(self):
         train, val, test = dt.split(self.make_raw(), seed=0)
         assert (train.n, val.n, test.n) == (180, 20, 40)
-        assert (train.split, val.split, test.split) == ("train", "val", "test")
+        assert dt.SPLITS == ("train", "val", "test")
 
     def test_partition_no_overlap_no_loss(self):
         raw = self.make_raw()
@@ -181,7 +181,6 @@ class TestEncodeDataset:
         enc = dt.encode_dataset(net, ds)
         assert enc.x.shape == (n, 4, 4, 4)
         np.testing.assert_array_equal(enc.y, ds.y)
-        assert enc.split == ds.split
         # chunked encoding equals one-shot encoding
         np.testing.assert_allclose(enc.x, net.forward(ds.x))
 
@@ -211,10 +210,11 @@ class TestEvodFormat:
         ds = dt.synth_dataset(2, 10, 6, seed=3)
         path = tmp_path / "cache.evod"
         dt.write_evod(path, ds)
-        back = dt.read_evod(path, split="train")
+        back = dt.read_evod(path)
         np.testing.assert_array_equal(back.x, ds.x)
         np.testing.assert_array_equal(back.y, ds.y)
-        assert back.split == "train"
+        # a dataset carries no split name: dt.SPLITS names the splits
+        assert [f.name for f in fields(back)] == ["x", "y"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.evod"

@@ -20,14 +20,17 @@ def clf(*layers, gid="p", lr=0.01):
 
 
 class TestSampleMutation:
-    def test_singleton_set(self, rng):
-        assert mu.sample_mutation({mu.MutationKind.Identity}, rng) is mu.MutationKind.Identity
-
-    def test_uniform_over_nine_kinds(self, rng):
+    def test_uniform_over_nine_kinds(self, rng, monkeypatch):
+        # every try is inapplicable, so mutate_valid draws MUTATION_TRIES kinds
         n = 10_000
+        drawn = []
+        monkeypatch.setattr(mu, "MUTATION_TRIES", n)
+        monkeypatch.setattr(mu, "apply_mutation", lambda g, kind, rng, child_id: drawn.append(kind))
+        g = enc(gn.ConvGene(8, 3, 3, 1), gn.PoolGene(2, 2))
+        assert mu.mutate_valid(g, (3, 32, 32), rng, "c") is mu.EXHAUSTED
+        assert len(drawn) == n
         counts = {}
-        for _ in range(n):
-            k = mu.sample_mutation(ENCODER_MUTATIONS, rng)
+        for k in drawn:
             counts[k] = counts.get(k, 0) + 1
         p = 1 / 9
         sigma = math.sqrt(p * (1 - p) / n)
@@ -41,9 +44,12 @@ class TestSampleMutation:
         assert len(ENCODER_MUTATIONS) == 9
         assert len(CLASSIFIER_MUTATIONS) == 10
 
-    def test_empty_set_rejected(self, rng):
-        with pytest.raises(ValueError):
-            mu.sample_mutation(set(), rng)
+    @pytest.mark.parametrize("kind", sorted(gn.GENOME_KINDS))
+    def test_mutations_are_in_value_order(self, kind):
+        # a draw indexes this tuple, so seeded histories depend on its order
+        mutations = gn.GENOME_KINDS[kind].mutations
+        assert type(mutations) is tuple
+        assert list(mutations) == sorted(mutations, key=lambda k: k.value)
 
 
 class TestApplyMutation:
@@ -182,7 +188,7 @@ class TestMutateValid:
 
     def test_exhausted_with_all_inapplicable_kind_set(self, rng, monkeypatch):
         g = enc(gn.ConvGene(4, 3, 3, 1), gn.ConvGene(2, 3, 3, 2))
-        only_remove_pool = frozenset({mu.MutationKind.RemovePool})  # no pool to remove
+        only_remove_pool = (mu.MutationKind.RemovePool,)  # no pool to remove
         kind = gn.GENOME_KINDS[gn.ENCODER]._replace(mutations=only_remove_pool)
         monkeypatch.setitem(gn.GENOME_KINDS, gn.ENCODER, kind)
         assert mu.mutate_valid(g, (3, 32, 32), rng, "c") is mu.EXHAUSTED

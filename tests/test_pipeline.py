@@ -690,7 +690,7 @@ class TestCaeSelection:
         assert (Path(cfg.report_dir) / "chosen_cae.txt").read_text().strip() == encoder_id
         train, val, test = load_run_data(cfg)
         for tag, ds in (("train", train), ("val", val), ("test", test)):
-            cached = dt.read_evod(f"{prefix}{tag}.evod", split=tag)
+            cached = dt.read_evod(f"{prefix}{tag}.evod")
             assert cached.n == ds.n
             np.testing.assert_array_equal(cached.y, ds.y)
             # encoded samples are strictly smaller than the originals
@@ -805,7 +805,7 @@ class TestCompose:
         clf_store = PopulationStore(pl.step_population_root(cfg, gn.CLASSIFIER))
         clf_net = eng.deserialize_network(clf_store.load_weights(result["classifier_id"]))
         prefix = Path(cfg.report_dir) / f"encoded_{result['encoder_id']}_"
-        encoded_test = dt.read_evod(f"{prefix}test.evod", split="test")
+        encoded_test = dt.read_evod(f"{prefix}test.evod")
         # both paths compute in float32, and the cache holds the encoder's
         # output bit for bit
         two_stage = eng.classifier_accuracy(clf_net, encoded_test.x, encoded_test.y)
@@ -819,17 +819,31 @@ class TestCli:
         save_config(replace(cfg, population_root=str(tmp_path / "pop" / "cae")), cfg_path)
         subprocess.run(
             [sys.executable, "-m", "evocnn.cli", "worker",
-             "--config", str(cfg_path), "--index", "0", "--kind", gn.ENCODER],
+             "--config", str(cfg_path), "--index", "0", "--step", "cae"],
             check=True, capture_output=True,
         )
         store = PopulationStore(tmp_path / "pop" / "cae")
         assert len(store.list_live()) + len(store.list_dead()) == 3
 
-    def test_worker_unknown_kind_rejected(self):
-        from evocnn.cli import build_parser
+    def test_worker_step_clf_runs_a_classifier_worker(self, tmp_path, capsys):
+        cfg = tiny_cfg(tmp_path, round_budget=1, seeds_per_worker=2)
+        cfg_path = tmp_path / "run.cfg"
+        save_config(replace(cfg, population_root=str(tmp_path / "pop" / "clf")), cfg_path)
+        cli.main(["worker", "--config", str(cfg_path), "--index", "0", "--step", "clf"])
+        assert capsys.readouterr().out == "worker 0 completed 1 rounds\n"
+        published = PopulationStore(tmp_path / "pop" / "clf").load_published_fitness()
+        assert [meta.kind for meta in published] == [gn.CLASSIFIER] * 3
 
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker", "--config", "x", "--index", "0", "--kind", "foo"])
+    def test_worker_unknown_kind_rejected(self):
+        # the worker verb names its step as the other verbs do; --kind is gone
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["worker", "--config", "x", "--index", "0", "--kind", gn.ENCODER])
+        assert exc.value.code == 2
+
+    def test_worker_unknown_step_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["worker", "--config", "x", "--index", "0", "--step", "foo"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -888,7 +902,8 @@ class TestCli:
         for name in ("history_cae.csv", "history_clf.csv", "chosen_cae.txt"):
             (reports / name).write_text(f"earlier {name}\n")
         listing = sorted(tmp_path.rglob("*"))
-        step = "clf" if verb in (["compose"], ["report", "--step", "clf"]) else "cae"
+        # compose reads the chosen encoder, a step-1 product, before the classifiers
+        step = "clf" if verb == ["report", "--step", "clf"] else "cae"
         missing = re.escape(f"{tmp_path / 'typo' / step} is missing")
         with pytest.raises(pl.PipelineError, match=missing):
             cli.main([*verb, "--config", str(cfg_path)])
@@ -933,6 +948,37 @@ class TestCli:
             f"composed {encoder_id} + {result['classifier_id']}: test accuracy {accuracy:.4f}"
         ]
         assert composed.layers[-1].units == 4
+
+
+class TestChosenEncoderFile:
+    @pytest.fixture(scope="class")
+    def step_one(self, tmp_path_factory):
+        """A config whose step 1 has run, its file, and a live and a dead autoencoder id."""
+        tmp = tmp_path_factory.mktemp("chosen")
+        cfg, cfg_path = tiny_cfg(tmp, round_budget=2), tmp / "run.cfg"
+        save_config(cfg, cfg_path)
+        cli.main(["evolve-cae", "--config", str(cfg_path)])
+        store = PopulationStore(pl.step_population_root(cfg, gn.ENCODER))
+        return cfg, cfg_path, store.list_live()[0], store.list_dead()[0]
+
+    @pytest.mark.parametrize("text", ["{live}\n", "{live}"], ids=["newline", "no newline"])
+    def test_one_line_holding_a_live_id_is_read(self, step_one, text):
+        cfg, _cfg_path, live, _dead = step_one
+        (Path(cfg.report_dir) / "chosen_cae.txt").write_text(text.format(live=live))
+        assert pl.chosen_encoder_id(cfg) == live
+
+    @pytest.mark.parametrize("verb", ["evolve-clf", "compose"])
+    @pytest.mark.parametrize(
+        "raw",
+        [b"", b"\n", b"{live}\n{live}\n", b"\xff{live}\n", b"../dead/{dead}\n", b"{dead}\n"],
+        ids=["empty", "blank line", "two lines", "not UTF-8", "path out of live", "dead id"],
+    )
+    def test_malformed_choice_names_the_file(self, step_one, verb, raw):
+        cfg, cfg_path, live, dead = step_one
+        path = Path(cfg.report_dir) / "chosen_cae.txt"
+        path.write_bytes(raw.replace(b"{live}", live.encode()).replace(b"{dead}", dead.encode()))
+        with pytest.raises(pl.PipelineError, match=re.escape(str(path))):
+            cli.main([verb, "--config", str(cfg_path)])
 
 
 class TestRunMemory:
